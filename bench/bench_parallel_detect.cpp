@@ -1,23 +1,17 @@
-// E13 — parallel ONLINE detection scaling: the label-backend detector
-// running inside the thread pool (per-worker buffers, striped shadow
-// cells) vs the serial online DSU detector, on the same access-heavy
-// fork-tree workload. items_per_second is ACCESSES per second in every
-// benchmark here, so the rows divide directly into a scaling curve.
+// E13 — serial online detection and the per-query cost of the two engines
+// on one access-heavy fork-tree workload. items_per_second is ACCESSES per
+// second in every benchmark here, so the rows divide directly.
 //
-// Also measures the per-query flavor of the comparison (E13 second row):
-// serial replay of one recorded trace through the DSU detector (sup()
-// queries against shared suprema) vs through DePaDetector (wait-free
-// label comparisons against maxima pairs).
-//
-// NOTE: on a single-core host (as in CI containers) the parallel rows
-// bound OVERHEAD rather than demonstrate speedup — same caveat as E7.
-// scripts/bench.sh only enforces the 4-worker speedup gate when the
-// machine actually has >= 4 CPUs.
+// BM_SerialOnlineDetect runs the program on the serial executor with the
+// DSU detector attached. The replay pair feeds one recorded trace through
+// the DSU detector (sup() queries against shared suprema) and through
+// DePaDetector (two integer tag compares against a cell's maxima pair).
+// scripts/bench.sh gates BM_SerialOnlineDetect and BM_DepaSerialReplay
+// against their checked-in baselines.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
 
-#include "core/parallel_detector.hpp"
 #include "core/sharded_analyzer.hpp"
 #include "core/depa_detector.hpp"
 #include "runtime/instrumented.hpp"
@@ -29,8 +23,7 @@ namespace {
 using namespace race2d;
 
 // Detection-bound fork tree: every leaf hammers a small shared pool plus
-// a private slot, so the work IS the detector (record + resolve), not the
-// task bodies. Shape chosen so labels stay within a couple of words.
+// a private slot, so the work IS the detector, not the task bodies.
 constexpr std::size_t kWidth = 32;    // children under the root
 constexpr std::size_t kReps = 2000;   // accesses loops per child
 constexpr std::size_t kShared = 64;   // shared locations (mostly clean)
@@ -71,27 +64,6 @@ void BM_SerialOnlineDetect(benchmark::State& state) {
 }
 BENCHMARK(BM_SerialOnlineDetect)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-/// Tentpole row: detection runs INSIDE the parallel execution — workers
-/// buffer their accesses and resolve against location-striped cells.
-void BM_ParallelOnlineDetect(benchmark::State& state) {
-  const unsigned workers = static_cast<unsigned>(state.range(0));
-  for (auto _ : state) {
-    ParallelDetectionResult r =
-        run_with_parallel_detection(detect_workload(), workers);
-    benchmark::DoNotOptimize(r.access_count);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kAccesses));
-  state.counters["workers"] = workers;
-}
-BENCHMARK(BM_ParallelOnlineDetect)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
 /// Per-query comparison, DSU side: replay one recorded trace through the
 /// suprema-based detector (sup() against shared suprema per access).
 void BM_DsuSerialReplay(benchmark::State& state) {
@@ -105,8 +77,8 @@ void BM_DsuSerialReplay(benchmark::State& state) {
 }
 BENCHMARK(BM_DsuSerialReplay)->Unit(benchmark::kMillisecond);
 
-/// Per-query comparison, label side: the same trace through DePaDetector
-/// (two lexicographic label compares against the cell's maxima pair).
+/// Per-query comparison, tag side: the same trace through DePaDetector
+/// (two integer tag compares against the cell's maxima pair).
 void BM_DepaSerialReplay(benchmark::State& state) {
   const Trace trace = recorded_workload();
   for (auto _ : state) {

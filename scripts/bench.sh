@@ -6,7 +6,7 @@
 #   BENCH_static.json   bench_static          — static pass throughput (E11)
 #   BENCH_sharded.json  bench_sharded         — sharded replay scaling (E8b)
 #   BENCH_io.json       bench_io              — trace codec + service (E12)
-#   BENCH_parallel.json bench_parallel_detect — parallel online detection (E13)
+#   BENCH_parallel.json bench_parallel_detect — online detection, DSU vs DePa (E13)
 #   BENCH_service.json  bench_service         — worker-pool saturation (E15)
 #
 # Snapshots are produced from a dedicated Release tree (build-bench/): the
@@ -20,11 +20,9 @@
 #   * BM_CompressedDecode's v1/v2 size ratio >= 2x on the repetitive
 #     workload, and BM_RunReplay/1 (compressed ingest with the run fast
 #     path) >= 1.5x BM_RunReplay/0 (plain ingest) on events/s (E17).
-#   * BM_ParallelOnlineDetect/4 >= 2x BM_SerialOnlineDetect — enforced only
-#     when the machine has >= 4 CPUs; on smaller hosts the parallel rows
+#   * BM_ServicePoolSaturation/4 >= 2.5x the 1-worker row (E15) — enforced
+#     only when the machine has >= 4 CPUs; on smaller hosts the pool rows
 #     bound overhead, not speedup (same caveat as E7).
-#   * BM_ServicePoolSaturation/4 >= 2.5x the 1-worker row (E15) — same
-#     >= 4-CPU condition.
 #   * No key benchmark regresses >20% on items_per_second vs the checked-in
 #     baseline JSON (RACE2D_BENCH_ACCEPT=1 skips this to accept a new
 #     baseline after an understood change or a machine switch).
@@ -131,23 +129,8 @@ if zspeed < 1.5:
           f"ingest on the repetitive workload (< 1.5x gate)")
     failed = True
 
-# Gate 2: parallel online detection >= 2x serial at 4 workers (E13),
-# hardware-permitting.
-_, par_rows = rows("BENCH_parallel.json.new")
-serial = par_rows["BM_SerialOnlineDetect/real_time"]["items_per_second"]
-par4 = par_rows["BM_ParallelOnlineDetect/4/real_time"]["items_per_second"]
-speedup = par4 / serial
+# Gate 2: service pool >= 2.5x at 4 workers vs 1 (E15), hardware-permitting.
 cpus = multiprocessing.cpu_count()
-print(f"bench.sh: parallel detect at 4 workers {par4:.3g} accesses/s vs "
-      f"serial {serial:.3g} accesses/s ({speedup:.2f}x on {cpus} CPU(s))")
-if cpus >= 4 and speedup < 2.0:
-    print(f"bench.sh: FAILED: parallel online detection only {speedup:.2f}x "
-          f"serial at 4 workers (< 2x gate, machine has {cpus} CPUs)")
-    failed = True
-elif cpus < 4:
-    print(f"bench.sh: 2x-at-4-workers gate skipped: only {cpus} CPU(s)")
-
-# Gate 2b: service pool >= 2.5x at 4 workers vs 1 (E15), hardware-permitting.
 _, svc_rows = rows("BENCH_service.json.new")
 svc1 = svc_rows["BM_ServicePoolSaturation/1/real_time"]["items_per_second"]
 svc4 = svc_rows["BM_ServicePoolSaturation/4/real_time"]["items_per_second"]

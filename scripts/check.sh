@@ -7,8 +7,7 @@
 # paths never read past a buffer), then a ThreadSanitizer build of the
 # concurrency-bearing tests (the sharded trace analyzer spawns real threads; TSan checks the
 # workers share nothing but the read-only trace and their private
-# reporters, and the parallel ONLINE detector does detection inside the
-# pool itself — immutable labels, per-worker buffers, striped cells).
+# reporters).
 # clang-tidy is a gated stage when installed: findings in the
 # WarningsAsErrors families of .clang-tidy fail the gate (scripts/tidy.sh
 # still exits 0 when the tool is absent, as in the reference container).
@@ -191,23 +190,18 @@ fi
 if [[ "${RACE2D_SKIP_TSAN:-0}" == "1" ]]; then
   echo "== TSan skipped (RACE2D_SKIP_TSAN=1)"
 else
-  echo "== ThreadSanitizer build (sharded analyzer + parallel executor + parallel online detector + service pool)"
-  # parallel_online_test is the detection-INSIDE-the-pool stress: workers
-  # publish immutable labels, buffer accesses, and resolve against striped
-  # shadow cells while hammering overlapping locations; any missing fence
-  # on that path is a TSan report here. service_pool_test hammers STATS
-  # against concurrent feeds (the metrics counters must be atomics), and
-  # service_fuzz_test runs adversarial clients against the live epoll
-  # thread + worker shards.
+  echo "== ThreadSanitizer build (sharded analyzer + parallel executor + service pool)"
+  # service_pool_test hammers STATS against concurrent feeds (the metrics
+  # counters must be atomics), and service_fuzz_test runs adversarial
+  # clients against the live epoll thread + worker shards.
   cmake -B build-tsan -S . \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer -O1 -g" \
     >/dev/null
   cmake --build build-tsan -j "$(nproc)" --target \
-    sharded_analyzer_test parallel_executor_test parallel_online_test \
+    sharded_analyzer_test parallel_executor_test \
     service_pool_test service_fuzz_test
   ./build-tsan/tests/sharded_analyzer_test
   ./build-tsan/tests/parallel_executor_test
-  ./build-tsan/tests/parallel_online_test
   ./build-tsan/tests/service_pool_test
   ./build-tsan/tests/service_fuzz_test
 fi

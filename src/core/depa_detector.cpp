@@ -9,14 +9,14 @@ namespace race2d {
 
 TaskId DePaDetector::on_root() {
   R2D_REQUIRE(cur_.empty(), "on_root must be the first event");
-  cur_.push_back(clock_.make_root(0));
+  cur_.push_back(clock_.make_root());
   return 0;
 }
 
 TaskId DePaDetector::on_fork(TaskId parent) {
   R2D_REQUIRE(parent < cur_.size(), "unknown parent task");
   const TaskId child = static_cast<TaskId>(cur_.size());
-  OmClock::ForkResult r = clock_.on_fork(cur_[parent], child);
+  OmClock::ForkResult r = clock_.on_fork(cur_[parent]);
   cur_.push_back(r.child);
   cur_[parent] = r.continuation;
   return child;
@@ -29,9 +29,10 @@ void DePaDetector::on_join(TaskId joiner, TaskId joined) {
 }
 
 void DePaDetector::on_halt(TaskId t) {
-  // Labels need no halt action: the task's final interval stays published
-  // and is what a later join reads. (The DSU needs the stop-arc to keep its
-  // line representation in step; there is no such shared structure here.)
+  // The clock needs no halt action: the task's final interval stays
+  // current and is what a later join reads. (The DSU needs the stop-arc to
+  // keep its line representation in step; the lists change only at fork and
+  // join.)
   R2D_REQUIRE(t < cur_.size(), "unknown task in halt");
 }
 
@@ -108,9 +109,9 @@ DePaDetector::State DePaDetector::export_state() const {
   return s;
 }
 
-void DePaDetector::import_state(const State& s) {
+bool DePaDetector::import_state(const State& s) {
   R2D_REQUIRE(cur_.empty(), "import_state needs a fresh detector");
-  clock_.import_state(s.clock);
+  if (!clock_.import_state(s.clock)) return false;
   const std::uint64_t n = s.clock.intervals.size();
   const auto to_ptr = [this, n](std::uint64_t i) -> OmInterval* {
     if (i == kNullInterval) return nullptr;
@@ -134,6 +135,7 @@ void DePaDetector::import_state(const State& s) {
   reporter_.import_state(std::vector<RaceReport>(s.undrained), s.first,
                          static_cast<std::size_t>(s.reports_total));
   access_count_ = static_cast<std::size_t>(s.access_count);
+  return true;
 }
 
 MemoryFootprint DePaDetector::footprint() const {

@@ -1,100 +1,152 @@
 #include "core/om_timestamps.hpp"
 
-#include "support/assert.hpp"
+#include <algorithm>
 
 namespace race2d {
 
-OmLabel OmLabel::extended(std::uint32_t k) const {
-  R2D_ASSERT(k >= 1);
-  OmLabel out;
-  const std::uint32_t new_bits = bits + k;
-  const std::size_t new_words = (new_bits + 63u) / 64u;
-  out.words.reserve(new_words);
-  for (std::size_t i = 0; i < words.size(); ++i) out.words.push_back(words[i]);
-  while (out.words.size() < new_words) out.words.push_back(0);
-  out.bits = new_bits;
-  // Appended bits are 0^{k-1}1: only the last one is set. Unused tail bits
-  // in `words` are zero by invariant, so no masking is needed.
-  const std::uint32_t last = new_bits - 1;
-  out.words[last >> 6] |= std::uint64_t{1} << (63u - (last & 63u));
-  return out;
+namespace {
+
+// The gap an append at a list's end leaves behind it: room for 2^30
+// appends, and for 32 halvings inside each gap before a relabel.
+constexpr std::uint64_t kTailStride = std::uint64_t{1} << 32;
+
+// Bender et al.'s density threshold T = √2 (their analysis needs 1 < T < 2):
+// an aligned range of 2^b tags may be relabeled once it holds at most
+// 2^(b/2) intervals, i.e. count² ≤ 2^b. Evenly spread, such a range leaves
+// a gap of at least 2 after every element.
+bool sparse(std::uint64_t count, std::uint64_t span) {
+  return count < (std::uint64_t{1} << 31) && count * count <= span;
 }
 
-OmInterval* OmClock::alloc(TaskId task) {
-  std::lock_guard<std::mutex> lock(mu_);
-  arena_.emplace_back();
-  arena_.back().task = task;
-  return &arena_.back();
+/// Called when `y`, just linked after `x`, finds no free tag before its
+/// successor: grows an aligned tag range around x's tag until it is sparse
+/// and spreads the range's intervals, y included, evenly over it.
+void relabel(OmClock::List list, OmInterval* x, OmInterval* y) {
+  const std::uint64_t anchor = (x->*list).tag;
+  OmInterval* first = x;
+  OmInterval* last = y;
+  std::uint64_t count = 2;
+  std::uint64_t lo = anchor;
+  std::uint64_t span = 1;
+  for (unsigned bits = 1;; ++bits) {
+    span = std::uint64_t{1} << bits;
+    lo = anchor & ~(span - 1);
+    for (OmInterval* p = (first->*list).prev;
+         p != nullptr && (p->*list).tag >= lo; p = (p->*list).prev) {
+      first = p;
+      ++count;
+    }
+    for (OmInterval* n = (last->*list).next;
+         n != nullptr && (n->*list).tag < lo + span; n = (n->*list).next) {
+      last = n;
+      ++count;
+    }
+    // The whole universe is the last resort; it always has room.
+    if (bits == OmClock::kTagBits || sparse(count, span)) break;
+  }
+  const std::uint64_t gap = span / count;
+  std::uint64_t tag = lo;
+  for (OmInterval* v = first;; v = (v->*list).next) {
+    (v->*list).tag = tag;
+    tag += gap;
+    if (v == last) break;
+  }
 }
 
-OmInterval* OmClock::make_root(TaskId root) {
-  OmInterval* r = alloc(root);
-  // The empty label: first in both lists, before every extension.
-  return r;
+/// Links the arena into `list` in tag order; false when a tag lies outside
+/// the universe or repeats.
+bool link_by_tag(std::deque<OmInterval>& arena, OmClock::List list) {
+  std::vector<OmInterval*> order;
+  order.reserve(arena.size());
+  for (OmInterval& iv : arena) order.push_back(&iv);
+  std::sort(order.begin(), order.end(),
+            [list](const OmInterval* a, const OmInterval* b) {
+              return (a->*list).tag < (b->*list).tag;
+            });
+  if (!order.empty() && (order.back()->*list).tag >= OmClock::kUniverse)
+    return false;
+  OmInterval* prev = nullptr;
+  for (OmInterval* v : order) {
+    if (prev != nullptr && (prev->*list).tag == (v->*list).tag) return false;
+    (v->*list).prev = prev;
+    if (prev != nullptr) (prev->*list).next = v;
+    prev = v;
+  }
+  return true;
 }
 
-OmClock::ForkResult OmClock::on_fork(OmInterval* parent_cur, TaskId child) {
-  OmInterval* c = alloc(child);
-  OmInterval* k = alloc(parent_cur->task);
-  // E (fork-first): parent, child, continuation — insert the child right
-  // after the parent, then the continuation right after the child.
-  c->e = parent_cur->e.extended(++parent_cur->e_children);
-  k->e = c->e.extended(++c->e_children);
+}  // namespace
+
+void OmClock::insert_after(List list, OmInterval* x, OmInterval* y) {
+  OmLink& lx = x->*list;
+  OmLink& ly = y->*list;
+  ly.prev = x;
+  ly.next = lx.next;
+  if (lx.next != nullptr) (lx.next->*list).prev = y;
+  lx.next = y;
+  const std::uint64_t bound =
+      ly.next != nullptr ? (ly.next->*list).tag : kUniverse;
+  if (bound - lx.tag >= 2) {
+    const std::uint64_t half = (bound - lx.tag) / 2;
+    ly.tag = lx.tag + (ly.next != nullptr ? half : std::min(half, kTailStride));
+    return;
+  }
+  relabel(list, x, y);
+}
+
+OmInterval* OmClock::make_root() {
+  // Tag 0 in both lists: first, before every later insertion.
+  return alloc();
+}
+
+OmClock::ForkResult OmClock::on_fork(OmInterval* parent_cur) {
+  OmInterval* c = alloc();
+  OmInterval* k = alloc();
+  // E (fork-first): parent, child, continuation.
+  insert_after(&OmInterval::e, parent_cur, c);
+  insert_after(&OmInterval::e, c, k);
   // H (fork-last): parent, continuation, child — the mirror image.
-  k->h = parent_cur->h.extended(++parent_cur->h_children);
-  c->h = k->h.extended(++k->h_children);
+  insert_after(&OmInterval::h, parent_cur, k);
+  insert_after(&OmInterval::h, k, c);
   return {c, k};
 }
 
 OmInterval* OmClock::on_join(OmInterval* joiner_cur, OmInterval* joined_last) {
-  OmInterval* k = alloc(joiner_cur->task);
+  OmInterval* k = alloc();
   // E: everything the joined task ever did is already before the joiner's
   // current interval (children sort before continuations in E), so the
-  // continuation extends the joiner's own position.
-  k->e = joiner_cur->e.extended(++joiner_cur->e_children);
+  // continuation goes right after the joiner's own position.
+  insert_after(&OmInterval::e, joiner_cur, k);
   // H: the joined task's intervals sit AFTER the joiner's (continuations
-  // sort before children in H), so the continuation must extend whichever
+  // sort before children in H), so the continuation must follow whichever
   // of the two join-edge sources is later — that places it after the
   // joined subtree while staying before everything previously after it.
-  OmInterval* anchor =
-      OmLabel::compare(joiner_cur->h, joined_last->h) < 0 ? joined_last
-                                                          : joiner_cur;
-  k->h = anchor->h.extended(++anchor->h_children);
+  insert_after(&OmInterval::h,
+               joiner_cur->h.tag < joined_last->h.tag ? joined_last
+                                                      : joiner_cur,
+               k);
   return k;
 }
 
 OmClock::State OmClock::export_state() const {
-  std::lock_guard<std::mutex> lock(mu_);
   State s;
   s.intervals.reserve(arena_.size());
-  for (const OmInterval& iv : arena_)
-    s.intervals.push_back({iv.e, iv.h, iv.task, iv.e_children, iv.h_children});
+  for (const OmInterval& iv : arena_) s.intervals.push_back({iv.e.tag, iv.h.tag});
   return s;
 }
 
-void OmClock::import_state(const State& s) {
-  std::lock_guard<std::mutex> lock(mu_);
+bool OmClock::import_state(const State& s) {
   R2D_REQUIRE(arena_.empty(), "import_state needs a fresh clock");
-  for (const IntervalState& iv : s.intervals) {
-    arena_.emplace_back();
-    OmInterval& out = arena_.back();
-    out.e = iv.e;
-    out.h = iv.h;
-    out.task = iv.task;
-    out.e_children = iv.e_children;
-    out.h_children = iv.h_children;
+  for (const Tags& t : s.intervals) {
+    OmInterval& iv = arena_.emplace_back();
+    iv.e.tag = t.e;
+    iv.h.tag = t.h;
   }
-}
-
-std::size_t OmClock::heap_bytes() const {
-  // Quiescent accounting (footprint reporting): callers must not race this
-  // with structural events — labels of freshly allocated intervals are
-  // written outside mu_.
-  std::lock_guard<std::mutex> lock(mu_);
-  std::size_t bytes = arena_.size() * sizeof(OmInterval);
-  for (const OmInterval& iv : arena_)
-    bytes += iv.e.heap_bytes() + iv.h.heap_bytes();
-  return bytes;
+  if (link_by_tag(arena_, &OmInterval::e) &&
+      link_by_tag(arena_, &OmInterval::h))
+    return true;
+  arena_.clear();
+  return false;
 }
 
 }  // namespace race2d

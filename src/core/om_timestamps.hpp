@@ -6,8 +6,8 @@
 // certifies this offline via a Dushnik–Miller 2-realizer). This module
 // maintains those two linear orders ONLINE, in the style of DePa
 // (arXiv 2204.14168) and SP-order: every task *interval* — a maximal run
-// of operations between structural events — carries two immutable
-// fork-path labels giving its position in
+// of operations between structural events — is an element of two
+// order-maintenance lists,
 //
 //   E, the fork-first ("English") linear extension: a forked child's
 //      intervals come before the parent's continuation, and
@@ -18,90 +18,67 @@
 // exactly E/H disagreement — the two traversal directions of the planar
 // diagram pull incomparable intervals apart.
 //
-// Labels are DePa-style fork paths: bit strings extended at each
-// structural event, never mutated afterwards. Inserting the k-th element
-// immediately after anchor A yields label A·0^{k-1}1, which sorts after A
-// (prefix-first) and before every earlier insertion after A — the classic
-// trie embedding of an order-maintenance list that needs NO relabeling.
-// Label length grows with the dag depth (DePa's bound), i.e. one or two
-// bits per structural event along a task's history; balanced fork trees
-// stay within the two inline words.
-//
-// Concurrency contract (what makes queries wait-free): a label is written
-// once, before the interval is published to any other thread, and read-only
-// forever after. ordered_before() therefore touches only immutable memory —
-// no locks, no CAS, no retries — and may be issued from any number of
-// threads at once. The *insertion* counters (e_children/h_children) are
-// mutated only by the interval's owning task, or by its unique joiner after
-// the join synchronization, so they need no atomics either. Only arena
-// growth takes a mutex, and only at structural events.
+// Each list is doubly linked and every element carries a 64-bit tag that
+// increases along the list, so a precedence query is two integer compares.
+// A new interval takes the midpoint of the tag gap after its anchor, or a
+// fixed stride past the last element when it is appended at the end: both
+// lists grow at their ends as a program forks and joins in sequence, and
+// halving the rest of the universe there would fill it within a few dozen
+// appends. When a gap is full, the relabel of Bender et al. ("Two
+// simplified algorithms for maintaining order in a list", ESA 2002) grows
+// an aligned tag range around the anchor until it is sparse enough and
+// spreads the range's elements evenly over it — amortized O(log n) tag
+// writes per insertion. Relabeling moves tags but never the order, so
+// every verdict drawn from an earlier comparison stays valid. An interval
+// is a fixed Θ(1) bytes however deep the program runs.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <mutex>
 #include <vector>
 
 #include "support/assert.hpp"
-#include "support/ids.hpp"
-#include "support/small_vector.hpp"
 
 namespace race2d {
 
-/// An immutable position in one of the two order-maintenance lists,
-/// encoded as a bit string (MSB-first within each word; unused tail bits
-/// are zero). Comparison is lexicographic with prefix-first tiebreak.
-struct OmLabel {
-  SmallVector<std::uint64_t, 2> words;
-  std::uint32_t bits = 0;
+struct OmInterval;
 
-  /// Lexicographic three-way comparison: negative when a precedes b in the
-  /// list, zero only for the identical label (labels are unique per list).
-  static int compare(const OmLabel& a, const OmLabel& b) {
-    const std::size_t wa = a.words.size();
-    const std::size_t wb = b.words.size();
-    const std::size_t common = wa < wb ? wa : wb;
-    for (std::size_t i = 0; i < common; ++i) {
-      if (a.words[i] != b.words[i]) return a.words[i] < b.words[i] ? -1 : 1;
-    }
-    // Equal on every common word: with zeroed tail bits the shorter label
-    // is a prefix of the longer one, and a prefix precedes its extensions.
-    if (a.bits == b.bits) return 0;
-    return a.bits < b.bits ? -1 : 1;
-  }
-
-  /// This label extended by 0^{k-1}1 (k >= 1): the k-th insertion
-  /// immediately after this anchor.
-  OmLabel extended(std::uint32_t k) const;
-
-  std::size_t heap_bytes() const {
-    return words.size() <= 2 ? 0 : words.size() * sizeof(std::uint64_t);
-  }
+/// One interval's place in one list: its tag and its neighbors.
+struct OmLink {
+  std::uint64_t tag = 0;
+  OmInterval* prev = nullptr;
+  OmInterval* next = nullptr;
 };
 
-/// One task interval: the timestamp unit. `e`/`h` are the two list
-/// positions; the children counters record how many elements were inserted
-/// immediately after this interval in each list (see the trie embedding
-/// note above).
+/// One task interval: the timestamp unit, an element of both lists.
 struct OmInterval {
-  OmLabel e;
-  OmLabel h;
-  TaskId task = kInvalidTask;
-  std::uint32_t e_children = 0;
-  std::uint32_t h_children = 0;
+  OmLink e;
+  OmLink h;
 };
 
 /// The two-list clock: allocates intervals and applies the structural
-/// rules. Fork and join are O(label length); queries are wait-free.
+/// rules. Queries are O(1); fork and join are amortized O(log n).
 class OmClock {
  public:
+  /// Tags lie in [0, kUniverse). The root holds tag 0 in both lists and
+  /// stays first, because every insertion goes after an existing interval.
+  static constexpr unsigned kTagBits = 62;
+  static constexpr std::uint64_t kUniverse = std::uint64_t{1} << kTagBits;
+
   OmClock() = default;
   OmClock(const OmClock&) = delete;
   OmClock& operator=(const OmClock&) = delete;
 
+  /// Selects a list: &OmInterval::e or &OmInterval::h.
+  using List = OmLink OmInterval::*;
+
+  /// Links the unlinked `y` right after `x` in `list` and gives it a tag:
+  /// the primitive both structural rules are built from.
+  static void insert_after(List list, OmInterval* x, OmInterval* y);
+
   /// The root task's first interval (both lists start with it).
-  OmInterval* make_root(TaskId root);
+  OmInterval* make_root();
 
   struct ForkResult {
     OmInterval* child;         ///< the forked child's first interval
@@ -109,86 +86,59 @@ class OmClock {
   };
   /// fork: in E insert child then continuation after the parent's current
   /// interval (child-first); in H insert continuation then child
-  /// (continuation-first). Caller must own `parent_cur` (be its task, or
-  /// hold the program-order right to advance it).
-  ForkResult on_fork(OmInterval* parent_cur, TaskId child);
+  /// (continuation-first).
+  ForkResult on_fork(OmInterval* parent_cur);
 
   /// join: the joiner's post-join interval goes right after its current
   /// interval in E, and right after max_H(joiner, joined's last interval)
   /// in H — after the join edge's source, which is what orders the joined
   /// task's whole subtree before the continuation in both lists.
-  /// `joined_last` must be the halted task's final interval, read after
-  /// the join synchronization.
   OmInterval* on_join(OmInterval* joiner_cur, OmInterval* joined_last);
 
-  /// u happens-before-or-equals v: label agreement in both dimensions.
-  /// Wait-free; touches only immutable label words.
+  /// u happens-before-or-equals v: tag agreement in both dimensions.
   static bool ordered_before(const OmInterval* u, const OmInterval* v) {
     if (u == v) return true;
-    return OmLabel::compare(u->e, v->e) < 0 && OmLabel::compare(u->h, v->h) < 0;
-  }
-
-  /// Componentwise maxima — the shadow-cell fold. Exact because "every
-  /// prior ≺ t" distributes over the two dimensions (see depa_detector).
-  static const OmInterval* max_e(const OmInterval* a, const OmInterval* b) {
-    if (a == nullptr) return b;
-    return OmLabel::compare(a->e, b->e) < 0 ? b : a;
-  }
-  static const OmInterval* max_h(const OmInterval* a, const OmInterval* b) {
-    if (a == nullptr) return b;
-    return OmLabel::compare(a->h, b->h) < 0 ? b : a;
-  }
-
-  std::size_t interval_count() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return arena_.size();
+    return u->e.tag < v->e.tag && u->h.tag < v->h.tag;
   }
 
   /// Calls fn(index, interval_ptr) over the arena in allocation order.
   /// Allocation order is deterministic (one interval per structural event),
   /// so the index is a stable cross-process name for an interval — what the
-  /// session snapshot stores instead of the pointer. Quiescent only: must
-  /// not race structural events.
+  /// session snapshot stores instead of the pointer.
   template <typename Fn>
   void for_each_interval(Fn&& fn) const {
-    std::lock_guard<std::mutex> lock(mu_);
     std::size_t i = 0;
     for (const OmInterval& iv : arena_) fn(i++, &iv);
   }
 
   /// The interval at allocation index `i` (restore-time pointer recovery).
   OmInterval* interval_at(std::size_t i) {
-    std::lock_guard<std::mutex> lock(mu_);
     R2D_ASSERT(i < arena_.size());
     return &arena_[i];
   }
 
-  /// Plain-data image of the arena in allocation order.
-  struct IntervalState {
-    OmLabel e;
-    OmLabel h;
-    TaskId task = kInvalidTask;
-    std::uint32_t e_children = 0;
-    std::uint32_t h_children = 0;
+  /// Plain-data image: the two tags of every interval, in allocation order.
+  /// The links are implied by the tags.
+  struct Tags {
+    std::uint64_t e = 0;
+    std::uint64_t h = 0;
   };
   struct State {
-    std::vector<IntervalState> intervals;
+    std::vector<Tags> intervals;
   };
   State export_state() const;
-  /// Rebuilds the arena from `s` in order. Requires an empty clock (the
-  /// restoring side constructs a fresh one).
-  void import_state(const State& s);
+  /// Rebuilds the arena from `s` and links each list by sorting on its
+  /// tags. Requires an empty clock. Returns false, leaving the clock empty,
+  /// when a tag lies outside the universe or repeats within a list.
+  [[nodiscard]] bool import_state(const State& s);
 
-  /// Heap bytes of the clock: arena nodes plus spilled label words. The
-  /// per-task cost is Θ(depth) label bits — the DePa trade against the
-  /// DSU's Θ(1) mutable state.
-  std::size_t heap_bytes() const;
+  /// Heap bytes of the clock: Θ(1) per interval.
+  std::size_t heap_bytes() const { return arena_.size() * sizeof(OmInterval); }
 
  private:
-  OmInterval* alloc(TaskId task);
+  OmInterval* alloc() { return &arena_.emplace_back(); }
 
-  mutable std::mutex mu_;  ///< guards arena_ growth only (structural events)
-  std::deque<OmInterval> arena_;  ///< stable addresses; labels immutable
+  std::deque<OmInterval> arena_;  ///< stable addresses
 };
 
 }  // namespace race2d

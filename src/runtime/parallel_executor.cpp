@@ -35,7 +35,6 @@ struct PoolState {
   std::exception_ptr first_error;
   std::atomic<std::size_t> unfinished{0};
   bool shutdown = false;
-  ParallelExecutionMonitor* monitor = nullptr;
 
   ParTask* get(TaskId id) {
     std::lock_guard<std::mutex> lock(mu);
@@ -43,9 +42,8 @@ struct PoolState {
     return tasks[id].get();
   }
 
-  /// Registers a task (dense id assignment) WITHOUT publishing it to the
-  /// ready queue — the creator runs the monitor's fork hook in between, so
-  /// no worker can start the child before its timestamp exists.
+  /// Registers a task (dense id assignment) without publishing it to the
+  /// ready queue; enqueue() does that.
   ParTask* create_task(TaskBody body, TaskId left_neighbor) {
     std::lock_guard<std::mutex> lock(mu);
     auto task = std::make_unique<ParTask>();
@@ -105,9 +103,6 @@ class ParallelContext final : public TaskContext {
   TaskHandle fork(TaskBody body) override {
     ParTask* child = state_.create_task(std::move(body), self_->left);
     self_->left = child->id;  // child sits immediately left of the parent
-    // Fork hook before publication: the child cannot run (and so cannot
-    // issue monitored accesses) until enqueue() makes it visible.
-    if (state_.monitor) state_.monitor->on_fork(self_->id, child->id);
     state_.enqueue(child);
     return TaskHandle{child->id};
   }
@@ -134,9 +129,6 @@ class ParallelContext final : public TaskContext {
       }
     }
     self_->left = target->left;  // safe: published by the done store
-    // Join hook after the acquire: the joined task's whole history —
-    // including its on_halt hook — happens-before this call.
-    if (state_.monitor) state_.monitor->on_join(self_->id, target->id);
   }
 
   bool join_left() override {
@@ -147,16 +139,10 @@ class ParallelContext final : public TaskContext {
 
   bool has_left() const override { return self_->left != kInvalidTask; }
 
-  // Accesses are uninstrumented unless a monitor is attached.
-  void read(Loc loc) override {
-    if (state_.monitor) state_.monitor->on_read(self_->id, loc);
-  }
-  void write(Loc loc) override {
-    if (state_.monitor) state_.monitor->on_write(self_->id, loc);
-  }
-  void retire(Loc loc) override {
-    if (state_.monitor) state_.monitor->on_retire(self_->id, loc);
-  }
+  // Accesses are uninstrumented.
+  void read(Loc) override {}
+  void write(Loc) override {}
+  void retire(Loc) override {}
   void sync_marker() override {}
   void finish_begin_marker() override {}
   void finish_end_marker() override {}
@@ -182,16 +168,6 @@ void execute_task(PoolState& state, ParTask* task) {
     state.record_error(std::current_exception());
   }
   task->body = nullptr;  // release captures eagerly
-  // Halt hook before the done release store (on the exception path too):
-  // whatever the monitor publishes here — buffered accesses, the task's
-  // final timestamp — is visible to the joiner's acquire.
-  if (state.monitor) {
-    try {
-      state.monitor->on_halt(task->id);
-    } catch (...) {
-      state.record_error(std::current_exception());
-    }
-  }
   task->done.store(true, std::memory_order_release);
   state.unfinished.fetch_sub(1, std::memory_order_acq_rel);
   state.cv.notify_all();
@@ -215,7 +191,6 @@ void worker_loop(PoolState& state) {
 
 std::size_t ParallelExecutor::run(TaskBody root_body) {
   PoolState state;
-  state.monitor = options_.monitor;
   unsigned threads = options_.num_threads;
   if (threads == 0) threads = std::thread::hardware_concurrency();
   if (threads == 0) threads = 2;
@@ -226,7 +201,6 @@ std::size_t ParallelExecutor::run(TaskBody root_body) {
     pool.emplace_back([&state] { worker_loop(state); });
 
   ParTask* root = state.create_task(std::move(root_body), kInvalidTask);
-  if (state.monitor) state.monitor->on_root(root->id);
   state.enqueue(root);
 
   // The calling thread helps until every task (root included) has finished.

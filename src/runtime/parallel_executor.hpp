@@ -5,9 +5,8 @@
 // backs the E7 speedup experiment. Forked bodies go to a shared work queue
 // served by a fixed pool; a task blocked on join() helps by executing queued
 // tasks, which makes the scheme deadlock-free for strict fork-join
-// dependencies. Memory-access hooks are no-ops unless a
-// ParallelExecutionMonitor is attached (core/parallel_detector.hpp runs
-// label-backend race detection through one).
+// dependencies. Memory-access hooks are no-ops: race detection runs on the
+// serial executors or on a recorded trace.
 //
 // Left-neighbor tracking is schedule-independent: a task's left pointer is
 // mutated only at its own forks and joins, and a join target's final left
@@ -21,45 +20,8 @@
 
 namespace race2d {
 
-/// Observer for a parallel run, called from worker threads at the points
-/// where the pool already synchronizes — each hook rides an existing
-/// happens-before edge, so a monitor needs no ordering of its own beyond
-/// per-hook thread safety:
-///
-///   on_root   before the root task is enqueued (single-threaded setup);
-///   on_fork   on the parent's thread, after the child id is assigned but
-///             BEFORE the child is published to the ready queue — nothing
-///             the child does can precede this hook;
-///   on_join   on the joiner's thread, after the acquire of the joined
-///             task's `done` flag — everything the joined task did
-///             (including its on_halt) happens-before this hook;
-///   on_halt   on the halting task's thread, after its body returned (or
-///             threw) and BEFORE the `done` release store that publishes it
-///             to joiners;
-///   on_read / on_write / on_retire
-///             on the accessing task's thread, in that task's program order.
-///
-/// Hooks for the same task are totally ordered by its program order; hooks
-/// for different tasks race exactly when the tasks do.
-class ParallelExecutionMonitor {
- public:
-  virtual ~ParallelExecutionMonitor() = default;
-
-  virtual void on_root(TaskId root) = 0;
-  virtual void on_fork(TaskId parent, TaskId child) = 0;
-  virtual void on_join(TaskId joiner, TaskId joined) = 0;
-  virtual void on_halt(TaskId t) = 0;
-
-  virtual void on_read(TaskId t, Loc loc) = 0;
-  virtual void on_write(TaskId t, Loc loc) = 0;
-  virtual void on_retire(TaskId t, Loc loc) = 0;
-};
-
 struct ParallelExecutorOptions {
   unsigned num_threads = 0;  ///< 0 = std::thread::hardware_concurrency()
-  /// Optional observer (not owned; must outlive run()). Hooks are invoked
-  /// from pool workers as documented on ParallelExecutionMonitor.
-  ParallelExecutionMonitor* monitor = nullptr;
 };
 
 class ParallelExecutor {

@@ -244,8 +244,8 @@ std::unique_ptr<DetectionSession> DetectionSession::restore(State&& s) {
   if (s.engine == DetectorEngine::kDsu)
     std::get<OnlineRaceDetector>(session->detector_)
         .import_state(std::move(s.dsu));
-  else
-    std::get<DePaDetector>(session->detector_).import_state(s.depa);
+  else if (!std::get<DePaDetector>(session->detector_).import_state(s.depa))
+    return nullptr;
   session->pending_ = std::move(s.pending);
   session->events_total_ = s.events_total;
   session->fed_bytes_ = s.fed_bytes;

@@ -34,7 +34,7 @@ namespace race2d {
 class DetectionSession {
  public:
   /// `engine` picks the precedence backend: the labeled DSU (default) or
-  /// the DePa order-maintenance labels. Both consume the identical event
+  /// the DePa order-maintenance tags. Both consume the identical event
   /// stream and produce the identical report stream (the differential panel
   /// enforces this), so the choice is a pure performance/footprint knob.
   DetectionSession(ReportPolicy policy, std::size_t max_pending_reports,
@@ -112,7 +112,9 @@ class DetectionSession {
   };
   State export_state() const;
   /// Builds a session that continues exactly where `s` left off. `s` must
-  /// be validated (the snapshot codec bound-checks every index first).
+  /// be validated (the snapshot codec bound-checks every index first);
+  /// returns nullptr when the DePa clock's tags leave the universe or
+  /// repeat within a list, the one check made while rebuilding.
   static std::unique_ptr<DetectionSession> restore(State&& s);
 
  private:

@@ -12,9 +12,10 @@ namespace race2d {
 namespace {
 
 // Version byte bumped to 2 when the decoder section grew its wire-format
-// version and compressed-chunk flag; version-1 blobs are refused with K002
-// (the service never persisted them across releases).
-constexpr char kMagic[8] = {'R', '2', 'D', 'S', 'N', 'A', 'P', '\x02'};
+// version and compressed-chunk flag, and to 3 when the DePa section traded
+// fork-path labels for order-maintenance tags; older blobs are refused with
+// K002 (the service never persisted them across releases).
+constexpr char kMagic[8] = {'R', '2', 'D', 'S', 'N', 'A', 'P', '\x03'};
 constexpr std::size_t kHeaderBytes = sizeof(kMagic) + 4 + 4;
 
 /// Restore-side rejection: the K-coded message restore_session returns.
@@ -332,32 +333,11 @@ OnlineRaceDetector::State get_dsu(Reader& r) {
 
 // ---------------------------------------------------- DePa engine section --
 
-void put_label(Writer& w, const OmLabel& label) {
-  w.u32(label.bits);
-  w.u32(static_cast<std::uint32_t>(label.words.size()));
-  for (std::uint64_t word : label.words) w.u64(word);
-}
-
-OmLabel get_label(Reader& r) {
-  OmLabel label;
-  label.bits = r.u32();
-  const std::uint32_t nwords = r.u32();
-  if (nwords != (label.bits + 63) / 64)
-    reject("K006", "label word count disagrees with its bit length");
-  r.need(static_cast<std::size_t>(nwords) * 8);
-  label.words.reserve(nwords);
-  for (std::uint32_t i = 0; i < nwords; ++i) label.words.push_back(r.u64());
-  return label;
-}
-
 void put_depa(Writer& w, const DePaDetector::State& s) {
   w.u64(s.clock.intervals.size());
-  for (const OmClock::IntervalState& iv : s.clock.intervals) {
-    put_label(w, iv.e);
-    put_label(w, iv.h);
-    w.u32(iv.task);
-    w.u32(iv.e_children);
-    w.u32(iv.h_children);
+  for (const OmClock::Tags& iv : s.clock.intervals) {
+    w.u64(iv.e);
+    w.u64(iv.h);
   }
   w.u64(s.cur.size());
   for (std::uint64_t idx : s.cur) w.u64(idx);
@@ -378,16 +358,14 @@ void put_depa(Writer& w, const DePaDetector::State& s) {
 
 DePaDetector::State get_depa(Reader& r) {
   DePaDetector::State s;
-  const std::size_t intervals = r.count(28);  // 2 labels (8B min) + 12B
-  s.clock.intervals.reserve(intervals);
-  for (std::size_t i = 0; i < intervals; ++i) {
-    OmClock::IntervalState iv;
-    iv.e = get_label(r);
-    iv.h = get_label(r);
-    iv.task = r.u32();
-    iv.e_children = r.u32();
-    iv.h_children = r.u32();
-    s.clock.intervals.push_back(std::move(iv));
+  // Tags are range-checked and the lists rebuilt by sorting on them when
+  // the session is restored (a failure there is a K007, see
+  // restore_session).
+  const std::size_t intervals = r.count(16);  // E tag + H tag
+  s.clock.intervals.resize(intervals);
+  for (OmClock::Tags& iv : s.clock.intervals) {
+    iv.e = r.u64();
+    iv.h = r.u64();
   }
   const auto valid_index = [intervals](std::uint64_t idx) {
     return idx == DePaDetector::kNullInterval || idx < intervals;
@@ -399,10 +377,6 @@ DePaDetector::State get_depa(Reader& r) {
     if (idx >= intervals)
       reject("K007", "task interval index names a missing interval");
     s.cur.push_back(idx);
-  }
-  for (const OmClock::IntervalState& iv : s.clock.intervals) {
-    if (iv.task != kInvalidTask && iv.task >= tasks)
-      reject("K007", "interval names a missing task");
   }
   const std::size_t cells = r.count(44);
   s.cells.reserve(cells);
@@ -521,6 +495,9 @@ RestoreOutcome restore_session(const std::string& blob) {
     Reader r = open_payload(blob);
     DetectionSession::State s = decode_payload(r, out.quota_bytes);
     out.session = DetectionSession::restore(std::move(s));
+    if (out.session == nullptr)
+      reject("K007", "order-maintenance tag outside the universe or repeated "
+                     "within a list");
   } catch (const SnapshotReject& e) {
     out.quota_bytes = 0;
     out.error = e.message;

@@ -1,19 +1,30 @@
-// The order-maintenance label backend, held to its two contracts:
+// The order-maintenance backend, held to its contracts:
 //
-//   1. The labels realize happens-before: for every pair of access events
+//   1. Each list keeps tag order equal to list order through every
+//      insertion and relabel, checked against a std::list reference.
+//
+//   2. The tags realize happens-before: for every pair of access events
 //      in a trace, OmClock::ordered_before agrees with the reachability
 //      oracle over the Theorem-6 task graph. This is the 2D claim itself —
 //      E-order AND H-order agreement IS precedence — checked exhaustively
 //      on fuzz-generated traces (which exercise escaped asyncs, futures and
 //      pipeline shapes well beyond series-parallel).
 //
-//   2. DePaDetector's report stream is BIT-IDENTICAL to serial Figure-6
+//   3. DePaDetector's report stream is BIT-IDENTICAL to serial Figure-6
 //      replay: same reports, same order, same ordinals — on generated
-//      programs, fuzz traces, and the whole checked-in regression corpus.
+//      programs, fuzz traces, the whole checked-in regression corpus, and a
+//      program long enough to force relabels, also across snapshots.
+//
+//   4. Per-task bytes stay flat however many tasks a program runs.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <list>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "baselines/oracle.hpp"
@@ -22,9 +33,13 @@
 #include "core/sharded_analyzer.hpp"
 #include "fuzz/fuzz_plan.hpp"
 #include "fuzz/trace_gen.hpp"
+#include "io/binary_writer.hpp"
 #include "runtime/serial_executor.hpp"
 #include "runtime/trace.hpp"
 #include "runtime/trace_io.hpp"
+#include "service/session.hpp"
+#include "service/snapshot.hpp"
+#include "support/rng.hpp"
 #include "workloads/generators.hpp"
 
 namespace race2d {
@@ -41,32 +56,71 @@ Trace record(TaskBody program) {
   return rec.take();
 }
 
-TEST(OmLabel, ExtendedSortsAfterAnchorAndBeforeEarlierSiblings) {
-  OmLabel root;  // empty label: first in the list
-  const OmLabel first = root.extended(1);
-  const OmLabel second = root.extended(2);
-  const OmLabel third = root.extended(3);
-  // Anchor before every extension.
-  EXPECT_LT(OmLabel::compare(root, first), 0);
-  EXPECT_LT(OmLabel::compare(root, third), 0);
-  // The k-th insertion after the anchor lands BEFORE the earlier ones
-  // (insert-after semantics): third < second < first.
-  EXPECT_LT(OmLabel::compare(third, second), 0);
-  EXPECT_LT(OmLabel::compare(second, first), 0);
-  // And extensions of an element sort between it and its earlier siblings.
-  const OmLabel deep = second.extended(1);
-  EXPECT_LT(OmLabel::compare(second, deep), 0);
-  EXPECT_LT(OmLabel::compare(deep, first), 0);
-  EXPECT_EQ(OmLabel::compare(deep, deep), 0);
+/// Walks `list` from `head` and checks it against `ref` element by element,
+/// with back links intact and tags strictly increasing inside the universe.
+void expect_list_matches(const std::list<OmInterval*>& ref, OmInterval* head,
+                         OmClock::List list) {
+  const OmInterval* prev = nullptr;
+  const OmInterval* at = head;
+  for (const OmInterval* want : ref) {
+    ASSERT_EQ(at, want);
+    ASSERT_EQ((at->*list).prev, prev);
+    if (prev != nullptr) {
+      ASSERT_LT((prev->*list).tag, (at->*list).tag);
+    }
+    ASSERT_LT((at->*list).tag, OmClock::kUniverse);
+    prev = at;
+    at = (at->*list).next;
+  }
+  ASSERT_EQ(at, nullptr);
 }
 
-TEST(OmLabel, LongChainsSpillPastTheInlineWords) {
-  OmLabel l;
-  for (int i = 0; i < 300; ++i) l = l.extended(2);  // 2 bits per step
-  EXPECT_EQ(l.bits, 600u);
-  EXPECT_GT(l.words.size(), 2u);
-  const OmLabel next = l.extended(1);
-  EXPECT_LT(OmLabel::compare(l, next), 0);
+// The list starts from a head at tag 0 (as a clock's root does), and again
+// from a head 2^40 below the top of the universe, where tail appends soon
+// stop fitting their stride and relabels run into the universe's end.
+TEST(OmClock, InsertAfterMatchesAListReferenceThroughRelabels) {
+  for (const std::uint64_t head_tag :
+       {std::uint64_t{0}, OmClock::kUniverse - (std::uint64_t{1} << 40)}) {
+    std::deque<OmInterval> pool;  // stable addresses
+    std::list<OmInterval*> ref;
+    std::vector<std::list<OmInterval*>::iterator> where;  // per element
+    pool.emplace_back().e.tag = head_tag;
+    where.push_back(ref.insert(ref.end(), &pool.back()));
+    const auto insert_after = [&](std::list<OmInterval*>::iterator at) {
+      OmInterval* y = &pool.emplace_back();
+      OmClock::insert_after(&OmInterval::e, *at, y);
+      where.push_back(ref.insert(std::next(at), y));
+    };
+
+    // A quarter of the inserts go right after the head (the gap there
+    // halves every time), a quarter append at the tail, the rest after a
+    // uniformly random element.
+    Xoshiro256 rng(20261017);
+    std::size_t after_head = 0;
+    std::size_t at_tail = 0;
+    for (std::size_t i = 1; i <= 100000; ++i) {
+      switch (rng.below(4)) {
+        case 0:
+          insert_after(where.front());
+          ++after_head;
+          break;
+        case 1:
+          insert_after(std::prev(ref.end()));
+          ++at_tail;
+          break;
+        default:
+          insert_after(where[rng.below(where.size())]);
+          break;
+      }
+      if (i % 1000 == 0) {
+        expect_list_matches(ref, &pool.front(), &OmInterval::e);
+        if (HasFatalFailure())
+          FAIL() << "head tag " << head_tag << ", after " << i << " inserts";
+      }
+    }
+    EXPECT_GE(after_head, 10000u);
+    EXPECT_GE(at_tail, 10000u);
+  }
 }
 
 TEST(DePaDetector, ForkMakesConcurrencyJoinOrdersIt) {
@@ -89,7 +143,7 @@ TEST(DePaDetector, ForkMakesConcurrencyJoinOrdersIt) {
   EXPECT_EQ(det.reporter().count(), 1u);
 }
 
-// Structural mirror of detect_races_trace_depa that snapshots each access
+// Structural mirror of detect_races_trace_depa that records each access
 // event's interval, paired below with the task-graph vertex carrying the
 // same access (build_task_graph assigns vertices in trace order).
 struct LabeledAccesses {
@@ -99,11 +153,11 @@ struct LabeledAccesses {
 LabeledAccesses label_accesses(const Trace& trace, OmClock& clock) {
   LabeledAccesses out;
   std::vector<OmInterval*> cur;
-  cur.push_back(clock.make_root(0));
+  cur.push_back(clock.make_root());
   for (const TraceEvent& e : trace) {
     switch (e.op) {
       case TraceOp::kFork: {
-        OmClock::ForkResult r = clock.on_fork(cur[e.actor], e.other);
+        OmClock::ForkResult r = clock.on_fork(cur[e.actor]);
         EXPECT_EQ(cur.size(), static_cast<std::size_t>(e.other));
         cur.push_back(r.child);
         cur[e.actor] = r.continuation;
@@ -224,6 +278,116 @@ TEST(DePaDetector, FootprintAccountsClockAndCells) {
   EXPECT_GT(f.per_task_bytes, 0u);
   EXPECT_GT(f.shadow_bytes, 0u);
   EXPECT_EQ(det.tracked_locations(), 40u);
+}
+
+// A root that forks, and joins, 10^5 children one after another: every
+// interval is a fixed size, so per-task bytes stay flat. (Fork-path labels
+// grew a few bits per child and made this quadratic.)
+TEST(DePaDetector, PerTaskBytesStayFlatOverSequentialChildren) {
+  DePaDetector det;
+  const TaskId root = det.on_root();
+  double first = 0;
+  for (std::size_t n = 1; n <= 100000; ++n) {
+    const TaskId child = det.on_fork(root);
+    det.on_write(child, static_cast<Loc>(n % 64));
+    det.on_halt(child);
+    det.on_join(root, child);
+    if (n == 100 || n == 1000 || n == 10000 || n == 100000) {
+      const double per_task =
+          static_cast<double>(det.footprint().per_task_bytes) /
+          static_cast<double>(det.task_count());
+      if (first == 0) first = per_task;
+      ASSERT_LE(per_task, 1.25 * first) << "after " << n << " children";
+    }
+  }
+}
+
+/// `count` fuzz subprograms run one after another under one root, the way
+/// the end-to-end benchmark composes its long sessions: subprogram i is a
+/// child of task 0 with its task ids shifted to stay dense in fork order and
+/// its locations shifted into window i % 16, and the root joins it before
+/// forking the next, so subprograms never race with each other.
+Trace composed_program(std::uint64_t seed, std::size_t count) {
+  Xoshiro256 rng(seed);
+  Trace out;
+  TaskId next_task = 1;
+  for (std::size_t i = 0; i < count; ++i) {
+    const Trace sub = generate_trace(FuzzPlan::from_seed(rng())).trace;
+    const TaskId base = next_task;
+    const Loc loc_base = static_cast<Loc>(i % 16) << 21;
+    out.push_back({TraceOp::kFork, 0, base, 0});
+    ++next_task;
+    bool halted = false;
+    for (TraceEvent e : sub) {
+      if (e.op == TraceOp::kFork) ++next_task;
+      if (e.op == TraceOp::kHalt && e.actor == 0) halted = true;
+      e.actor += base;
+      if (e.other != kInvalidTask) e.other += base;
+      if (e.op == TraceOp::kRead || e.op == TraceOp::kWrite ||
+          e.op == TraceOp::kRetire)
+        e.loc += loc_base;
+      out.push_back(e);
+    }
+    if (!halted) out.push_back({TraceOp::kHalt, base, kInvalidTask, 0});
+    out.push_back({TraceOp::kJoin, 0, base, 0});
+  }
+  out.push_back({TraceOp::kHalt, 0, kInvalidTask, 0});
+  return out;
+}
+
+// The fuzz panel's traces are too short to fill a tag gap; 2 000 composed
+// subprograms relabel both lists many times over.
+TEST(DePaDetector, BitIdenticalToSerialOnALongComposedProgram) {
+  const Trace trace = composed_program(2026, 2000);
+  const std::vector<RaceReport> expected = detect_races_trace(trace);
+  EXPECT_FALSE(expected.empty());
+  EXPECT_EQ(detect_races_trace_depa(trace), expected);
+
+  // Relabels did happen: the second half of the program moved tags that
+  // intervals of the first half held.
+  const Trace first_half(trace.begin(), trace.begin() + trace.size() / 2);
+  OmClock half;
+  OmClock full;
+  label_accesses(first_half, half);
+  label_accesses(trace, full);
+  std::size_t moved = 0;
+  half.for_each_interval([&](std::size_t i, const OmInterval* iv) {
+    const OmInterval* now = full.interval_at(i);
+    moved += iv->e.tag != now->e.tag || iv->h.tag != now->h.tag;
+  });
+  EXPECT_GT(moved, 0u);
+}
+
+// The same program through a DePa session that is snapshotted and restored
+// every 64 frames: each restore rebuilds lists that have been relabeled, and
+// the drained stream still matches serial replay report for report.
+TEST(DePaDetector, SnapshotsOfRelabeledListsRestoreBitIdentically) {
+  constexpr std::size_t kFrame = 1024;
+  const Trace trace = composed_program(2026, 2000);
+  const std::string wire = trace_to_binary(trace);
+  auto session = std::make_unique<DetectionSession>(
+      ReportPolicy::kAll, std::size_t{1} << 20, DetectorEngine::kDepa);
+  std::vector<RaceReport> got;
+  std::size_t restores = 0;
+  for (std::size_t off = 0, frame = 1; off < wire.size();
+       off += kFrame, ++frame) {
+    const DetectionSession::FeedOutcome fed =
+        session->feed(wire.substr(off, kFrame));
+    ASSERT_EQ(fed.status, ServiceStatus::kOk) << fed.message;
+    bool more = false;
+    const std::vector<RaceReport> drained = session->drain(0, more);
+    got.insert(got.end(), drained.begin(), drained.end());
+    if (frame % 64 == 0) {
+      RestoreOutcome restored =
+          restore_session(snapshot_session(*session, std::size_t{1} << 30));
+      ASSERT_NE(restored.session, nullptr) << restored.error;
+      session = std::move(restored.session);
+      ++restores;
+    }
+  }
+  EXPECT_TRUE(session->close().complete);
+  EXPECT_GE(restores, 10u);
+  EXPECT_EQ(got, detect_races_trace(trace));
 }
 
 }  // namespace

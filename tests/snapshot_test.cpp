@@ -11,6 +11,8 @@
 #include <thread>
 #include <vector>
 
+#include "core/depa_detector.hpp"
+#include "core/om_timestamps.hpp"
 #include "core/sharded_analyzer.hpp"
 #include "fuzz/fuzz_plan.hpp"
 #include "fuzz/trace_gen.hpp"
@@ -79,6 +81,20 @@ std::string snapshot_via_service(DetectionService& service,
   EXPECT_EQ(rsp.status, ServiceStatus::kOk) << rsp.message;
   EXPECT_FALSE(rsp.blob.empty());
   return rsp.blob;
+}
+
+/// Re-seals the payload CRC after a deliberate edit, so the frame checks
+/// pass and the payload decoder must catch the edit itself.
+void reseal(std::string& blob) {
+  const std::uint32_t crc = crc32c(blob.data() + 16, blob.size() - 16);
+  for (int i = 0; i < 4; ++i)
+    blob[12 + i] = static_cast<char>((crc >> (8 * i)) & 0xffu);
+}
+
+std::string le64(std::uint64_t v) {
+  std::string out;
+  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
+  return out;
 }
 
 /// Has the blob's error-code prefix: "Kxxx: ...".
@@ -335,12 +351,72 @@ TEST(Snapshot, StructurallyInvalidPayloadsGetTheirOwnCodes) {
   // payload decoder must catch it as K006.
   ASSERT_GT(blob.size(), 26u);
   blob[25] = '\x7f';
-  const std::uint32_t crc = crc32c(blob.data() + 16, blob.size() - 16);
-  for (int i = 0; i < 4; ++i)
-    blob[12 + i] = static_cast<char>((crc >> (8 * i)) & 0xffu);
+  reseal(blob);
   const RestoreOutcome out = restore_session(blob);
   ASSERT_EQ(out.session, nullptr);
   EXPECT_EQ(out.error.substr(0, 4), "K006") << out.error;
+}
+
+// The DePa section stores two order-maintenance tags per interval, and
+// restore rebuilds both lists by sorting on them. Well-sealed blobs whose
+// tags leave the universe or repeat within a list are K007, an interval
+// count the payload cannot hold is K005 before anything is allocated, and
+// a blob of the fork-path-label layout answers K002.
+TEST(Snapshot, DepaTagMutantsAndOldLayoutsAreRejected) {
+  DetectionService service;
+  const std::uint32_t id = open_session(service, DetectorEngine::kDepa);
+  ASSERT_EQ(feed_bytes(service, id, trace_to_binary(racy_trace())).status,
+            ServiceStatus::kOk);
+  const std::string blob = snapshot_via_service(service, id);
+  ASSERT_NE(restore_session(blob).session, nullptr);
+
+  // The same program through a bare detector yields the tags to look for.
+  DePaDetector det;
+  const TaskId root = det.on_root();
+  const TaskId child = det.on_fork(root);
+  det.on_write(child, 10);
+  det.on_halt(child);
+  det.on_read(root, 10);
+  det.on_join(root, child);
+  const std::vector<OmClock::Tags> tags = det.export_state().clock.intervals;
+  ASSERT_EQ(tags.size(), 4u);
+  std::string records = le64(tags.size());
+  for (const OmClock::Tags& t : tags) records += le64(t.e) + le64(t.h);
+  const std::size_t at = blob.find(records);
+  ASSERT_NE(at, std::string::npos);
+
+  const auto restore_mutant = [&](std::size_t offset, std::uint64_t value) {
+    std::string mutated = blob;
+    mutated.replace(at + offset, 8, le64(value));
+    reseal(mutated);
+    return restore_session(mutated);
+  };
+  const auto e_tag = [](std::size_t i) { return 8 + 16 * i; };
+  const auto h_tag = [](std::size_t i) { return 16 + 16 * i; };
+  const struct {
+    const char* what;
+    std::size_t offset;
+    std::uint64_t value;
+    const char* code;
+  } mutants[] = {
+      {"E tag at the universe", e_tag(1), OmClock::kUniverse, "K007"},
+      {"H tag past the universe", h_tag(3), ~std::uint64_t{0}, "K007"},
+      {"E tag repeated", e_tag(1), tags[2].e, "K007"},
+      {"H tag repeated", h_tag(2), tags[1].h, "K007"},
+      {"root's E tag repeated", e_tag(0), tags[3].e, "K007"},
+      {"interval count over the payload", 0, blob.size() / 16, "K005"},
+  };
+  for (const auto& m : mutants) {
+    const RestoreOutcome out = restore_mutant(m.offset, m.value);
+    EXPECT_EQ(out.session, nullptr) << m.what;
+    EXPECT_EQ(out.error.substr(0, 4), m.code) << m.what << ": " << out.error;
+  }
+
+  std::string old_layout = blob;
+  old_layout[7] = '\x02';
+  const RestoreOutcome out = restore_session(old_layout);
+  EXPECT_EQ(out.session, nullptr);
+  EXPECT_EQ(out.error.substr(0, 4), "K002") << out.error;
 }
 
 TEST(Snapshot, PoisonedSessionsRefuseToSnapshot) {
