@@ -3,9 +3,10 @@
 //   $ race2dd --pipe                 serve frames on stdin/stdout (the mode
 //                                    scripts and tests drive; stderr is free
 //                                    for logging)
-//   $ race2dd --socket /tmp/r2d.sock serve an AF_UNIX listener: one epoll
-//                                    thread multiplexes every connection
-//                                    over the worker pool
+//   $ race2dd --socket /tmp/r2d.sock serve an AF_UNIX listener: the main
+//                                    thread accepts, and each worker's
+//                                    epoll loop serves the connections
+//                                    dealt to it, run to completion
 //
 // Limits (all optional):
 //   --workers=N             detector worker threads            (default 1)
@@ -19,8 +20,10 @@
 //   --spill-budget=BYTES    cold-tier byte budget                (default 1Gi)
 //   --metrics               print the metrics JSON to stderr on exit
 //
-// Sessions are pinned to workers by id (session % workers); the SNAPSHOT /
-// RESTORE verbs move a live session between workers or processes.
+// Sessions are pinned to workers by id (session % workers); over a socket
+// an OPEN lands on the connection's own worker, and a request for another
+// worker's session is forwarded to it. The SNAPSHOT / RESTORE verbs move a
+// live session between workers or processes.
 //
 // The daemon never crashes on client input: malformed frames, unknown
 // sessions, over-quota streams and corrupt binary traces are all answered

@@ -52,11 +52,13 @@ done
 [[ "$service_smoke" == "0" ]] || exit 1
 echo "service smoke: reports bit-identical across $(ls tests/corpus/*.trace tests/corpus/*.btrace | wc -l) corpus streams"
 
-echo "== service smoke: race2dd epoll socket mode, 4 workers"
+echo "== service smoke: race2dd socket mode, 4 workers"
 # The same corpus through the OTHER transport and the sharded pool: an
-# AF_UNIX daemon with 4 detector workers, driven over the socket. The epoll
-# loop, worker pinning and per-connection response ordering all sit on this
-# path; reports must stay bit-identical to the offline detector.
+# AF_UNIX daemon with 4 workers, driven over the socket by four clients at
+# a time, so every shard loop serves a connection concurrently. Accepting,
+# the round-robin hand-off to the shard loops, worker pinning and
+# per-connection response ordering all sit on this path; reports must stay
+# bit-identical to the offline detector.
 socket_path="/tmp/race2dd-check-$$.sock"
 ./build/examples/race2dd --socket="$socket_path" --workers=4 \
   2>/tmp/race2dd_check.log &
@@ -65,23 +67,32 @@ for _ in $(seq 50); do
   [[ -S "$socket_path" ]] && break
   sleep 0.1
 done
+socket_out=$(mktemp -d /tmp/race2d-socket-XXXXXX)
+corpus=(tests/corpus/*.trace tests/corpus/*.btrace)
+for ((i = 0; i < ${#corpus[@]}; i += 4)); do
+  client_pids=()
+  for trace in "${corpus[@]:i:4}"; do
+    ./build/examples/race2d_client \
+      --socket "$socket_path" detect "$trace" \
+      > "$socket_out/$(basename "$trace").txt" 2>/dev/null &
+    client_pids+=($!)
+  done
+  for pid in "${client_pids[@]}"; do wait "$pid"; done
+done
 socket_smoke=0
-for trace in tests/corpus/*.trace tests/corpus/*.btrace; do
+for trace in "${corpus[@]}"; do
   ./build/examples/example_trace_analyzer --reports "$trace" \
     > /tmp/race2d_offline.txt
-  ./build/examples/race2d_client \
-    --socket "$socket_path" detect "$trace" \
-    > /tmp/race2d_service.txt 2>/dev/null
-  if ! diff -u /tmp/race2d_offline.txt /tmp/race2d_service.txt; then
+  if ! diff -u /tmp/race2d_offline.txt "$socket_out/$(basename "$trace").txt"; then
     echo "check.sh: socket service reports diverge from offline: $trace"
     socket_smoke=1
   fi
 done
 kill "$race2dd_pid" 2>/dev/null || true
 wait "$race2dd_pid" 2>/dev/null || true
-rm -f "$socket_path"
+rm -rf "$socket_path" "$socket_out"
 [[ "$socket_smoke" == "0" ]] || exit 1
-echo "socket smoke: reports bit-identical across the corpus via 4 workers"
+echo "socket smoke: reports bit-identical across the corpus via 4 workers, 4 clients at a time"
 
 echo "== compress/spill matrix smoke: v2 corpus through a spill-enabled pool"
 # The engine x compression matrix. Every corpus stream is (1) cross-checked
@@ -193,7 +204,8 @@ else
   echo "== ThreadSanitizer build (sharded analyzer + parallel executor + service pool)"
   # service_pool_test hammers STATS against concurrent feeds (the metrics
   # counters must be atomics), and service_fuzz_test runs adversarial
-  # clients against the live epoll thread + worker shards.
+  # clients, cross-shard forwarding and fd exhaustion against the live
+  # acceptor and shard loops.
   cmake -B build-tsan -S . \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer -O1 -g" \
     >/dev/null

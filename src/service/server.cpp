@@ -1,12 +1,13 @@
 #include "service/server.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <istream>
+#include <latch>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <ostream>
 #include <set>
 #include <thread>
@@ -14,9 +15,8 @@
 #include <utility>
 #include <vector>
 
-#include <fcntl.h>
+#include <poll.h>
 #include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -65,11 +65,6 @@ std::uint64_t serve_pipe(std::istream& in, std::ostream& out,
 
 namespace {
 
-bool set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
 Response bad_frame(std::string message) {
   Response r;
   r.status = ServiceStatus::kBadFrame;
@@ -77,104 +72,216 @@ Response bad_frame(std::string message) {
   return r;
 }
 
-/// One multiplexed connection. Owned entirely by the epoll thread; worker
-/// threads only ever touch the completion queue.
+/// One connection, owned by the shard loop it was handed to.
 struct Conn {
   int fd = -1;
+  std::uint32_t interest = 0;  ///< epoll events registered; 0 = not in the set
   std::string in;  ///< reassembly buffer: bytes not yet framed
   std::uint64_t next_request_seq = 0;  ///< seq of the next parsed request
   std::uint64_t next_flush_seq = 0;    ///< next response due on the wire
-  std::map<std::uint64_t, std::string> ready;  ///< encoded, awaiting order
+  std::map<std::uint64_t, std::string> ready;  ///< framed, awaiting order
   std::string out;  ///< wire bytes the socket has not accepted yet
   std::size_t out_pos = 0;
-  bool want_write = false;  ///< EPOLLOUT interest currently registered
   bool peer_eof = false;
   bool broken = false;  ///< framing failed: answer, flush, then drop
-  std::uint64_t inflight = 0;  ///< submitted to the pool, not yet completed
+  std::uint64_t inflight = 0;  ///< forwarded to another shard, unanswered
   std::set<std::uint32_t> sessions;  ///< opened/restored via this connection
 };
 
-struct Completion {
-  std::uint64_t conn = 0;
-  std::uint64_t seq = 0;
-  Response response;
-};
+/// The connections one shard loop serves. Only that shard's thread touches
+/// it: through WorkerPool::Io::on_ready and through tasks posted to the
+/// shard (hand-offs, forwarded completions, the final drain).
+class ShardConns {
+ public:
+  ShardConns(WorkerPool& pool, std::size_t shard, std::latch& drained)
+      : pool_(pool), shard_(shard), epfd_(pool.loop_fd(shard)),
+        drained_(drained) {}
+  ShardConns(const ShardConns&) = delete;
+  ShardConns& operator=(const ShardConns&) = delete;
 
-/// The channel worker completion callbacks post through. Heap-allocated and
-/// shared with every outstanding callback, so a callback that fires late can
-/// never touch freed server state: the epoll thread retire()s the bus (under
-/// the same mutex the callbacks hold while ringing the eventfd) before it
-/// closes wake_fd, and a retired bus drops completions instead of ringing.
-struct CompletionBus {
-  std::mutex mu;
-  std::vector<Completion> completions;
-  int wake_fd = -1;
-  bool dead = false;
-
-  void push(Completion done) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (dead) return;
-    completions.push_back(std::move(done));
-    // Ring while holding the lock: retire() serializes after any push in
-    // progress, so wake_fd is never written once the server has closed it
-    // (a closed-and-reused fd number would otherwise get a stray write).
-    const std::uint64_t one = 1;
-    [[maybe_unused]] ssize_t n = ::write(wake_fd, &one, sizeof(one));
+  /// Takes over a freshly accepted connection.
+  void adopt(int fd) {
+    const std::uint64_t id = next_conn_id_++;
+    Conn& c = conns_[id];
+    c.fd = fd;
+    by_fd_.emplace(fd, id);
+    watch(c);
   }
 
-  std::vector<Completion> drain() {
-    std::vector<Completion> batch;
-    std::lock_guard<std::mutex> lock(mu);
-    std::uint64_t drainer = 0;
-    [[maybe_unused]] ssize_t n = ::read(wake_fd, &drainer, sizeof(drainer));
-    batch.swap(completions);
-    return batch;
+  void on_ready(int fd, std::uint32_t events) {
+    auto idit = by_fd_.find(fd);
+    if (idit == by_fd_.end()) return;
+    const std::uint64_t id = idit->second;
+    auto it = conns_.find(id);
+    Conn& c = it->second;
+    if ((events & (EPOLLIN | EPOLLHUP | EPOLLERR)) != 0 && !c.peer_eof)
+      read_all(id, c);
+    flush(c);
+    maybe_close(it);
   }
 
-  void retire() {
-    std::lock_guard<std::mutex> lock(mu);
-    dead = true;
+  /// Stops reading every connection, then — once no forwarded request is
+  /// outstanding — closes them all and counts down the server's latch.
+  /// Sessions of still-open connections are left to the pool.
+  void drain() {
+    for (auto& [id, c] : conns_) {
+      if (c.interest != 0) ::epoll_ctl(epfd_, EPOLL_CTL_DEL, c.fd, nullptr);
+      c.interest = 0;
+    }
+    draining_ = true;
+    finish_drain();
   }
-};
 
-/// The epoll loop's whole state. Single-threaded except the bus.
-struct EpollServer {
-  WorkerPool& pool;
-  int epfd = -1;
-  int listener = -1;
-  std::shared_ptr<CompletionBus> bus = std::make_shared<CompletionBus>();
-  std::unordered_map<std::uint64_t, Conn> conns;  ///< by connection id
-  std::unordered_map<int, std::uint64_t> by_fd;
-  std::uint64_t next_conn_id = 1;
-  bool accept_paused = false;  ///< listener EPOLLIN dropped (fd exhaustion)
-  std::chrono::steady_clock::time_point resume_accept{};
-
-  explicit EpollServer(WorkerPool& p) : pool(p) {}
-
-  void update_interest(Conn& c) {
-    // Write interest tracks only unsent wire bytes. Out-of-order entries in
-    // `ready` need no EPOLLOUT: nothing can go on the wire until the gap
-    // seq completes, and that completion rings wake_fd and flushes — a
-    // level-triggered EPOLLOUT would just fire every wait with nothing to
-    // write, spinning this thread until the gap fills.
-    const bool want = !c.out.empty();
-    if (want == c.want_write) return;
-    c.want_write = want;
+ private:
+  /// Keeps the fd's epoll interest in step with the connection: EPOLLIN
+  /// until the peer's EOF, EPOLLOUT only while wire bytes wait (a
+  /// level-triggered EPOLLOUT with nothing to send would spin the loop). A
+  /// connection that wants neither leaves the set — a hung-up socket
+  /// reports EPOLLHUP whatever its interest.
+  void watch(Conn& c) {
+    if (draining_) return;
+    std::uint32_t want = 0;
+    if (!c.peer_eof) want |= EPOLLIN;
+    if (!c.out.empty()) want |= EPOLLOUT;
+    if (want == c.interest) return;
     epoll_event ev{};
-    ev.events = EPOLLIN | (want ? EPOLLOUT : 0u);
+    ev.events = want;
     ev.data.fd = c.fd;
-    ::epoll_ctl(epfd, EPOLL_CTL_MOD, c.fd, &ev);
+    const int op = c.interest == 0 ? EPOLL_CTL_ADD
+                   : want == 0     ? EPOLL_CTL_DEL
+                                   : EPOLL_CTL_MOD;
+    ::epoll_ctl(epfd_, op, c.fd, &ev);
+    c.interest = want;
   }
 
-  /// Appends every in-order completed response to the wire buffer and
-  /// pushes bytes into the socket until it would block.
-  void flush(Conn& c) {
+  void read_all(std::uint64_t id, Conn& c) {
+    char buf[64 * 1024];
+    for (;;) {
+      const ssize_t n = ::read(c.fd, buf, sizeof(buf));
+      if (n > 0) {
+        if (!c.broken) c.in.append(buf, static_cast<std::size_t>(n));
+        // A short read emptied the socket; the level-triggered set reports
+        // anything that arrives later, so skip the read that would EAGAIN.
+        if (static_cast<std::size_t>(n) < sizeof(buf)) break;
+        continue;
+      }
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+      c.peer_eof = true;  // EOF, or a hard error: treat as disconnect
+      break;
+    }
+    ingest(id, c);
+    if (c.peer_eof && !c.in.empty() && !c.broken) {
+      // Bytes left that can never complete a frame: truncated frame.
+      pool_.count_frame(true);
+      c.broken = true;
+      answer(c, c.next_request_seq++, bad_frame("connection ended inside a frame"));
+    }
+  }
+
+  /// Parses complete frames out of the reassembly buffer and runs them.
+  void ingest(std::uint64_t id, Conn& c) {
+    std::size_t pos = 0;
+    while (!c.broken && c.in.size() - pos >= 4) {
+      std::uint32_t len = 0;
+      for (int i = 0; i < 4; ++i)
+        len |= static_cast<std::uint32_t>(
+                   static_cast<unsigned char>(c.in[pos + static_cast<std::size_t>(i)]))
+               << (8 * i);
+      if (len > kMaxFrameBytes) {
+        pool_.count_frame(true);
+        c.broken = true;
+        answer(c, c.next_request_seq++, bad_frame("frame length exceeds the cap"));
+        break;
+      }
+      if (c.in.size() - pos - 4 < len) break;  // partial frame: wait
+      const std::string payload = c.in.substr(pos + 4, len);
+      pos += 4 + len;
+      const std::uint64_t seq = c.next_request_seq++;
+      Request request;
+      std::string error;
+      if (!decode_request(payload, request, error)) {
+        pool_.count_frame(true);
+        // Framing is intact — answer and keep the stream alive.
+        answer(c, seq, bad_frame(std::move(error)));
+        continue;
+      }
+      pool_.count_frame(false);
+      dispatch(id, c, seq, std::move(request));
+    }
+    c.in.erase(0, pos);
+  }
+
+  /// Runs a request inline when this shard may, otherwise forwards it to
+  /// the shard that owns its session; the owner posts the response back
+  /// through this shard's mailbox, and `seq` puts it in its place.
+  void dispatch(std::uint64_t id, Conn& c, std::uint64_t seq,
+                Request&& request) {
+    const std::size_t owner = pool_.route(request, shard_);
+    if (owner == shard_) {
+      answer(c, seq, pool_.handle_on_shard(shard_, request));
+      return;
+    }
+    c.inflight++;
+    pool_.submit_to(owner, std::move(request), [this, id, seq](Response r) {
+      pool_.post_task(shard_, [this, id, seq, r = std::move(r)] {
+        on_forwarded(id, seq, r);
+      });
+    });
+  }
+
+  void on_forwarded(std::uint64_t id, std::uint64_t seq,
+                    const Response& response) {
+    auto it = conns_.find(id);
+    if (it == conns_.end()) {
+      // The connection is gone (it should wait for its in-flight answers).
+      // If the response created a session, close it so a vanished client
+      // cannot leak it.
+      if (response.status == ServiceStatus::kOk &&
+          (response.verb == Verb::kOpen || response.verb == Verb::kRestore))
+        close_session(response.session);
+      return;
+    }
+    Conn& c = it->second;
+    c.inflight--;
+    answer(c, seq, response);
+    flush(c);
+    maybe_close(it);
+    finish_drain();
+  }
+
+  /// Queues `response` as the answer to request `seq`, behind every
+  /// earlier answer still missing. Never destroys the connection.
+  void answer(Conn& c, std::uint64_t seq, const Response& response) {
+    track_sessions(c, response);
+    const std::string payload = encode_response(response);
+    std::string framed;
+    framed.reserve(4 + payload.size());
+    for (int i = 0; i < 4; ++i)
+      framed.push_back(static_cast<char>((payload.size() >> (8 * i)) & 0xffu));
+    framed.append(payload);
+    c.ready.emplace(seq, std::move(framed));
     for (auto it = c.ready.begin();
          it != c.ready.end() && it->first == c.next_flush_seq;) {
       c.out.append(it->second);
       ++c.next_flush_seq;
       it = c.ready.erase(it);
     }
+  }
+
+  /// Session ownership bookkeeping from the response stream.
+  static void track_sessions(Conn& c, const Response& r) {
+    if (r.status == ServiceStatus::kOk &&
+        (r.verb == Verb::kOpen || r.verb == Verb::kRestore))
+      c.sessions.insert(r.session);
+    if (r.verb == Verb::kClose) c.sessions.erase(r.session);
+    // An evicted session is already gone server-side; stop tracking so the
+    // disconnect cleanup does not re-close it.
+    if (r.status == ServiceStatus::kQuotaEvicted) c.sessions.erase(r.session);
+  }
+
+  /// Pushes queued wire bytes into the socket until it would block.
+  void flush(Conn& c) {
     while (c.out_pos < c.out.size()) {
       // MSG_NOSIGNAL: a peer that disconnects before reading its responses
       // must surface as EPIPE here, not as a SIGPIPE that kills the daemon.
@@ -194,201 +301,87 @@ struct EpollServer {
       c.out.clear();
       c.out_pos = 0;
     }
-    update_interest(c);
+    watch(c);
   }
 
-  /// Queues `response` as the answer to request `seq` of connection `id`.
-  /// Never destroys the connection — callers re-find it and maybe_close()
-  /// once they are done holding references into it.
-  void complete(std::uint64_t id, std::uint64_t seq, Response&& response) {
-    auto it = conns.find(id);
-    if (it == conns.end()) {
-      // Connection died while the request was in flight. If the response
-      // created a session (OPEN/RESTORE raced a disconnect), close it so a
-      // vanished client cannot leak sessions.
-      if (response.status == ServiceStatus::kOk &&
-          (response.verb == Verb::kOpen || response.verb == Verb::kRestore)) {
-        Request close;
-        close.verb = Verb::kClose;
-        close.session = response.session;
-        pool.submit(std::move(close), nullptr);
-      }
-      return;
-    }
-    Conn& c = it->second;
-    c.inflight--;
-    track_sessions(c, response);
-    std::string payload = encode_response(response);
-    std::string framed;
-    framed.reserve(4 + payload.size());
-    for (int i = 0; i < 4; ++i)
-      framed.push_back(
-          static_cast<char>((payload.size() >> (8 * i)) & 0xffu));
-    framed.append(payload);
-    c.ready.emplace(seq, std::move(framed));
-    flush(c);
-  }
-
-  /// Session ownership bookkeeping from the response stream.
-  static void track_sessions(Conn& c, const Response& r) {
-    if (r.status == ServiceStatus::kOk &&
-        (r.verb == Verb::kOpen || r.verb == Verb::kRestore))
-      c.sessions.insert(r.session);
-    if (r.verb == Verb::kClose) c.sessions.erase(r.session);
-    // An evicted session is already gone server-side; stop tracking so the
-    // disconnect cleanup does not re-close it.
-    if (r.status == ServiceStatus::kQuotaEvicted) c.sessions.erase(r.session);
-  }
-
-  /// Parses complete frames out of the reassembly buffer and submits them.
-  void ingest(std::uint64_t id, Conn& c) {
-    std::size_t pos = 0;
-    while (!c.broken) {
-      if (c.in.size() - pos < 4) break;
-      std::uint32_t len = 0;
-      for (int i = 0; i < 4; ++i)
-        len |= static_cast<std::uint32_t>(
-                   static_cast<unsigned char>(c.in[pos + static_cast<std::size_t>(i)]))
-               << (8 * i);
-      if (len > kMaxFrameBytes) {
-        pool.count_frame(true);
-        const std::uint64_t seq = c.next_request_seq++;
-        c.inflight++;  // balanced by the local completion below
-        c.broken = true;
-        complete(id, seq, bad_frame("frame length exceeds the cap"));
-        break;
-      }
-      if (c.in.size() - pos - 4 < len) break;  // partial frame: wait
-      const std::string payload = c.in.substr(pos + 4, len);
-      pos += 4 + len;
-      const std::uint64_t seq = c.next_request_seq++;
-      c.inflight++;
-      Request request;
-      std::string error;
-      if (!decode_request(payload, request, error)) {
-        pool.count_frame(true);
-        // Framing is intact — answer and keep the stream alive.
-        complete(id, seq, bad_frame(std::move(error)));
-        continue;
-      }
-      pool.count_frame(false);
-      // The callback captures the bus, never `this`: it may run on a worker
-      // thread after the server's stack frame is gone.
-      pool.submit(std::move(request),
-                  [bus = bus, id, seq](Response r) {
-                    Completion done;
-                    done.conn = id;
-                    done.seq = seq;
-                    done.response = std::move(r);
-                    bus->push(std::move(done));
-                  });
-    }
-    c.in.erase(0, pos);
-  }
-
-  void on_readable(std::uint64_t id) {
-    auto it = conns.find(id);
-    if (it == conns.end()) return;
-    Conn& c = it->second;
-    char buf[64 * 1024];
-    for (;;) {
-      const ssize_t n = ::read(c.fd, buf, sizeof(buf));
-      if (n > 0) {
-        if (!c.broken) c.in.append(buf, static_cast<std::size_t>(n));
-        continue;
-      }
-      if (n == 0) {
-        c.peer_eof = true;
-        if (!c.in.empty() && !c.broken) {
-          // Bytes left that can never complete a frame: truncated frame.
-          ingest(id, c);
-          if (!c.in.empty() && !c.broken) {
-            pool.count_frame(true);
-            const std::uint64_t seq = c.next_request_seq++;
-            c.inflight++;
-            c.broken = true;
-            complete(id, seq, bad_frame("connection ended inside a frame"));
-          }
-        }
-        break;
-      }
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      c.peer_eof = true;  // hard error: treat as disconnect
-      break;
-    }
-    if (!c.peer_eof) ingest(id, c);
-    it = conns.find(id);  // complete() never erases, but stay paranoid
-    if (it != conns.end()) maybe_close(it);
+  void close_session(std::uint32_t session) {
+    Request close;
+    close.verb = Verb::kClose;
+    close.session = session;
+    pool_.submit(std::move(close), nullptr);  // routes to the owner by id
   }
 
   /// Destroys the connection once nothing is pending: closes its sessions
-  /// (fire-and-forget), closes the fd, forgets the state.
+  /// (fire-and-forget, on whichever shard owns each), closes the fd,
+  /// forgets the state.
   void maybe_close(std::unordered_map<std::uint64_t, Conn>::iterator it) {
     Conn& c = it->second;
     const bool done_sending = c.ready.empty() && c.out.empty();
     if (!(c.peer_eof || c.broken) || c.inflight != 0 || !done_sending) return;
-    for (const std::uint32_t session : c.sessions) {
-      Request close;
-      close.verb = Verb::kClose;
-      close.session = session;
-      pool.submit(std::move(close), nullptr);
-    }
-    ::epoll_ctl(epfd, EPOLL_CTL_DEL, c.fd, nullptr);
-    by_fd.erase(c.fd);
+    for (const std::uint32_t session : c.sessions) close_session(session);
+    if (c.interest != 0) ::epoll_ctl(epfd_, EPOLL_CTL_DEL, c.fd, nullptr);
+    by_fd_.erase(c.fd);
     ::close(c.fd);
-    conns.erase(it);
+    conns_.erase(it);
   }
 
-  void accept_all() {
-    for (;;) {
-      const int fd = ::accept(listener, nullptr, nullptr);
-      if (fd < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
-            errno == ENOMEM) {
-          // Out of fds/buffers. The level-triggered listener stays readable
-          // while the backlog is pending, so keeping EPOLLIN armed would
-          // make every epoll_wait return instantly and spin this thread at
-          // full CPU until an fd frees. Pause accept interest and re-arm
-          // after a grace period (the main loop checks each tick).
-          ::epoll_ctl(epfd, EPOLL_CTL_DEL, listener, nullptr);
-          accept_paused = true;
-          resume_accept = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(100);
-          break;
-        }
-        break;  // EAGAIN or a transient per-connection accept error
-      }
-      if (!set_nonblocking(fd)) {
-        ::close(fd);
-        continue;
-      }
-      const std::uint64_t id = next_conn_id++;
-      Conn c;
-      c.fd = fd;
-      conns.emplace(id, std::move(c));
-      by_fd.emplace(fd, id);
-      epoll_event ev{};
-      ev.events = EPOLLIN;
-      ev.data.fd = fd;
-      ::epoll_ctl(epfd, EPOLL_CTL_ADD, fd, &ev);
+  void finish_drain() {
+    if (!draining_) return;
+    for (const auto& [id, c] : conns_)
+      if (c.inflight != 0) return;
+    for (const auto& [id, c] : conns_) ::close(c.fd);
+    conns_.clear();
+    by_fd_.clear();
+    draining_ = false;
+    drained_.count_down();  // last: the server may be gone right after
+  }
+
+  WorkerPool& pool_;
+  const std::size_t shard_;
+  const int epfd_;
+  std::latch& drained_;
+  std::unordered_map<std::uint64_t, Conn> conns_;  ///< by connection id
+  std::unordered_map<int, std::uint64_t> by_fd_;
+  std::uint64_t next_conn_id_ = 1;
+  bool draining_ = false;
+};
+
+/// The socket transport: one ShardConns per shard loop, plus the latch the
+/// accepting thread waits on while the loops drain.
+class SocketServer final : public WorkerPool::Io {
+ public:
+  explicit SocketServer(WorkerPool& pool)
+      : pool_(pool), drained_(static_cast<std::ptrdiff_t>(pool.worker_count())) {
+    for (std::size_t w = 0; w < pool.worker_count(); ++w)
+      shards_.push_back(std::make_unique<ShardConns>(pool, w, drained_));
+  }
+
+  void on_ready(std::size_t shard, int fd, std::uint32_t events) override {
+    shards_[shard]->on_ready(fd, events);
+  }
+
+  /// Hands an accepted connection to the next shard, round-robin.
+  void hand_off(int fd) {
+    const std::size_t w = next_shard_++ % shards_.size();
+    ShardConns* shard = shards_[w].get();
+    pool_.post_task(w, [shard, fd] { shard->adopt(fd); });
+  }
+
+  /// Drains every shard (each answers its in-flight forwarded requests
+  /// first) and returns once no loop touches this server any more.
+  void drain() {
+    for (std::size_t w = 0; w < shards_.size(); ++w) {
+      ShardConns* shard = shards_[w].get();
+      pool_.post_task(w, [shard] { shard->drain(); });
     }
+    drained_.wait();
   }
 
-  void drain_completions() {
-    for (Completion& done : bus->drain()) {
-      complete(done.conn, done.seq, std::move(done.response));
-      auto it = conns.find(done.conn);
-      if (it != conns.end()) maybe_close(it);
-    }
-  }
-
-  std::uint64_t inflight_total() const {
-    std::uint64_t total = 0;
-    for (const auto& [id, c] : conns) total += c.inflight;
-    return total;
-  }
+ private:
+  WorkerPool& pool_;
+  std::latch drained_;
+  std::vector<std::unique_ptr<ShardConns>> shards_;
+  std::size_t next_shard_ = 0;
 };
 
 }  // namespace
@@ -400,119 +393,65 @@ int serve_unix_socket(const std::string& path, WorkerPool& pool,
     log << "socket path too long: " << path << "\n";
     return -1;
   }
-  EpollServer server(pool);
-  server.listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (server.listener < 0) {
+  const int listener =
+      ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (listener < 0) {
     log << "socket(): " << std::strerror(errno) << "\n";
     return -1;
   }
   ::unlink(path.c_str());
   addr.sun_family = AF_UNIX;
   std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  if (::bind(server.listener, reinterpret_cast<const sockaddr*>(&addr),
+  if (::bind(listener, reinterpret_cast<const sockaddr*>(&addr),
              sizeof(addr)) != 0 ||
-      ::listen(server.listener, 64) != 0 ||
-      !set_nonblocking(server.listener)) {
+      ::listen(listener, 64) != 0) {
     log << "bind/listen " << path << ": " << std::strerror(errno) << "\n";
-    ::close(server.listener);
+    ::close(listener);
     return -1;
   }
-  server.epfd = ::epoll_create1(0);
-  server.bus->wake_fd = ::eventfd(0, EFD_NONBLOCK);
-  if (server.epfd < 0 || server.bus->wake_fd < 0) {
-    log << "epoll/eventfd: " << std::strerror(errno) << "\n";
-    if (server.epfd >= 0) ::close(server.epfd);
-    if (server.bus->wake_fd >= 0) ::close(server.bus->wake_fd);
-    ::close(server.listener);
-    return -1;
-  }
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = server.listener;
-  ::epoll_ctl(server.epfd, EPOLL_CTL_ADD, server.listener, &ev);
-  ev.events = EPOLLIN;
-  ev.data.fd = server.bus->wake_fd;
-  ::epoll_ctl(server.epfd, EPOLL_CTL_ADD, server.bus->wake_fd, &ev);
-
+  SocketServer server(pool);
+  pool.attach(&server);
   log << "race2dd listening on " << path << " (" << pool.worker_count()
       << " worker(s))\n";
 
-  epoll_event events[64];
-  for (;;) {
-    if (stop != nullptr && stop->load(std::memory_order_relaxed)) break;
-    if (server.accept_paused &&
-        std::chrono::steady_clock::now() >= server.resume_accept) {
-      epoll_event aev{};
-      aev.events = EPOLLIN;
-      aev.data.fd = server.listener;
-      ::epoll_ctl(server.epfd, EPOLL_CTL_ADD, server.listener, &aev);
-      server.accept_paused = false;
+  // This thread only accepts; the shard loops serve.
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point resume_accept{};
+  while (stop == nullptr || !stop->load(std::memory_order_relaxed)) {
+    const Clock::time_point now = Clock::now();
+    if (now < resume_accept) {
+      std::this_thread::sleep_for(std::min<Clock::duration>(
+          resume_accept - now, std::chrono::milliseconds(50)));
+      continue;
     }
-    const int n = ::epoll_wait(server.epfd, events, 64, 50);
-    if (n < 0) {
+    pollfd pfd{listener, POLLIN, 0};
+    if (::poll(&pfd, 1, 50) <= 0) continue;  // tick: re-check the stop flag
+    for (;;) {
+      const int fd = ::accept4(listener, nullptr, nullptr,
+                               SOCK_NONBLOCK | SOCK_CLOEXEC);
+      if (fd >= 0) {
+        server.hand_off(fd);
+        continue;
+      }
       if (errno == EINTR) continue;
-      break;
-    }
-    for (int i = 0; i < n; ++i) {
-      const int fd = events[i].data.fd;
-      if (fd == server.listener) {
-        server.accept_all();
-        continue;
+      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+          errno == ENOMEM) {
+        // Out of fds/buffers. The listener stays readable while the backlog
+        // is pending, so polling it again at once would spin this thread at
+        // full CPU until an fd frees. Pause accepting for a grace period.
+        resume_accept = Clock::now() + std::chrono::milliseconds(100);
       }
-      if (fd == server.bus->wake_fd) {
-        server.drain_completions();
-        continue;
-      }
-      auto idit = server.by_fd.find(fd);
-      if (idit == server.by_fd.end()) continue;
-      const std::uint64_t id = idit->second;
-      if ((events[i].events & (EPOLLHUP | EPOLLERR)) != 0) {
-        auto it = server.conns.find(id);
-        if (it != server.conns.end()) {
-          it->second.peer_eof = true;
-          server.on_readable(id);  // drain whatever is still buffered
-          it = server.conns.find(id);
-          if (it != server.conns.end()) server.maybe_close(it);
-        }
-        continue;
-      }
-      if ((events[i].events & EPOLLIN) != 0) server.on_readable(id);
-      if ((events[i].events & EPOLLOUT) != 0) {
-        auto it = server.conns.find(id);
-        if (it != server.conns.end()) {
-          server.flush(it->second);
-          server.maybe_close(it);
-        }
-      }
+      break;  // EAGAIN, the pause, or a transient per-connection error
     }
   }
 
-  // The stop flag only breaks the poll loop; worker threads may still hold
-  // submitted requests. Stop accepting, then drain until every connection's
-  // in-flight count hits zero — returning earlier would let the caller shut
-  // the pool down while its queue drain still runs completion callbacks
-  // (responses land on the bus either way, but in-flight OPENs must finish
-  // so their sessions get the disconnect cleanup, not leaked).
-  if (!server.accept_paused)
-    ::epoll_ctl(server.epfd, EPOLL_CTL_DEL, server.listener, nullptr);
-  while (server.inflight_total() != 0) {
-    const int n = ::epoll_wait(server.epfd, events, 64, 50);
-    if (n < 0 && errno != EINTR && errno != EAGAIN) {
-      // Even without a working epoll the completions still land on the bus;
-      // keep draining until the workers hand everything back.
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    server.drain_completions();
-  }
-  // No callback can be outstanding now, but retire the bus anyway so any
-  // future code path that leaves one behind drops it instead of writing a
-  // closed (and possibly reused) eventfd.
-  server.bus->retire();
-
-  for (auto& [id, c] : server.conns) ::close(c.fd);
-  ::close(server.bus->wake_fd);
-  ::close(server.epfd);
-  ::close(server.listener);
+  // The stop flag only ends accepting. Every loop stops reading, waits for
+  // the answers to its in-flight forwarded requests, and closes its
+  // connections before this returns, so the caller may shut the pool down
+  // straight after and no task of this server outlives it.
+  server.drain();
+  pool.attach(nullptr);
+  ::close(listener);
   ::unlink(path.c_str());
   return 0;
 }

@@ -7,14 +7,19 @@
 //    or over a WorkerPool (requests still lockstep — the pipe client waits
 //    for each response).
 //
-//  * serve_unix_socket — an AF_UNIX listener multiplexed by ONE epoll
-//    thread over a WorkerPool. The epoll thread owns every connection:
-//    non-blocking reads, frame reassembly (partial frames across arbitrary
-//    byte splits), request decode and pool submission; worker completions
-//    come back over an eventfd and are flushed IN REQUEST ORDER per
-//    connection (a per-connection sequence number reorders responses that
-//    finished on different shards). A disconnect closes the connection's
-//    own sessions — no leak — and never touches other connections'.
+//  * serve_unix_socket — an AF_UNIX listener served by the WorkerPool's
+//    shard loops, run to completion. The calling thread only accepts, and
+//    deals each new connection to the next shard round-robin. From then on
+//    that shard's epoll loop owns it: non-blocking reads, frame reassembly
+//    (partial frames across arbitrary byte splits), request decode, its own
+//    DetectionService::handle, encode and send, with no thread crossing. An
+//    OPEN (or RESTORE with a blob) creates its session on the connection's
+//    shard; a request naming a session another shard owns is forwarded
+//    through the owner's mailbox and answered back through the origin's.
+//    Responses go out IN REQUEST ORDER per connection (a per-connection
+//    sequence number holds back answers that overtook a forwarded one). A
+//    disconnect closes the connection's own sessions — no leak — and never
+//    touches other connections'.
 //
 // Both transports answer a malformed frame (bad length prefix, truncated
 // payload at EOF, oversized length) with a kBadFrame response and then drop
@@ -41,10 +46,11 @@ std::uint64_t serve_pipe(std::istream& in, std::ostream& out,
                          WorkerPool& pool);
 
 /// Binds `path` (unlinking any stale socket first) and serves connections
-/// over epoll until `*stop` becomes true (checked every poll tick; pass
-/// nullptr to serve forever). Returns 0 on a clean shutdown, -1 with a
-/// message on `log` if the socket could not be set up. Blocks the calling
-/// thread.
+/// on `pool`'s shard loops until `*stop` becomes true (checked every 50 ms;
+/// pass nullptr to serve forever). Before returning it drains every request
+/// in flight. Returns 0 on a clean shutdown, -1 with a message on `log` if
+/// the socket could not be set up. Blocks the calling thread, which accepts;
+/// one socket server per pool at a time.
 int serve_unix_socket(const std::string& path, WorkerPool& pool,
                       std::ostream& log,
                       const std::atomic<bool>* stop = nullptr);

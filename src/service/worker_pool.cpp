@@ -1,13 +1,42 @@
 #include "service/worker_pool.hpp"
 
+#include <cerrno>
 #include <future>
 #include <limits>
 #include <sstream>
+#include <system_error>
 #include <utility>
+
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
+#include <unistd.h>
 
 #include "support/assert.hpp"
 
 namespace race2d {
+
+namespace {
+
+/// A request that creates a session where it runs: OPEN, or a RESTORE that
+/// carries a blob. A blobless RESTORE with an id rehydrates a spilled
+/// session on its owner instead.
+bool creates_session(const Request& request) {
+  return request.verb == Verb::kOpen ||
+         (request.verb == Verb::kRestore &&
+          !(request.bytes.empty() && request.session != 0));
+}
+
+void ring(int wake_fd) {
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const ssize_t n = ::write(wake_fd, &one, sizeof(one));
+}
+
+}  // namespace
+
+WorkerPool::Shard::~Shard() {
+  if (epfd >= 0) ::close(epfd);
+  if (wake_fd >= 0) ::close(wake_fd);
+}
 
 WorkerPool::WorkerPool(std::size_t workers, ServiceLimits limits)
     : limits_(limits) {
@@ -26,10 +55,22 @@ WorkerPool::WorkerPool(std::size_t workers, ServiceLimits limits)
         w == 0 ? static_cast<std::uint32_t>(workers)
                : static_cast<std::uint32_t>(w),
         static_cast<std::uint32_t>(workers));
+    shard->epfd = ::epoll_create1(EPOLL_CLOEXEC);
+    shard->wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+    // Edge-triggered: every ring is a fresh edge, so the loop never reads
+    // the counter back down, which would cost a syscall per wake-up (the
+    // 64-bit counter cannot fill up in practice).
+    epoll_event ev{};
+    ev.events = EPOLLIN | EPOLLET;
+    ev.data.fd = shard->wake_fd;
+    if (shard->epfd < 0 || shard->wake_fd < 0 ||
+        ::epoll_ctl(shard->epfd, EPOLL_CTL_ADD, shard->wake_fd, &ev) != 0)
+      throw std::system_error(errno, std::generic_category(),
+                              "WorkerPool: shard loop setup");
     shards_.push_back(std::move(shard));
   }
   for (std::size_t w = 0; w < workers; ++w)
-    shards_[w]->thread = std::thread([this, w] { worker_main(w); });
+    shards_[w]->thread = std::thread([this, w] { loop(w); });
 }
 
 WorkerPool::~WorkerPool() { shutdown(); }
@@ -42,42 +83,55 @@ void WorkerPool::shutdown() {
       std::lock_guard<std::mutex> lock(shard->mu);
       shard->stop = true;
     }
-    shard->cv.notify_all();
+    ring(shard->wake_fd);
   }
   for (auto& shard : shards_)
     if (shard->thread.joinable()) shard->thread.join();
 }
 
-void WorkerPool::post(std::size_t shard_index, Job job) {
+void WorkerPool::post_task(std::size_t shard_index,
+                           std::function<void()> task) {
   Shard& shard = *shards_[shard_index];
+  bool was_empty = false;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    shard.queue.push_back(std::move(job));
+    was_empty = shard.mailbox.empty();
+    shard.mailbox.push_back(std::move(task));
   }
-  shard.cv.notify_one();
+  // The loop takes the whole mailbox after each edge, so a non-empty
+  // mailbox always has a ring pending or is about to be taken.
+  if (was_empty) ring(shard.wake_fd);
 }
 
-void WorkerPool::worker_main(std::size_t index) {
+void WorkerPool::loop(std::size_t index) {
   Shard& shard = *shards_[index];
+  epoll_event events[64];
+  std::deque<std::function<void()>> batch;
   for (;;) {
-    Job job;
+    const int n = ::epoll_wait(shard.epfd, events, 64, -1);
+    bool mail = false;
+    for (int i = 0; i < n; ++i) {
+      if (events[i].data.fd == shard.wake_fd)
+        mail = true;
+      else
+        io_.load(std::memory_order_acquire)
+            ->on_ready(index, events[i].data.fd, events[i].events);
+    }
+    // The mailbox goes last: one of its tasks may end the transport's use
+    // of this loop, and no fd event of this batch may reach it afterwards.
+    if (!mail) continue;
+    bool stop = false;
     {
-      std::unique_lock<std::mutex> lock(shard.mu);
-      shard.cv.wait(lock, [&shard] { return shard.stop || !shard.queue.empty(); });
-      if (shard.queue.empty()) return;  // stop requested, queue drained
-      job = std::move(shard.queue.front());
-      shard.queue.pop_front();
+      std::lock_guard<std::mutex> lock(shard.mu);
+      batch.swap(shard.mailbox);
+      stop = shard.stop;
     }
-    if (job.kind == Job::Kind::kEvictHeaviest) {
-      shard.service->evict_heaviest();
-      evict_inflight_.store(false, std::memory_order_release);
-      maybe_enforce_global();  // re-check: one eviction may not be enough
-      continue;
+    for (auto& task : batch) task();
+    batch.clear();
+    if (stop) {
+      std::lock_guard<std::mutex> lock(shard.mu);
+      if (shard.mailbox.empty()) return;  // stop requested, mailbox drained
     }
-    const Verb verb = job.request.verb;
-    Response response = shard.service->handle(job.request);
-    if (verb == Verb::kFeed || verb == Verb::kRestore) maybe_enforce_global();
-    if (job.done) job.done(std::move(response));
   }
 }
 
@@ -124,9 +178,49 @@ void WorkerPool::maybe_enforce_global() {
     evict_inflight_.store(false, std::memory_order_release);
     return;
   }
-  Job job;
-  job.kind = Job::Kind::kEvictHeaviest;
-  post(heaviest, std::move(job));
+  post_task(heaviest, [this, heaviest] {
+    shards_[heaviest]->service->evict_heaviest();
+    evict_inflight_.store(false, std::memory_order_release);
+    maybe_enforce_global();  // re-check: one eviction may not be enough
+  });
+}
+
+std::size_t WorkerPool::route(const Request& request,
+                              std::size_t home) const {
+  return creates_session(request) || request.verb == Verb::kStats
+             ? home
+             : shard_of(request.session);
+}
+
+Response WorkerPool::stats(const Request& request) const {
+  Response r;
+  r.verb = Verb::kStats;
+  r.session = request.session;
+  r.message = metrics_json();
+  return r;
+}
+
+Response WorkerPool::handle_on_shard(std::size_t shard,
+                                     const Request& request) {
+  if (request.verb == Verb::kStats) return stats(request);
+  // Pool-wide session cap; the per-shard cap never binds first. Benign
+  // over-admission under concurrent opens on different shards resolves at
+  // the shard (its own cap still holds). A rehydrate is exempt: the session
+  // was admitted once already (the shard's install_at bypasses its own cap
+  // the same way).
+  if (creates_session(request) && live_sessions() >= limits_.max_sessions) {
+    std::ostringstream os;
+    os << "live-session cap reached (" << limits_.max_sessions << ")";
+    Response r;
+    r.verb = request.verb;
+    r.status = ServiceStatus::kSessionLimit;
+    r.message = os.str();
+    return r;
+  }
+  Response response = shards_[shard]->service->handle(request);
+  if (request.verb == Verb::kFeed || request.verb == Verb::kRestore)
+    maybe_enforce_global();
+  return response;
 }
 
 void WorkerPool::submit(Request request, Callback done) {
@@ -136,52 +230,16 @@ void WorkerPool::submit(Request request, Callback done) {
 }
 
 void WorkerPool::submit_to(std::size_t shard, Request request, Callback done) {
-  switch (request.verb) {
-    case Verb::kRestore:
-      if (request.bytes.empty() && request.session != 0) {
-        // Explicit rehydrate of a spilled session: no blob travels, the id
-        // says which shard owns the spill file. The session was admitted
-        // once already, so the pool cap is not re-checked (matching the
-        // shard's install_at, which bypasses its own cap the same way).
-        shard = shard_of(request.session);
-        break;
-      }
-      [[fallthrough]];
-    case Verb::kOpen:
-      // Pool-wide session cap, checked before the job is queued; the
-      // per-shard cap never binds first. Benign over-admission under
-      // concurrent opens resolves at the shard (its own cap still holds).
-      if (live_sessions() >= limits_.max_sessions) {
-        std::ostringstream os;
-        os << "live-session cap reached (" << limits_.max_sessions << ")";
-        Response r;
-        r.verb = request.verb;
-        r.status = ServiceStatus::kSessionLimit;
-        r.message = os.str();
-        if (done) done(std::move(r));
-        return;
-      }
-      break;
-    case Verb::kFeed:
-    case Verb::kDrain:
-    case Verb::kClose:
-    case Verb::kSnapshot:
-      shard = shard_of(request.session);  // pinned: ownership routing
-      break;
-    case Verb::kStats: {
-      Response r;
-      r.verb = Verb::kStats;
-      r.session = request.session;
-      r.message = metrics_json();
-      if (done) done(std::move(r));
-      return;
-    }
+  if (request.verb == Verb::kStats) {  // atomics only: answered unqueued
+    if (done) done(stats(request));
+    return;
   }
-  Job job;
-  job.kind = Job::Kind::kRequest;
-  job.request = std::move(request);
-  job.done = std::move(done);
-  post(shard, std::move(job));
+  shard = route(request, shard);
+  post_task(shard, [this, shard, request = std::move(request),
+                    done = std::move(done)] {
+    Response response = handle_on_shard(shard, request);
+    if (done) done(std::move(response));
+  });
 }
 
 Response WorkerPool::handle(const Request& request) {

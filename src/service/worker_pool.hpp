@@ -1,32 +1,42 @@
 // WorkerPool: the multi-core detection service.
 //
-// N detector worker threads, each owning one DetectionService shard
-// OUTRIGHT — sessions are pinned to shard `session_id % N`, and shard w
-// only ever hands out ids ≡ w (mod N) (configure_session_ids), so a
-// session's entire lifetime happens on one thread and the hot FEED path
-// takes no locks at all. Cross-shard coordination goes through small
-// per-shard MPSC command queues:
+// N shard threads, each owning one DetectionService OUTRIGHT — sessions are
+// pinned to shard `session_id % N`, and shard w only ever hands out ids
+// ≡ w (mod N) (configure_session_ids), so a session's entire lifetime
+// happens on one thread and the hot FEED path takes no locks at all.
 //
-//   * OPEN / RESTORE route round-robin to any shard (RESTORE is how a
-//     snapshot MIGRATES between workers: the restored session gets a fresh
-//     id from whichever shard it lands on);
-//   * FEED / DRAIN / CLOSE / SNAPSHOT route to the owning shard by id;
+// Each shard thread is an epoll event loop. Its set holds the shard's
+// MAILBOX — a mutex-guarded job queue plus an eventfd that rings when the
+// queue goes non-empty — and whatever fds a transport registers on it (the
+// socket server's connections, see server.hpp). The mailbox carries every
+// cross-thread hand-over: submitted requests, the budget's EvictHeaviest
+// commands, and the transport's tasks (connection hand-offs, forwarded
+// completions). Routing:
+//
+//   * OPEN / RESTORE-with-blob create a session where they run. Over a
+//     socket that is the connection's own shard, inline; through submit()
+//     (the pipe transport, in-process callers) it is the next shard in
+//     round-robin order. RESTORE is how a snapshot MIGRATES between
+//     workers: the restored session gets a fresh id from that shard;
+//   * FEED / DRAIN / CLOSE / SNAPSHOT / blobless RESTORE (rehydrate a
+//     spilled session) route to the owning shard by id (route());
 //   * STATS aggregates every shard's thread-safe atomic counters on the
 //     calling thread — no queueing, no locks against feeds;
+//   * the pool-wide session cap is checked on the shard, just before the
+//     session-creating request runs;
 //   * the pool-wide memory budget is enforced by watching the shards'
 //     atomic resident-byte sums after feeds and posting an EvictHeaviest
-//     command to the heaviest shard's queue (the shard evicts on its own
-//     thread — governance never touches another thread's sessions).
+//     command to the heaviest shard's mailbox, one command at a time (the
+//     shard evicts on its own thread — governance never touches another
+//     thread's sessions).
 //
 // submit() is safe from any thread; the completion callback runs on the
-// worker thread that handled the request (or inline on the submitting
-// thread for requests answered without queueing: STATS, pool-wide session
-// cap, undecodable frames). handle()/handle_frame() are the synchronous
-// wrappers the pipe transport and tests use.
+// shard thread that handled the request (or inline on the submitting thread
+// for STATS). handle()/handle_frame() are the synchronous wrappers the pipe
+// transport and tests use.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -44,9 +54,9 @@ namespace race2d {
 
 class WorkerPool {
  public:
-  /// Spawns `workers` detector threads (>= 1). `limits.max_sessions` and
+  /// Spawns `workers` shard threads (>= 1). `limits.max_sessions` and
   /// `limits.total_quota_bytes` are POOL-WIDE; per-shard enforcement of the
-  /// global budget is disabled and replaced by the command-queue scheme.
+  /// global budget is disabled and replaced by the EvictHeaviest scheme.
   WorkerPool(std::size_t workers, ServiceLimits limits = {});
   ~WorkerPool();
 
@@ -55,7 +65,7 @@ class WorkerPool {
 
   using Callback = std::function<void(Response)>;
 
-  /// Routes `request` to its shard (see the pinning rules above) and calls
+  /// Routes `request` to its shard (see the routing rules above) and calls
   /// `done` exactly once with the response. Safe from any thread.
   void submit(Request request, Callback done);
 
@@ -77,42 +87,70 @@ class WorkerPool {
   std::size_t shard_of(std::uint32_t session) const {
     return session % shards_.size();
   }
+  /// The shard that runs `request` when it arrives at shard `home`: `home`
+  /// itself for OPEN, RESTORE with a blob and STATS, otherwise the owner of
+  /// the session the request names.
+  std::size_t route(const Request& request, std::size_t home) const;
   std::size_t live_sessions() const;
   std::size_t resident_bytes() const;
   /// Cold-tier aggregates across shards (0 when no spill dir is configured).
   std::size_t spilled_sessions() const;
   std::uint64_t rehydrations() const;
 
-  /// Transport-level frame accounting (the epoll server counts frames it
+  /// Transport-level frame accounting (the socket server counts frames it
   /// reassembles itself; handle_frame counts its own). Thread-safe.
   void count_frame(bool bad) {
     frames_.fetch_add(1, std::memory_order_relaxed);
     if (bad) bad_frames_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Drains every queue and joins the workers. Idempotent; the destructor
-  /// calls it. No submit() may race or follow shutdown().
+  // ---- The shard loops as a transport drives them (serve_unix_socket) ----
+
+  /// The connection layer the shard loops serve. Shard w's loop calls
+  /// on_ready(w, fd, events), on its own thread, for every ready fd a
+  /// transport registered in loop_fd(w) with `data.fd = fd`.
+  class Io {
+   public:
+    virtual void on_ready(std::size_t shard, int fd, std::uint32_t events) = 0;
+
+   protected:
+    ~Io() = default;
+  };
+
+  /// Installs the connection layer; nullptr removes it. Install it before
+  /// registering the first fd, and remove it only once no loop watches any
+  /// fd of it.
+  void attach(Io* io) { io_.store(io, std::memory_order_release); }
+  /// Shard `shard`'s epoll set. Register fds in it only from that shard's
+  /// own thread (a task, or on_ready).
+  int loop_fd(std::size_t shard) const { return shards_[shard]->epfd; }
+  /// Runs `task` on shard `shard`'s thread, after every task posted to
+  /// that shard before it. Safe from any thread.
+  void post_task(std::size_t shard, std::function<void()> task);
+  /// Runs `request` inline, under the same pool-wide session cap and budget
+  /// as a submitted request. Call it only on shard `shard`'s own thread and
+  /// only when route(request, shard) == shard.
+  Response handle_on_shard(std::size_t shard, const Request& request);
+
+  /// Drains every mailbox and joins the shard threads. Idempotent; the
+  /// destructor calls it. No submit() may race or follow shutdown().
   void shutdown();
 
  private:
-  struct Job {
-    enum class Kind : std::uint8_t { kRequest, kEvictHeaviest };
-    Kind kind = Kind::kRequest;
-    Request request;
-    Callback done;
-  };
-
   struct Shard {
     std::unique_ptr<DetectionService> service;
     std::mutex mu;
-    std::condition_variable cv;
-    std::deque<Job> queue;  ///< MPSC: any thread posts, the worker drains
-    std::thread thread;
+    /// MPSC: any thread posts, the loop drains.
+    std::deque<std::function<void()>> mailbox;
     bool stop = false;
+    int epfd = -1;
+    int wake_fd = -1;  ///< the mailbox's eventfd, in epfd
+    std::thread thread;
+    ~Shard();
   };
 
-  void worker_main(std::size_t index);
-  void post(std::size_t shard, Job job);
+  void loop(std::size_t index);
+  Response stats(const Request& request) const;
   /// Posts EvictHeaviest to the heaviest shard while the pool-wide resident
   /// sum exceeds the budget (one command in flight at a time).
   void maybe_enforce_global();
@@ -123,6 +161,7 @@ class WorkerPool {
   std::atomic<bool> evict_inflight_{false};
   std::atomic<std::uint64_t> frames_{0};
   std::atomic<std::uint64_t> bad_frames_{0};
+  std::atomic<Io*> io_{nullptr};
   bool stopped_ = false;
 };
 

@@ -1,21 +1,32 @@
-// Adversarial client battery for the epoll socket server: seeded random
-// malformed frames, valid frames split at arbitrary byte boundaries,
-// oversized length prefixes, and mid-session disconnects — all while a
-// well-behaved control session streams on another connection. The server
-// must never crash, never leak sessions, and never corrupt the control
-// session's report stream. scripts/check.sh runs this under TSan too.
+// Client battery for the socket server, whose connections are served by the
+// pool's shard loops: seeded random malformed frames, valid frames split at
+// arbitrary byte boundaries, oversized length prefixes, and mid-session
+// disconnects — all while a well-behaved control session streams on another
+// connection. The server must never crash, never leak sessions, and never
+// corrupt the control session's report stream. Further tests pin where
+// sessions are placed, the forwarding of requests between shard loops, and
+// the accept pause under fd exhaustion. scripts/check.sh runs this under
+// TSan too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
+#include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include <dirent.h>
+#include <fcntl.h>
+#include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -41,8 +52,9 @@ std::string socket_path() {
   return os.str();
 }
 
-/// The server under test: a 4-worker pool behind the epoll loop, running on
-/// its own thread until stop() — exactly the production topology.
+/// The server under test: a 4-worker pool whose shard loops serve the
+/// connections, accepted on the fixture's own thread until stop() — exactly
+/// the production topology.
 struct ServerFixture {
   WorkerPool pool{4};
   std::atomic<bool> stop_flag{false};
@@ -117,14 +129,19 @@ bool read_exact(int fd, void* buf, std::size_t size) {
   return true;
 }
 
+/// `payload` behind its u32le length prefix.
+std::string framed(const std::string& payload) {
+  std::string out(4, '\0');
+  for (int i = 0; i < 4; ++i)
+    out[static_cast<std::size_t>(i)] =
+        static_cast<char>((payload.size() >> (8 * i)) & 0xffu);
+  return out + payload;
+}
+
 /// Writes a frame in randomly-sized slices (possibly 1 byte at a time),
 /// exercising the server's reassembly across arbitrary splits.
 bool write_frame_split(int fd, const std::string& payload, Xoshiro256& rng) {
-  std::string framed(4, '\0');
-  for (int i = 0; i < 4; ++i)
-    framed[static_cast<std::size_t>(i)] =
-        static_cast<char>((payload.size() >> (8 * i)) & 0xffu);
-  framed += payload;
+  const std::string framed = race2d::framed(payload);
   std::size_t off = 0;
   while (off < framed.size()) {
     const std::size_t n = static_cast<std::size_t>(
@@ -273,7 +290,7 @@ TEST(ServiceFuzz, AdversarialClientsNeverCrashLeakOrCorrupt) {
         ::close(fd);
         return;
       }
-      // Let the attackers interleave with us on the epoll thread.
+      // Let the attackers interleave with us on the shard loops.
       std::this_thread::sleep_for(std::chrono::microseconds(500));
     }
     std::vector<RaceReport> got;
@@ -396,9 +413,9 @@ TEST(ServiceFuzz, MidSessionDisconnectFreesTheSessionsExactly) {
   ::close(fd2);
 }
 
-// Regression: stopping the server while worker requests are still in flight
-// must drain them before serve_unix_socket returns. Fire a burst of FEEDs
-// without reading a single response, then tear the fixture down immediately —
+// Regression: stopping the server while requests are still in flight must
+// drain them before serve_unix_socket returns. Fire a burst of FEEDs without
+// reading a single response, then tear the fixture down immediately —
 // completion callbacks that outlive the serve loop used to write a destroyed
 // stack frame and a closed eventfd (caught here under ASan/TSan).
 TEST(ServiceFuzz, StopUnderLoadDrainsInFlightRequests) {
@@ -428,13 +445,8 @@ TEST(ServiceFuzz, StopUnderLoadDrainsInFlightRequests) {
               static_cast<std::size_t>(i) * 64 %
                   std::max<std::size_t>(1, wire.size() - 64),
               64);
-          const std::string payload = encode_request(feed);
-          std::string framed(4, '\0');
-          for (int b = 0; b < 4; ++b)
-            framed[static_cast<std::size_t>(b)] =
-                static_cast<char>((payload.size() >> (8 * b)) & 0xffu);
-          framed += payload;
-          if (!write_all(fd, framed.data(), framed.size())) break;
+          const std::string frame = framed(encode_request(feed));
+          if (!write_all(fd, frame.data(), frame.size())) break;
         }
       }
       // Teardown races the in-flight work with the connections still open:
@@ -444,6 +456,253 @@ TEST(ServiceFuzz, StopUnderLoadDrainsInFlightRequests) {
     }
     for (const int fd : fds) ::close(fd);
   }
+}
+
+Response must_open(int fd, Xoshiro256& rng) {
+  Request open;
+  open.verb = Verb::kOpen;
+  open.open.engine = DetectorEngine::kDepa;
+  Response rsp;
+  EXPECT_TRUE(write_frame_split(fd, encode_request(open), rng));
+  EXPECT_TRUE(read_response(fd, rsp));
+  EXPECT_EQ(rsp.status, ServiceStatus::kOk) << rsp.message;
+  return rsp;
+}
+
+bool wait_for_live_sessions(const ServerFixture& server, std::size_t want) {
+  for (int i = 0; i < 300; ++i) {
+    if (server.pool.live_sessions() == want) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return false;
+}
+
+// An OPEN over a socket creates its session on the connection's own shard,
+// and connections are dealt to the shards round-robin.
+TEST(ServiceFuzz, OpensLandOnTheConnectionsShard) {
+  ServerFixture server;
+  Xoshiro256 rng(11);
+  std::vector<int> fds;
+  std::set<std::uint32_t> residues;
+  for (int c = 0; c < 4; ++c) {
+    const int fd = server.try_connect();
+    ASSERT_GE(fd, 0);
+    fds.push_back(fd);
+    std::set<std::uint32_t> mine;
+    for (int i = 0; i < 3; ++i) mine.insert(must_open(fd, rng).session % 4u);
+    ASSERT_EQ(mine.size(), 1u) << "connection " << c << " spans shards";
+    residues.insert(*mine.begin());
+  }
+  EXPECT_EQ(residues.size(), 4u) << "four connections left a shard idle";
+  EXPECT_EQ(server.pool.live_sessions(), 12u);
+  for (const int fd : fds) ::close(fd);
+  EXPECT_TRUE(wait_for_live_sessions(server, 0))
+      << server.pool.live_sessions() << " session(s) leaked";
+}
+
+// One connection pipelines requests for its own session and for a session
+// another shard owns: the foreign ones travel through the owner's mailbox
+// and back, and the responses must still come out in request order. Neither
+// benchmark workload reaches this path or the reorder buffer behind it.
+TEST(ServiceFuzz, ForwardedRequestsAnswerInRequestOrder) {
+  ServerFixture server;
+  Xoshiro256 rng(23);
+  const int a = server.try_connect();
+  ASSERT_GE(a, 0);
+  const std::uint32_t x = must_open(a, rng).session;
+  const int b = server.try_connect();
+  ASSERT_GE(b, 0);
+  const std::uint32_t y = must_open(b, rng).session;
+  ASSERT_NE(x % 4u, y % 4u) << "both sessions on one shard: nothing forwards";
+
+  const Trace trace_x = generated(61);
+  const Trace trace_y = generated(62);
+  const std::string wire_x = trace_to_binary(trace_x);
+  const std::string wire_y = trace_to_binary(trace_y);
+  const std::pair<std::uint32_t, const std::string*> streams[] = {
+      {x, &wire_x}, {y, &wire_y}};
+  std::vector<Request> script;
+  constexpr std::size_t kFrame = 64;
+  for (std::size_t off = 0; off < std::max(wire_x.size(), wire_y.size());
+       off += kFrame) {
+    for (const auto& [id, wire] : streams) {
+      if (off >= wire->size()) continue;
+      Request feed;
+      feed.verb = Verb::kFeed;
+      feed.session = id;
+      feed.bytes = wire->substr(off, kFrame);
+      script.push_back(std::move(feed));
+    }
+  }
+  for (const Verb verb : {Verb::kDrain, Verb::kClose}) {
+    for (const std::uint32_t id : {x, y}) {
+      Request req;
+      req.verb = verb;
+      req.session = id;
+      script.push_back(req);
+    }
+  }
+  std::string burst;
+  for (const Request& req : script) burst += framed(encode_request(req));
+  ASSERT_TRUE(write_all(a, burst.data(), burst.size()));
+
+  std::vector<RaceReport> drained_x;
+  std::vector<RaceReport> drained_y;
+  for (std::size_t i = 0; i < script.size(); ++i) {
+    Response rsp;
+    ASSERT_TRUE(read_response(a, rsp)) << "response " << i;
+    ASSERT_EQ(rsp.verb, script[i].verb) << "response " << i;
+    ASSERT_EQ(rsp.session, script[i].session) << "response " << i;
+    ASSERT_EQ(rsp.status, ServiceStatus::kOk)
+        << "response " << i << ": " << rsp.message;
+    if (rsp.verb == Verb::kDrain) {
+      EXPECT_FALSE(rsp.drain.more);
+      (rsp.session == x ? drained_x : drained_y) = rsp.drain.reports;
+    }
+    if (rsp.verb == Verb::kClose) {
+      EXPECT_TRUE(rsp.close.complete);
+    }
+  }
+  // Both programs race (7 and 909 reports), so an empty drain cannot pass.
+  EXPECT_FALSE(drained_x.empty());
+  EXPECT_EQ(drained_x, detect_races_trace(trace_x));
+  EXPECT_EQ(drained_y, detect_races_trace(trace_y));
+  ::close(a);
+  ::close(b);
+  EXPECT_TRUE(wait_for_live_sessions(server, 0));
+}
+
+double process_cpu_s() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_utime.tv_sec + usage.ru_stime.tv_sec) +
+         static_cast<double>(usage.ru_utime.tv_usec + usage.ru_stime.tv_usec) *
+             1e-6;
+}
+
+/// Open fd numbers of this process, listed through `fds`, an open
+/// /proc/self/fd: scanning it needs no new fd, so it works at the fd limit.
+std::vector<int> open_fds(DIR* fds) {
+  std::vector<int> out;
+  ::rewinddir(fds);
+  while (const dirent* entry = ::readdir(fds))
+    if (entry->d_name[0] != '.') out.push_back(std::atoi(entry->d_name));
+  return out;
+}
+
+/// Server-side ends of `server`'s connections open in this process: an
+/// accepted unix socket carries the listener's path as its own name.
+std::size_t server_side_connections(const ServerFixture& server, DIR* fds) {
+  std::size_t open = 0;
+  for (const int fd : open_fds(fds)) {
+    sockaddr_un name{};
+    socklen_t name_len = sizeof(name);
+    int listening = 0;
+    socklen_t flag_len = sizeof(listening);
+    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&name), &name_len) == 0 &&
+        name.sun_family == AF_UNIX && server.path == name.sun_path &&
+        ::getsockopt(fd, SOL_SOCKET, SO_ACCEPTCONN, &listening, &flag_len) == 0 &&
+        listening == 0)
+      ++open;
+  }
+  return open;
+}
+
+// Out of fds, accept() fails while connections wait in the backlog, which
+// keeps the listener readable: the acceptor must pause instead of spinning
+// on it, and resume once fds free up.
+TEST(ServiceFuzz, FdExhaustionPausesAcceptingAndRecovers) {
+  ServerFixture server;
+  const std::unique_ptr<DIR, int (*)(DIR*)> fds(::opendir("/proc/self/fd"),
+                                                ::closedir);
+  ASSERT_NE(fds, nullptr);
+  // Settle the fixture's probe connection first, so that no fd frees up
+  // behind the test's back. A round trip on a later connection shows the
+  // probe was accepted (the backlog is served in order); then both must be
+  // closed on the server side as well.
+  {
+    const int fd = server.try_connect();
+    ASSERT_GE(fd, 0);
+    Request stats;
+    stats.verb = Verb::kStats;
+    const std::string frame = framed(encode_request(stats));
+    Response rsp;
+    ASSERT_TRUE(write_all(fd, frame.data(), frame.size()));
+    ASSERT_TRUE(read_response(fd, rsp));
+    ::close(fd);
+  }
+  for (int i = 0; i < 200 && server_side_connections(server, fds.get()) > 0; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_EQ(server_side_connections(server, fds.get()), 0u);
+
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  struct RestoreLimit {
+    rlimit limit;
+    ~RestoreLimit() { ::setrlimit(RLIMIT_NOFILE, &limit); }
+  } restore{saved};
+  struct Fds {
+    std::vector<int> fds;
+    ~Fds() {
+      for (const int fd : fds) ::close(fd);
+    }
+  } clients;
+  const std::vector<int> in_use = open_fds(fds.get());
+  rlimit low = saved;
+  low.rlim_cur =
+      static_cast<rlim_t>(*std::max_element(in_use.begin(), in_use.end()) + 1 + 16);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+
+  const int spare = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  ASSERT_GE(spare, 0);
+  for (;;) {
+    const int fd = server.try_connect();
+    if (fd < 0) break;  // socket() hit the limit
+    clients.fds.push_back(fd);
+  }
+  ASSERT_FALSE(clients.fds.empty());
+  // The fd table is full, so every client not accepted yet waits in the
+  // backlog with no fd left to accept it. If the acceptor kept up with them
+  // all, give the spare back and connect one more: with nothing pending,
+  // the acceptor cannot take the freed slot before this client does.
+  if (server_side_connections(server, fds.get()) == clients.fds.size()) {
+    ::close(spare);
+    const int fd = server.try_connect();
+    ASSERT_GE(fd, 0);
+    clients.fds.push_back(fd);
+  } else {
+    ::close(spare);
+  }
+
+  const double cpu0 = process_cpu_s();
+  const auto wall0 = std::chrono::steady_clock::now();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const double cpu = process_cpu_s() - cpu0;
+  const double wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
+          .count();
+  EXPECT_LT(cpu, wall / 3) << "the acceptor spins on the readable listener";
+
+  const std::size_t half = clients.fds.size() / 2;
+  for (std::size_t i = 0; i < half; ++i) ::close(clients.fds[i]);
+  clients.fds.erase(clients.fds.begin(),
+                    clients.fds.begin() + static_cast<std::ptrdiff_t>(half));
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+
+  const int fd = server.try_connect();
+  ASSERT_GE(fd, 0);
+  clients.fds.push_back(fd);
+  Request open;
+  open.verb = Verb::kOpen;
+  const std::string frame = framed(encode_request(open));
+  const auto sent = std::chrono::steady_clock::now();
+  ASSERT_TRUE(write_all(fd, frame.data(), frame.size()));
+  pollfd pfd{fd, POLLIN, 0};
+  ASSERT_EQ(::poll(&pfd, 1, 1000), 1) << "OPEN unanswered after 1 s";
+  Response rsp;
+  ASSERT_TRUE(read_response(fd, rsp));
+  EXPECT_EQ(rsp.status, ServiceStatus::kOk) << rsp.message;
+  EXPECT_LT(std::chrono::steady_clock::now() - sent, std::chrono::seconds(1));
 }
 
 }  // namespace
