@@ -26,43 +26,8 @@ std::size_t drive(Detector& det, const Trace& trace) {
   det.on_root();
   std::size_t accesses = 0;
   for (const TraceEvent& e : trace) {
-    switch (e.op) {
-      case TraceOp::kFork:
-        det.on_fork(e.actor);
-        break;
-      case TraceOp::kJoin:
-        det.on_join(e.actor, e.other);
-        break;
-      case TraceOp::kHalt:
-        det.on_halt(e.actor);
-        break;
-      case TraceOp::kSync:
-        if constexpr (requires { det.on_sync(e.actor); }) det.on_sync(e.actor);
-        break;
-      case TraceOp::kRead:
-        det.on_read(e.actor, e.loc);
-        ++accesses;
-        break;
-      case TraceOp::kWrite:
-        det.on_write(e.actor, e.loc);
-        ++accesses;
-        break;
-      case TraceOp::kRetire:
-        if constexpr (requires { det.on_retire(e.actor, e.loc); })
-          det.on_retire(e.actor, e.loc);
-        break;
-      case TraceOp::kFinishBegin:
-        if constexpr (requires { det.on_finish_begin(e.actor); })
-          det.on_finish_begin(e.actor);
-        break;
-      case TraceOp::kFinishEnd:
-        if constexpr (requires { det.on_finish_end(e.actor); })
-          det.on_finish_end(e.actor);
-        break;
-      case TraceOp::kAcquire:
-      case TraceOp::kRelease:
-        break;  // lockset semantics live outside the raw detector drivers
-    }
+    apply_event(det, e);
+    accesses += e.op == TraceOp::kRead || e.op == TraceOp::kWrite;
   }
   return accesses;
 }

@@ -12,8 +12,8 @@
 
 #include <cstddef>
 
-#include "core/sharded_analyzer.hpp"
 #include "core/depa_detector.hpp"
+#include "core/replay.hpp"
 #include "runtime/instrumented.hpp"
 #include "runtime/serial_executor.hpp"
 #include "runtime/trace.hpp"

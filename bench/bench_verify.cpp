@@ -9,7 +9,7 @@
 #include <cstddef>
 
 #include "bench_common.hpp"
-#include "core/sharded_analyzer.hpp"
+#include "core/replay.hpp"
 #include "verify/certificate.hpp"
 #include "verify/trace_lint.hpp"
 #include "workloads/generators.hpp"

@@ -8,8 +8,8 @@
 //
 // Each run synthesizes a structured program from a seeded plan, records its
 // trace, and pushes it (plus type-aware mutants) through serial replay,
-// sharded replay at several shard counts, the offline walks, the naive gold
-// reference, and whichever baselines are lawful for the trace's discipline;
+// the DePa backend, the offline walks, the naive gold reference, and
+// whichever baselines are lawful for the trace's discipline;
 // the first report is certificate-checked. Any disagreement is a failure:
 // it is shrunk with ddmin (--no-shrink disables) and, when --artifacts DIR
 // is given, written there as a replayable corpus file.

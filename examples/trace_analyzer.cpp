@@ -6,8 +6,6 @@
 //   $ example_trace_analyzer --demo            record+analyze a demo program
 //   $ example_trace_analyzer --emit            print a demo trace to stdout
 //
-// Add --shards=N to also run the sharded parallel analyzer with N workers
-// (its merged reports are bit-identical to the serial replay).
 // Add --lint to run only the trace linter and print every diagnostic
 // (exit 0 clean / 1 errors), or --certify to attach an independently
 // re-checkable witness certificate to every race report.
@@ -16,7 +14,6 @@
 //
 // Input files may be text or binary (format sniffed by magic).
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -45,44 +42,10 @@ Trace demo_trace() {
 }
 
 template <typename Detector>
-void drive(Detector& det, const Trace& trace) {
-  det.on_root();
-  for (const TraceEvent& e : trace) {
-    switch (e.op) {
-      case TraceOp::kFork:
-        det.on_fork(e.actor);
-        break;
-      case TraceOp::kJoin:
-        det.on_join(e.actor, e.other);
-        break;
-      case TraceOp::kHalt:
-        det.on_halt(e.actor);
-        break;
-      case TraceOp::kSync:
-        if constexpr (requires { det.on_sync(e.actor); }) det.on_sync(e.actor);
-        break;
-      case TraceOp::kRead:
-        det.on_read(e.actor, e.loc);
-        break;
-      case TraceOp::kWrite:
-        det.on_write(e.actor, e.loc);
-        break;
-      case TraceOp::kRetire:
-        if constexpr (requires { det.on_retire(e.actor, e.loc); })
-          det.on_retire(e.actor, e.loc);
-        break;
-      case TraceOp::kFinishBegin:
-      case TraceOp::kFinishEnd:
-      case TraceOp::kAcquire:
-      case TraceOp::kRelease:
-        break;    }
-  }
-}
-
-template <typename Detector>
 void report(const char* name, const Trace& trace) {
   Detector det;
-  drive(det, trace);
+  det.on_root();
+  for (const TraceEvent& e : trace) apply_event(det, e);
   const auto f = det.footprint();
   std::printf("%-12s races=%zu  shadow=%zuB  per-task=%zuB", name,
               det.reporter().count(), f.shadow_bytes, f.per_task_bytes);
@@ -137,29 +100,11 @@ int reports_only(const Trace& trace) {
   return 0;
 }
 
-int analyze(const Trace& trace, std::size_t shards) {
+int analyze(const Trace& trace) {
   std::printf("events: %zu\n", trace.size());
   report<OnlineRaceDetector>("suprema-2D", trace);
   report<VectorClockDetector>("vector-clock", trace);
   report<FastTrackDetector>("fasttrack", trace);
-
-  if (shards > 0) {
-    ShardedTraceAnalyzer analyzer(trace, shards);
-    const auto races = analyzer.run();
-    std::printf("sharded x%-3zu races=%zu", shards, races.size());
-    if (!races.empty())
-      std::printf("  first: %s", to_string(races.front()).c_str());
-    std::printf("\n");
-    const auto& stats = analyzer.shard_stats();
-    for (std::size_t s = 0; s < stats.size(); ++s) {
-      std::printf("  shard %zu: %zu accesses, %zu locations, %zu race(s)\n", s,
-                  stats[s].checked_accesses, stats[s].tracked_locations,
-                  stats[s].races);
-    }
-    const auto serial = detect_races_trace(trace);
-    std::printf("  parallel == serial replay: %s\n",
-                races == serial ? "yes" : "NO (bug!)");
-  }
 
   // Structural analysis via the materialized task graph.
   const TaskGraph tg = build_task_graph(trace);
@@ -176,7 +121,6 @@ int analyze(const Trace& trace, std::size_t shards) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t shards = 0;
   const char* input = nullptr;
   bool demo = false;
   bool emit = false;
@@ -184,13 +128,7 @@ int main(int argc, char** argv) {
   bool want_certify = false;
   bool want_reports = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      shards = static_cast<std::size_t>(std::strtoull(argv[i] + 9, nullptr, 10));
-      if (shards == 0) {
-        std::fprintf(stderr, "--shards needs a positive worker count\n");
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--demo") == 0) {
+    if (std::strcmp(argv[i], "--demo") == 0) {
       demo = true;
     } else if (std::strcmp(argv[i], "--emit") == 0) {
       emit = true;
@@ -215,7 +153,7 @@ int main(int argc, char** argv) {
     if (lint) return lint_only(trace);
     if (want_certify) return certify(trace);
     if (want_reports) return reports_only(trace);
-    return analyze(trace, shards);
+    return analyze(trace);
   };
   if (demo) return dispatch(demo_trace());
   if (input != nullptr) {
@@ -241,7 +179,7 @@ int main(int argc, char** argv) {
     }
   }
   std::fprintf(stderr,
-               "usage: %s [--shards=N] [--lint | --certify | --reports] "
+               "usage: %s [--lint | --certify | --reports] "
                "<trace-file> | --demo | --emit\n"
                "trace format: fork/join/halt/sync p [q], read/write/retire "
                "t loc-hex\n",

@@ -4,7 +4,6 @@
 # shared `--json OUT` flag (bench/bench_main.cpp):
 #
 #   BENCH_static.json   bench_static          — static pass throughput (E11)
-#   BENCH_sharded.json  bench_sharded         — sharded replay scaling (E8b)
 #   BENCH_io.json       bench_io              — trace codec + service (E12)
 #   BENCH_parallel.json bench_parallel_detect — online detection, DSU vs DePa (E13)
 #   BENCH_service.json  bench_service         — worker-pool saturation (E15)
@@ -43,8 +42,7 @@ fi
 
 cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-bench -j "$(nproc)" \
-  --target bench_static bench_sharded bench_io bench_parallel_detect \
-  bench_service
+  --target bench_static bench_io bench_parallel_detect bench_service
 
 run_bench() {
   local bin="$1" out="$2"
@@ -56,7 +54,6 @@ run_bench() {
 }
 
 run_bench bench_static BENCH_static.json
-run_bench bench_sharded BENCH_sharded.json
 run_bench bench_io BENCH_io.json
 run_bench bench_parallel_detect BENCH_parallel.json
 run_bench bench_service BENCH_service.json
@@ -67,8 +64,8 @@ import multiprocessing
 import os
 import sys
 
-SNAPSHOTS = ["BENCH_static.json", "BENCH_sharded.json", "BENCH_io.json",
-             "BENCH_parallel.json", "BENCH_service.json"]
+SNAPSHOTS = ["BENCH_static.json", "BENCH_io.json", "BENCH_parallel.json",
+             "BENCH_service.json"]
 # Key throughput rows held to the <=20% regression gate. Names must match
 # the google-benchmark `name` field exactly.
 GATED = {

@@ -5,9 +5,9 @@
 # build of the FULL test suite (the verify layer intentionally feeds
 # corrupt traces to every detector; the sanitizers prove the rejection
 # paths never read past a buffer), then a ThreadSanitizer build of the
-# concurrency-bearing tests (the sharded trace analyzer spawns real threads; TSan checks the
-# workers share nothing but the read-only trace and their private
-# reporters).
+# concurrency-bearing tests (the parallel executor and the race2dd worker
+# pool spawn real threads; TSan checks they share state only through
+# synchronized paths).
 # clang-tidy is a gated stage when installed: findings in the
 # WarningsAsErrors families of .clang-tidy fail the gate (scripts/tidy.sh
 # still exits 0 when the tool is absent, as in the reference container).
@@ -26,7 +26,7 @@ cmake --build build -j "$(nproc)"
 
 echo "== smoke fuzz: 30-second differential campaign (fixed seed)"
 # Every trace runs the full detector panel (serial, DePa label backend,
-# sharded, offline, naive gold, baselines, certification) plus the codec
+# offline, naive gold, baselines, certification) plus the codec
 # round-trip and byte-corruption invariants; any verdict mismatch,
 # certificate rejection, or codec hole exits non-zero. The DePa stage
 # demands BIT-IDENTICAL reports to serial replay, not just the same
@@ -53,7 +53,7 @@ done
 echo "service smoke: reports bit-identical across $(ls tests/corpus/*.trace tests/corpus/*.btrace | wc -l) corpus streams"
 
 echo "== service smoke: race2dd socket mode, 4 workers"
-# The same corpus through the OTHER transport and the sharded pool: an
+# The same corpus through the OTHER transport and the multi-worker pool: an
 # AF_UNIX daemon with 4 workers, driven over the socket by four clients at
 # a time, so every shard loop serves a connection concurrently. Accepting,
 # the round-robin hand-off to the shard loops, worker pinning and
@@ -201,7 +201,7 @@ fi
 if [[ "${RACE2D_SKIP_TSAN:-0}" == "1" ]]; then
   echo "== TSan skipped (RACE2D_SKIP_TSAN=1)"
 else
-  echo "== ThreadSanitizer build (sharded analyzer + parallel executor + service pool)"
+  echo "== ThreadSanitizer build (parallel executor + service pool)"
   # service_pool_test hammers STATS against concurrent feeds (the metrics
   # counters must be atomics), and service_fuzz_test runs adversarial
   # clients, cross-shard forwarding and fd exhaustion against the live
@@ -210,9 +210,7 @@ else
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer -O1 -g" \
     >/dev/null
   cmake --build build-tsan -j "$(nproc)" --target \
-    sharded_analyzer_test parallel_executor_test \
-    service_pool_test service_fuzz_test
-  ./build-tsan/tests/sharded_analyzer_test
+    parallel_executor_test service_pool_test service_fuzz_test
   ./build-tsan/tests/parallel_executor_test
   ./build-tsan/tests/service_pool_test
   ./build-tsan/tests/service_fuzz_test

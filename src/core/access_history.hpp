@@ -44,7 +44,7 @@ class AccessHistory {
 
   /// Pre-sizes the table for `n` distinct live locations so replay does not
   /// pay incremental rehashes on the hot loop. Callers with a recorded
-  /// trace derive `n` from a prescan (see detect_races_parallel).
+  /// trace can derive `n` from a prescan of its locations.
   void reserve(std::size_t n) { cells_.reserve(n); }
 
   /// Drops the cell for `loc` (shadow retirement). Returns whether a cell

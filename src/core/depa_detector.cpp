@@ -146,44 +146,4 @@ MemoryFootprint DePaDetector::footprint() const {
   return f;
 }
 
-std::vector<RaceReport> detect_races_trace_depa(const Trace& trace,
-                                                ReportPolicy policy,
-                                                LintGate gate) {
-  if (gate == LintGate::kEnforce) require_lint_clean(trace);
-  DePaDetector detector(policy);
-  detector.on_root();
-  for (const TraceEvent& e : trace) {
-    switch (e.op) {
-      case TraceOp::kFork: {
-        const TaskId assigned = detector.on_fork(e.actor);
-        R2D_REQUIRE(assigned == e.other,
-                    "trace task ids must be dense in fork order");
-        break;
-      }
-      case TraceOp::kJoin:
-        detector.on_join(e.actor, e.other);
-        break;
-      case TraceOp::kHalt:
-        detector.on_halt(e.actor);
-        break;
-      case TraceOp::kRead:
-        detector.on_read(e.actor, e.loc);
-        break;
-      case TraceOp::kWrite:
-        detector.on_write(e.actor, e.loc);
-        break;
-      case TraceOp::kRetire:
-        detector.on_retire(e.actor, e.loc);
-        break;
-      case TraceOp::kSync:
-      case TraceOp::kFinishBegin:
-      case TraceOp::kFinishEnd:
-      case TraceOp::kAcquire:
-      case TraceOp::kRelease:
-        break;
-    }
-  }
-  return detector.reporter().all();
-}
-
 }  // namespace race2d

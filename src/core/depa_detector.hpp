@@ -31,9 +31,10 @@
 #include "core/report.hpp"
 #include "support/flat_hash_map.hpp"
 #include "support/mem_accounting.hpp"
-#include "verify/trace_lint.hpp"
 
 namespace race2d {
+
+struct TraceEvent;
 
 /// Shadow state per tracked location: componentwise maxima of the reader
 /// and writer sets plus the owner fast path. Θ(1) per location.
@@ -163,9 +164,6 @@ class DePaDetector {
   bool try_apply_clean_run(const TraceEvent* events, std::size_t len,
                            std::uint64_t extra_reps);
 
-  /// Pre-sizes the shadow map (replay drivers with a known location count).
-  void reserve_locations(std::size_t n) { cells_.reserve(n); }
-
   const RaceReporter& reporter() const { return reporter_; }
   RaceReporter& mutable_reporter() { return reporter_; }
   bool race_found() const { return reporter_.any(); }
@@ -213,12 +211,5 @@ class DePaDetector {
   RaceReporter reporter_;
   std::size_t access_count_ = 0;
 };
-
-/// Replays `trace` through one DePaDetector — the panel's tag-backend
-/// reference, bit-identical to detect_races_trace on lint-clean traces.
-/// Lint-failing traces raise TraceLintError unless the gate is kSkip.
-std::vector<RaceReport> detect_races_trace_depa(
-    const Trace& trace, ReportPolicy policy = ReportPolicy::kAll,
-    LintGate gate = LintGate::kEnforce);
 
 }  // namespace race2d

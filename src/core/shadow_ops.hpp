@@ -1,11 +1,9 @@
 // Figure 6's On-Read / On-Write / On-Retire as shared inline routines, with
 // the owner-epoch fast path on the shadow cell.
 //
-// Three detectors run this exact per-access logic — OnlineRaceDetector
-// (thread-collapsed), StreamingLatticeDetector (vertex-level), and the
-// ShardedTraceAnalyzer workers — and the sharded analyzer's reports must be
-// bit-identical to serial replay. Keeping the logic in one place is what
-// makes that guarantee reviewable.
+// Two detectors run this exact per-access logic — OnlineRaceDetector
+// (thread-collapsed) and StreamingLatticeDetector (vertex-level). Keeping
+// the logic in one place is what keeps the two reviewably the same.
 //
 // Owner-epoch fast path. After an access by t that reports no race, both
 // suprema of the cell are ordered before t and fold to t under the Sup
@@ -32,11 +30,11 @@ namespace race2d::detail {
 
 /// Fault injection for the fuzzer's self-test (race2d_fuzz --inject-bug and
 /// fuzz_selftest): when set, shadow_write skips the W[loc] ← Sup(W[loc], t)
-/// update — the classic "one missing sup() update" detector bug. Serial,
-/// sharded, and streaming replay all share this routine, so they all go
-/// wrong IDENTICALLY; only the independent oracles (naive gold, offline
-/// walks, vector clocks) can expose the lie, which is exactly what the
-/// differential driver must demonstrate. Plain bool by design: set once
+/// update — the classic "one missing sup() update" detector bug. Serial
+/// and streaming replay share this routine, so they go wrong IDENTICALLY;
+/// only the independent oracles (DePa, naive gold, offline walks, vector
+/// clocks) can expose the lie, which is exactly what the differential
+/// driver must demonstrate. Plain bool by design: set once
 /// before any replay starts, never flipped concurrently.
 inline bool g_inject_skip_write_sup_update = false;
 

@@ -9,8 +9,8 @@
 #include "baselines/spbags.hpp"
 #include "baselines/vector_clock.hpp"
 #include "core/depa_detector.hpp"
+#include "core/replay.hpp"
 #include "core/report.hpp"
-#include "core/sharded_analyzer.hpp"
 #include "io/binary_reader.hpp"
 #include "io/binary_writer.hpp"
 #include "service/session.hpp"
@@ -37,43 +37,8 @@ std::string describe(const char* name, const std::vector<RaceReport>& r) {
 template <typename Detector>
 bool drive(Detector& det, const Trace& trace) {
   det.on_root();
-  for (const TraceEvent& e : trace) {
-    switch (e.op) {
-      case TraceOp::kFork:
-        if (det.on_fork(e.actor) != e.other) return false;
-        break;
-      case TraceOp::kJoin:
-        det.on_join(e.actor, e.other);
-        break;
-      case TraceOp::kHalt:
-        det.on_halt(e.actor);
-        break;
-      case TraceOp::kSync:
-        if constexpr (requires { det.on_sync(e.actor); }) det.on_sync(e.actor);
-        break;
-      case TraceOp::kRead:
-        det.on_read(e.actor, e.loc);
-        break;
-      case TraceOp::kWrite:
-        det.on_write(e.actor, e.loc);
-        break;
-      case TraceOp::kRetire:
-        if constexpr (requires { det.on_retire(e.actor, e.loc); })
-          det.on_retire(e.actor, e.loc);
-        break;
-      case TraceOp::kFinishBegin:
-        if constexpr (requires { det.on_finish_begin(e.actor); })
-          det.on_finish_begin(e.actor);
-        break;
-      case TraceOp::kFinishEnd:
-        if constexpr (requires { det.on_finish_end(e.actor); })
-          det.on_finish_end(e.actor);
-        break;
-      case TraceOp::kAcquire:
-      case TraceOp::kRelease:
-        break;  // lockset semantics live outside the raw detector drivers
-    }
-  }
+  for (const TraceEvent& e : trace)
+    if (!apply_event(det, e)) return false;
   return true;
 }
 
@@ -199,25 +164,8 @@ DifferentialResult run_differential(const Trace& trace,
     }
   }
 
-  // 1. Sharded replay: bit-identical for every shard count (PR 1's claim).
-  //    The trace was linted by the serial run above (or by the caller under
-  //    kSkip), so the re-runs skip the gate — it is the identical trace.
-  for (const std::size_t shards : config.shard_counts) {
-    const std::vector<RaceReport> sharded =
-        detect_races_parallel(trace, shards, ReportPolicy::kAll,
-                              LintGate::kSkip);
-    ++result.detectors_run;
-    if (sharded != serial) {
-      std::ostringstream os;
-      os << "sharded[K=" << shards << "] diverges from serial replay: "
-         << describe("serial", serial) << " vs "
-         << describe("sharded", sharded);
-      fail(os.str());
-    }
-  }
-
-  // 1b. DePa label backend: same event stream, timestamps instead of DSU
-  //     suprema — must reproduce the serial report stream exactly.
+  // 1. DePa label backend: same event stream, timestamps instead of DSU
+  //    suprema — must reproduce the serial report stream exactly.
   if (config.depa_backend) {
     const std::vector<RaceReport> depa =
         detect_races_trace_depa(trace, ReportPolicy::kAll, LintGate::kSkip);

@@ -3,8 +3,6 @@
 //
 // Agreement contract (what "agree" means differs by pair — it mirrors the
 // paper's guarantees, not wishful exactness):
-//   * detect_races_parallel / ShardedTraceAnalyzer (every shard count) must
-//     be BIT-IDENTICAL to serial replay — PR 1's determinism claim.
 //   * detect_races_trace_depa (the order-maintenance label backend) must be
 //     BIT-IDENTICAL to serial replay: the maxima-pair shadow cells are
 //     verdict-equivalent to the DSU suprema by construction, and the panel
@@ -26,7 +24,6 @@
 
 #include <cstddef>
 #include <string>
-#include <vector>
 
 #include "fuzz/fuzz_plan.hpp"
 #include "io/binary_format.hpp"
@@ -36,8 +33,6 @@
 namespace race2d {
 
 struct DifferentialConfig {
-  /// Shard counts to replay with (each compared bit-for-bit to serial).
-  std::vector<std::size_t> shard_counts = {2, 3, 8};
   /// Run detect_races_offline over the materialized task graph (all modes).
   bool run_offline = true;
   /// Replay through the DePa order-maintenance backend (DePaDetector) and

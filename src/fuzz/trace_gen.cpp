@@ -223,7 +223,7 @@ TaskBody future_root(StatePtr st) {
 // -- retire-heavy schedules --------------------------------------------------
 // A tiny location pool with aggressive end-of-lifetime retires: address
 // reuse across logically concurrent tasks, the case the retire machinery
-// (and the sharded analyzer's serial liveness fallback) exists for.
+// (and its live-retire access ordinals) exists for.
 
 TaskBody retire_node(StatePtr st, std::size_t depth, bool is_root) {
   return [st, depth, is_root](TaskContext& ctx) {

@@ -19,8 +19,8 @@
 #include "core/analysis.hpp"          // race-report aggregation
 #include "core/delayed_walk.hpp"      // Figure 8: relaxed online suprema
 #include "core/detector.hpp"          // Figure 6: the race detectors
+#include "core/replay.hpp"            // offline replay drivers (DSU, DePa)
 #include "core/report.hpp"            // race reports & policies
-#include "core/sharded_analyzer.hpp"  // location-sharded parallel replay
 #include "core/streaming_detector.hpp" // language-independent online form
 #include "core/suprema_walk.hpp"      // Figure 5: suprema in 2D lattices
 #include "graph/digraph.hpp"          // DAG substrate

@@ -82,56 +82,52 @@ TaskGraph build_task_graph(const Trace& trace) {
     return v;
   };
 
+  tg.vertex_of_event.reserve(trace.size());
   for (const TraceEvent& e : trace) {
+    VertexId v = kInvalidVertex;
     switch (e.op) {
-      case TraceOp::kFork: {
-        const VertexId f = advance(e.actor);  // the fork transition
+      case TraceOp::kFork:
+        v = advance(e.actor);  // the fork transition
         ensure_task(e.other);
         R2D_REQUIRE(cur[e.other] == kInvalidVertex, "task forked twice");
-        cur[e.other] = f;  // child's first vertex will attach below f
+        cur[e.other] = v;  // child's first vertex will attach below v
         ++tg.task_count;
         break;
-      }
-      case TraceOp::kJoin: {
+      case TraceOp::kJoin:
         R2D_REQUIRE(e.other < halt_vertex.size() &&
                         halt_vertex[e.other] != kInvalidVertex,
                     "join of a task that has not halted in the trace");
-        const VertexId j = new_vertex(e.actor);
+        v = new_vertex(e.actor);
         // The joined task is drawn left of the joiner: its halt arc is the
         // left in-arc; then the joiner's step arc.
-        tg.diagram.add_arc(halt_vertex[e.other], j);
-        tg.diagram.add_arc(cur[e.actor], j);
-        cur[e.actor] = j;
+        tg.diagram.add_arc(halt_vertex[e.other], v);
+        tg.diagram.add_arc(cur[e.actor], v);
+        cur[e.actor] = v;
         break;
-      }
-      case TraceOp::kHalt: {
-        const VertexId h = advance(e.actor);
-        halt_vertex[e.actor] = h;
+      case TraceOp::kHalt:
+        v = advance(e.actor);
+        halt_vertex[e.actor] = v;
         break;
-      }
-      case TraceOp::kSync:
-        break;  // annotation only; no vertex
-      case TraceOp::kRead: {
-        const VertexId v = advance(e.actor);
+      case TraceOp::kRead:
+        v = advance(e.actor);
         tg.ops[v].push_back({e.loc, AccessKind::kRead});
         break;
-      }
-      case TraceOp::kWrite: {
-        const VertexId v = advance(e.actor);
+      case TraceOp::kWrite:
+        v = advance(e.actor);
         tg.ops[v].push_back({e.loc, AccessKind::kWrite});
         break;
-      }
-      case TraceOp::kRetire: {
-        const VertexId v = advance(e.actor);
+      case TraceOp::kRetire:
+        v = advance(e.actor);
         tg.ops[v].push_back({e.loc, AccessKind::kRetire});
         break;
-      }
+      case TraceOp::kSync:
       case TraceOp::kFinishBegin:
       case TraceOp::kFinishEnd:
       case TraceOp::kAcquire:
       case TraceOp::kRelease:
         break;  // annotations only; no vertex
     }
+    tg.vertex_of_event.push_back(v);
   }
 
   R2D_REQUIRE(halt_vertex[0] != kInvalidVertex, "root never halted in trace");

@@ -98,6 +98,54 @@ class TraceRecorder : public ExecutionListener {
 /// detector from the identical event stream the online detector saw).
 void replay_trace(const Trace& trace, ExecutionListener& listener);
 
+/// Applies one trace event to a detector with the thread-level event API:
+/// on_fork(parent) returning the child's id, on_join, on_halt, on_read and
+/// on_write. The hooks only some detectors have — on_retire, on_sync,
+/// on_finish_begin, on_finish_end — are called when declared and skipped
+/// otherwise. Lock annotations reach no detector: lockset semantics live in
+/// verify/lockset_filter. Returns false iff the event is a fork whose
+/// assigned child id differs from e.other (task ids not dense in fork
+/// order). The offline drivers, the session feed, the differential panel
+/// and the benches all replay through here, so they cannot drift apart.
+template <typename Detector>
+bool apply_event(Detector& det, const TraceEvent& e) {
+  switch (e.op) {
+    case TraceOp::kFork:
+      return det.on_fork(e.actor) == e.other;
+    case TraceOp::kJoin:
+      det.on_join(e.actor, e.other);
+      break;
+    case TraceOp::kHalt:
+      det.on_halt(e.actor);
+      break;
+    case TraceOp::kRead:
+      det.on_read(e.actor, e.loc);
+      break;
+    case TraceOp::kWrite:
+      det.on_write(e.actor, e.loc);
+      break;
+    case TraceOp::kRetire:
+      if constexpr (requires { det.on_retire(e.actor, e.loc); })
+        det.on_retire(e.actor, e.loc);
+      break;
+    case TraceOp::kSync:
+      if constexpr (requires { det.on_sync(e.actor); }) det.on_sync(e.actor);
+      break;
+    case TraceOp::kFinishBegin:
+      if constexpr (requires { det.on_finish_begin(e.actor); })
+        det.on_finish_begin(e.actor);
+      break;
+    case TraceOp::kFinishEnd:
+      if constexpr (requires { det.on_finish_end(e.actor); })
+        det.on_finish_end(e.actor);
+      break;
+    case TraceOp::kAcquire:
+    case TraceOp::kRelease:
+      break;
+  }
+  return true;
+}
+
 /// The vertex-level task graph of a serial fork-first trace.
 struct TaskGraph {
   Diagram diagram;
@@ -108,6 +156,11 @@ struct TaskGraph {
   VertexId source = kInvalidVertex;  ///< root's begin vertex
   VertexId sink = kInvalidVertex;    ///< root's halt vertex
   std::size_t task_count = 0;
+  /// vertex_of_event[i]: the vertex of trace event i's transition (fork,
+  /// join, halt or access), or kInvalidVertex for an annotation (sync,
+  /// finish markers, acquire/release). Every vertex but the source is
+  /// exactly one event's. This is the one vertex numbering of a trace.
+  std::vector<VertexId> vertex_of_event;
 };
 
 /// Builds the task graph per Theorem 6's construction: one vertex per

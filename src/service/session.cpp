@@ -45,31 +45,6 @@ DetectionSession::FeedOutcome DetectionSession::poison(ServiceStatus status,
   return out;
 }
 
-void DetectionSession::drive(const TraceEvent& e) {
-  std::visit(
-      [&e](auto& d) {
-        switch (e.op) {
-          case TraceOp::kFork:
-            // Lint enforced dense fork-order numbering, so the detector's
-            // fresh id equals e.other by construction.
-            d.on_fork(e.actor);
-            break;
-          case TraceOp::kJoin:   d.on_join(e.actor, e.other); break;
-          case TraceOp::kHalt:   d.on_halt(e.actor); break;
-          case TraceOp::kRead:   d.on_read(e.actor, e.loc); break;
-          case TraceOp::kWrite:  d.on_write(e.actor, e.loc); break;
-          case TraceOp::kRetire: d.on_retire(e.actor, e.loc); break;
-          case TraceOp::kSync:
-          case TraceOp::kFinishBegin:
-          case TraceOp::kFinishEnd:
-          case TraceOp::kAcquire:
-          case TraceOp::kRelease:
-            break;  // ordering no-ops for the §4 detector
-        }
-      },
-      detector_);
-}
-
 DetectionSession::FeedOutcome DetectionSession::feed(const std::string& bytes) {
   if (poisoned()) {
     FeedOutcome out;
@@ -102,51 +77,55 @@ DetectionSession::FeedOutcome DetectionSession::feed(const std::string& bytes) {
 
   FeedOutcome out;
   bool rejected = false;
-  const auto feed_one = [&](const TraceEvent& e) {
-    if (!lint_.feed(e)) {
-      // The offending event never reaches the detector; everything decoded
-      // before it was already checked and detected.
-      rejected = true;
-      return false;
-    }
-    drive(e);
-    ++events_total_;
-    ++out.events;
-    return true;
-  };
-  std::size_t run_idx = 0;
-  for (std::size_t i = 0; i < scratch_.size() && !rejected;) {
-    if (run_idx < runs_.size() && runs_[run_idx].first == i) {
-      // A stationary compressed run: feed the materialized first repetition
-      // per-event, then try to apply the `extra` unmaterialized repetitions
-      // in one step (clean same-task access runs are full no-ops on every
-      // engine state except the access ordinal). Fallback re-feeds the
-      // template slice per-event — bit-identical, just slower.
-      const DecodedRun run = runs_[run_idx++];
-      for (std::size_t j = 0; j < run.len && !rejected; ++j)
-        feed_one(scratch_[i + j]);
-      if (rejected) break;
-      const TraceEvent* tmpl = scratch_.data() + i;
-      const bool applied = std::visit(
-          [&](auto& d) {
-            return d.try_apply_clean_run(tmpl, run.len, run.extra);
-          },
-          detector_);
-      if (applied) {
-        lint_.note_replayed(static_cast<std::uint64_t>(run.len) * run.extra);
-        events_total_ += static_cast<std::uint64_t>(run.len) * run.extra;
-        out.events += static_cast<std::uint64_t>(run.len) * run.extra;
-      } else {
-        for (std::uint64_t r = 0; r < run.extra && !rejected; ++r)
-          for (std::size_t j = 0; j < run.len && !rejected; ++j)
-            feed_one(tmpl[j]);
-      }
-      i += run.len;
-    } else {
-      feed_one(scratch_[i]);
-      ++i;
-    }
-  }
+  // One visit per frame: the event loop is instantiated per engine.
+  std::visit(
+      [&](auto& d) {
+        const auto feed_one = [&](const TraceEvent& e) {
+          if (!lint_.feed(e)) {
+            // The offending event never reaches the detector; everything
+            // decoded before it was already checked and detected.
+            rejected = true;
+            return;
+          }
+          // Lint enforced dense fork-order numbering, so the detector's
+          // fresh id equals e.other by construction.
+          apply_event(d, e);
+          ++events_total_;
+          ++out.events;
+        };
+        std::size_t run_idx = 0;
+        for (std::size_t i = 0; i < scratch_.size() && !rejected;) {
+          if (run_idx < runs_.size() && runs_[run_idx].first == i) {
+            // A stationary compressed run: feed the materialized first
+            // repetition per-event, then try to apply the `extra`
+            // unmaterialized repetitions in one step (clean same-task
+            // access runs are full no-ops on every engine state except the
+            // access ordinal). Fallback re-feeds the template slice
+            // per-event — bit-identical, just slower.
+            const DecodedRun run = runs_[run_idx++];
+            for (std::size_t j = 0; j < run.len && !rejected; ++j)
+              feed_one(scratch_[i + j]);
+            if (rejected) break;
+            const TraceEvent* tmpl = scratch_.data() + i;
+            if (d.try_apply_clean_run(tmpl, run.len, run.extra)) {
+              const std::uint64_t folded =
+                  static_cast<std::uint64_t>(run.len) * run.extra;
+              lint_.note_replayed(folded);
+              events_total_ += folded;
+              out.events += folded;
+            } else {
+              for (std::uint64_t r = 0; r < run.extra && !rejected; ++r)
+                for (std::size_t j = 0; j < run.len && !rejected; ++j)
+                  feed_one(tmpl[j]);
+            }
+            i += run.len;
+          } else {
+            feed_one(scratch_[i]);
+            ++i;
+          }
+        }
+      },
+      detector_);
   if (rejected)
     return poison(ServiceStatus::kLintReject,
                   to_string(lint_.result().first_error()));

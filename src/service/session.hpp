@@ -122,7 +122,6 @@ class DetectionSession {
   DetectionSession(RestoreTag, ReportPolicy policy,
                    std::size_t max_pending_reports, DetectorEngine engine);
 
-  void drive(const TraceEvent& e);
   [[nodiscard]] FeedOutcome poison(ServiceStatus status, std::string message);
 
   std::size_t max_pending_reports_;

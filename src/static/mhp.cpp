@@ -8,77 +8,52 @@
 
 namespace race2d {
 
-std::vector<VertexId> region_vertices(const Trace& trace,
-                                      std::size_t region_count) {
-  // Vertex ids replicate build_task_graph's construction: one vertex per
-  // fork/join/halt/read/write/retire event after the root's begin vertex;
-  // sync and finish markers are annotations without vertices. In kMarkers
-  // mode the k-th access event IS region ordinal k (emit_region emits
-  // exactly one access per region, in serial order).
+namespace {
+
+/// The vertices of the trace's access events (reads, writes, retires), in
+/// serial order. In kMarkers mode the k-th access event IS region ordinal k
+/// (emit_region emits exactly one access per region, in serial order).
+std::vector<VertexId> access_vertices(const TaskGraph& graph,
+                                      const Trace& trace) {
+  R2D_REQUIRE(graph.vertex_of_event.size() == trace.size(),
+              "task graph was not built from this trace");
   std::vector<VertexId> out;
-  out.reserve(region_count);
-  VertexId next_vertex = 1;
-  for (const TraceEvent& e : trace) {
-    switch (e.op) {
-      case TraceOp::kFork:
-      case TraceOp::kJoin:
-      case TraceOp::kHalt:
-        ++next_vertex;
-        break;
-      case TraceOp::kRead:
-      case TraceOp::kWrite:
-      case TraceOp::kRetire:
-        out.push_back(next_vertex++);
-        break;
-      case TraceOp::kSync:
-      case TraceOp::kFinishBegin:
-      case TraceOp::kFinishEnd:
-      case TraceOp::kAcquire:
-      case TraceOp::kRelease:
-        break;
-    }
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const TraceOp op = trace[i].op;
+    if (op == TraceOp::kRead || op == TraceOp::kWrite ||
+        op == TraceOp::kRetire)
+      out.push_back(graph.vertex_of_event[i]);
   }
+  return out;
+}
+
+}  // namespace
+
+std::vector<VertexId> region_vertices(const TaskGraph& graph,
+                                      const Trace& trace,
+                                      std::size_t region_count) {
+  std::vector<VertexId> out = access_vertices(graph, trace);
   R2D_REQUIRE(out.size() == region_count,
               "trace is not a kMarkers lowering of this region set");
   return out;
 }
 
 std::vector<VertexId> region_first_vertices_full(
-    const Trace& trace, const std::vector<RegionInstance>& regions) {
-  // Collect every access vertex in serial order, then carve it into the
-  // per-region runs a kFull lowering emits (interval width accesses each).
-  std::vector<VertexId> access_vertices;
-  VertexId next_vertex = 1;
-  for (const TraceEvent& e : trace) {
-    switch (e.op) {
-      case TraceOp::kFork:
-      case TraceOp::kJoin:
-      case TraceOp::kHalt:
-        ++next_vertex;
-        break;
-      case TraceOp::kRead:
-      case TraceOp::kWrite:
-      case TraceOp::kRetire:
-        access_vertices.push_back(next_vertex++);
-        break;
-      case TraceOp::kSync:
-      case TraceOp::kFinishBegin:
-      case TraceOp::kFinishEnd:
-      case TraceOp::kAcquire:
-      case TraceOp::kRelease:
-        break;
-    }
-  }
+    const TaskGraph& graph, const Trace& trace,
+    const std::vector<RegionInstance>& regions) {
+  // Carve the serial access vertices into the per-region runs a kFull
+  // lowering emits (interval width accesses each).
+  const std::vector<VertexId> accesses = access_vertices(graph, trace);
   std::vector<VertexId> out;
   out.reserve(regions.size());
   std::size_t at = 0;
   for (const RegionInstance& r : regions) {
-    R2D_REQUIRE(at < access_vertices.size(),
+    R2D_REQUIRE(at < accesses.size(),
                 "trace is not a kFull lowering of this region set");
-    out.push_back(access_vertices[at]);
+    out.push_back(accesses[at]);
     at += static_cast<std::size_t>(r.interval.hi - r.interval.lo) + 1;
   }
-  R2D_REQUIRE(at == access_vertices.size(),
+  R2D_REQUIRE(at == accesses.size(),
               "trace is not a kFull lowering of this region set");
   return out;
 }
@@ -87,31 +62,13 @@ void augment_task_graph_with_futures(
     TaskGraph& graph, const Trace& trace, const std::vector<FutureArc>& arcs,
     const std::vector<VertexId>& region_first_vertex) {
   if (arcs.empty()) return;
-  // Halt vertex per task, from the same numbering walk as region_vertices.
+  R2D_REQUIRE(graph.vertex_of_event.size() == trace.size(),
+              "task graph was not built from this trace");
   std::vector<VertexId> halt_of(graph.task_count, kInvalidVertex);
-  VertexId next_vertex = 1;
-  for (const TraceEvent& e : trace) {
-    switch (e.op) {
-      case TraceOp::kFork:
-      case TraceOp::kJoin:
-        ++next_vertex;
-        break;
-      case TraceOp::kHalt:
-        R2D_ASSERT(e.actor < graph.task_count);
-        halt_of[e.actor] = next_vertex++;
-        break;
-      case TraceOp::kRead:
-      case TraceOp::kWrite:
-      case TraceOp::kRetire:
-        ++next_vertex;
-        break;
-      case TraceOp::kSync:
-      case TraceOp::kFinishBegin:
-      case TraceOp::kFinishEnd:
-      case TraceOp::kAcquire:
-      case TraceOp::kRelease:
-        break;
-    }
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    if (trace[i].op != TraceOp::kHalt) continue;
+    R2D_ASSERT(trace[i].actor < graph.task_count);
+    halt_of[trace[i].actor] = graph.vertex_of_event[i];
   }
   for (const FutureArc& a : arcs) {
     R2D_REQUIRE(a.producer_task < halt_of.size() &&
@@ -168,7 +125,8 @@ StaticMhpEngine::StaticMhpEngine(const Skeleton& s,
     model->lowered = std::move(lowered);
     model->graph = build_task_graph(model->lowered.trace);
     model->region_vertex =
-        region_vertices(model->lowered.trace, model->lowered.regions.size());
+        region_vertices(model->graph, model->lowered.trace,
+                        model->lowered.regions.size());
     // Relaxed mode: graft the future→get precedence arcs BEFORE building
     // the reachability oracle, so every MHP answer sees the non-SP order.
     augment_task_graph_with_futures(model->graph, model->lowered.trace,

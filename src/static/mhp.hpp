@@ -95,18 +95,20 @@ class StaticMhpEngine {
   std::size_t skipped_ = 0;
 };
 
-/// Maps each region ordinal to the task-graph vertex of its single marker
-/// access by replaying build_task_graph's vertex numbering over the trace
-/// (the certificate checker's walk). Exposed for the race scan and tests.
-std::vector<VertexId> region_vertices(const Trace& trace,
+/// Maps each region ordinal of a kMarkers lowering to the task-graph vertex
+/// of its single marker access, read from graph.vertex_of_event (`graph` is
+/// build_task_graph(trace)). Exposed for the race scan and tests.
+std::vector<VertexId> region_vertices(const TaskGraph& graph,
+                                      const Trace& trace,
                                       std::size_t region_count);
 
-/// Same walk for a kFull lowering: region ordinal → the vertex of the
-/// region's FIRST emitted access (kFull emits each region's whole interval
+/// Same for a kFull lowering: region ordinal → the vertex of the region's
+/// FIRST emitted access (kFull emits each region's whole interval
 /// contiguously; kMarkers is the width-1 special case where this equals
 /// region_vertices).
 std::vector<VertexId> region_first_vertices_full(
-    const Trace& trace, const std::vector<RegionInstance>& regions);
+    const TaskGraph& graph, const Trace& trace,
+    const std::vector<RegionInstance>& regions);
 
 /// Grafts the relaxed-futures precedence edges onto a Theorem-6 task graph
 /// built from `trace`: one arc per FutureArc, from the producer task's halt

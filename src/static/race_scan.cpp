@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "baselines/naive.hpp"
-#include "core/sharded_analyzer.hpp"
+#include "core/replay.hpp"
 #include "fuzz/differential.hpp"
 #include "support/assert.hpp"
 #include "support/flat_hash_map.hpp"
@@ -332,7 +332,7 @@ AgreementResult check_static_dynamic_agreement(const Skeleton& s,
       TaskGraph graph = build_task_graph(full.trace);
       augment_task_graph_with_futures(
           graph, full.trace, full.future_arcs,
-          region_first_vertices_full(full.trace, full.regions));
+          region_first_vertices_full(graph, full.trace, full.regions));
       NaiveResult naive = detect_races_naive(graph);
       std::vector<RaceReport> reports = std::move(naive.races);
       if (!reports.empty() && has_lock_events(full.trace)) {

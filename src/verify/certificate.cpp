@@ -41,36 +41,19 @@ CertificateChecker::CertificateChecker(const Trace& trace)
   // Index every COUNTED access by its global ordinal, mirroring the
   // detectors exactly: reads and writes always count; a retire counts only
   // when the location has live accesses (shadow_retire's cell test).
-  // Vertex ids replicate build_task_graph's construction — one vertex per
-  // fork/join/halt/read/write/retire event, after the root's begin vertex.
   FlatHashMap<Loc, std::uint8_t> live;
-  VertexId next_vertex = 1;
   for (std::size_t i = 0; i < trace.size(); ++i) {
     const TraceEvent& e = trace[i];
+    const VertexId v = graph_.vertex_of_event[i];
     switch (e.op) {
-      case TraceOp::kFork:
-      case TraceOp::kJoin:
-      case TraceOp::kHalt:
-        ++next_vertex;
-        break;
-      case TraceOp::kSync:
-      case TraceOp::kFinishBegin:
-      case TraceOp::kFinishEnd:
-      case TraceOp::kAcquire:
-      case TraceOp::kRelease:
-        break;
       case TraceOp::kRead:
-      case TraceOp::kWrite: {
-        const VertexId v = next_vertex++;
+      case TraceOp::kWrite:
         live[e.loc] = 1;
         accesses_.push_back(
-            {i, v,
-             e.loc,
+            {i, v, e.loc,
              e.op == TraceOp::kRead ? AccessKind::kRead : AccessKind::kWrite});
         break;
-      }
       case TraceOp::kRetire: {
-        const VertexId v = next_vertex++;
         std::uint8_t* state = live.find(e.loc);
         if (state != nullptr && *state != 0) {
           *state = 0;
@@ -78,9 +61,10 @@ CertificateChecker::CertificateChecker(const Trace& trace)
         }
         break;
       }
+      default:
+        break;  // structure and annotations are not accesses
     }
   }
-  R2D_ASSERT(next_vertex == graph_.diagram.vertex_count());
 }
 
 CertificateCheck CertificateChecker::check(const RaceCertificate& cert) const {

@@ -12,8 +12,8 @@
 // retires), and neither task-graph vertex reaches the other.
 //
 // Ordinal space: the 1-based access ordinals the detectors stamp into
-// RaceReport::access_index. Serial replay, sharded replay, and the offline
-// walk of the task graph built from the same trace all agree on them (the
+// RaceReport::access_index. Both replay engines and the offline walk of
+// the task graph built from the same trace all agree on them (the
 // canonical walk's loop order IS the serial execution order), so one
 // certifier serves all three.
 #pragma once
@@ -105,7 +105,7 @@ class CertificateChecker {
   std::vector<AccessRecord> accesses_;  ///< index = ordinal - 1
 };
 
-/// Certifies a batch of reports (from the serial, sharded, or offline
+/// Certifies a batch of reports (from either replay engine or the offline
 /// detector, all sharing one trace), reusing one checker.
 std::vector<CertifiedReport> certify_races(const CertificateChecker& checker,
                                            const std::vector<RaceReport>& reports);

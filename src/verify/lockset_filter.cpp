@@ -2,7 +2,8 @@
 
 #include <algorithm>
 
-#include "core/sharded_analyzer.hpp"
+#include "core/replay.hpp"
+#include "support/assert.hpp"
 #include "support/flat_hash_map.hpp"
 
 namespace race2d {
@@ -11,7 +12,7 @@ namespace {
 
 /// One counted access with everything the filter needs to judge a report.
 struct CountedAccess {
-  VertexId vertex = kInvalidVertex;
+  std::size_t event = 0;  ///< trace index; TaskGraph::vertex_of_event keys it
   Loc loc = 0;
   AccessKind kind = AccessKind::kRead;
   std::uint32_t lifetime = 0;  ///< per-loc storage lifetime ordinal
@@ -37,32 +38,26 @@ bool disjoint(const std::vector<Loc>& a, const std::vector<Loc>& b) {
   return true;
 }
 
-/// Replays `trace` once: vertex numbering (build_task_graph's walk),
-/// per-task held-mutex sets, per-loc lifetimes, and the detector's
-/// counted-access rule (dead retires are skipped).
+/// Replays `trace` once: per-task held-mutex sets, per-loc lifetimes, and
+/// the detector's counted-access rule (dead retires are skipped).
 std::vector<CountedAccess> collect_accesses(const Trace& trace) {
   std::vector<CountedAccess> out;
   std::vector<std::vector<Loc>> held(1);
   FlatHashMap<Loc, LocState> locs;
-  VertexId next_vertex = 1;
   const auto held_of = [&held](TaskId t) -> std::vector<Loc>& {
     if (t >= held.size()) held.resize(static_cast<std::size_t>(t) + 1);
     return held[t];
   };
-  for (const TraceEvent& e : trace) {
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const TraceEvent& e = trace[i];
     switch (e.op) {
-      case TraceOp::kFork:
-      case TraceOp::kJoin:
-      case TraceOp::kHalt:
-        ++next_vertex;
-        break;
       case TraceOp::kRead:
       case TraceOp::kWrite: {
         LocState& ls = locs[e.loc];
         ls.live = true;
         std::vector<Loc> lockset = held_of(e.actor);
         std::sort(lockset.begin(), lockset.end());
-        out.push_back({next_vertex++, e.loc,
+        out.push_back({i, e.loc,
                        e.op == TraceOp::kRead ? AccessKind::kRead
                                               : AccessKind::kWrite,
                        ls.lifetime, std::move(lockset)});
@@ -74,12 +69,11 @@ std::vector<CountedAccess> collect_accesses(const Trace& trace) {
           // A counted retire races against the lifetime it closes.
           std::vector<Loc> lockset = held_of(e.actor);
           std::sort(lockset.begin(), lockset.end());
-          out.push_back({next_vertex, e.loc, AccessKind::kRetire, ls.lifetime,
+          out.push_back({i, e.loc, AccessKind::kRetire, ls.lifetime,
                          std::move(lockset)});
           ++ls.lifetime;
           ls.live = false;
         }
-        ++next_vertex;  // dead retires still own a task-graph vertex
         break;
       }
       case TraceOp::kAcquire:
@@ -92,6 +86,9 @@ std::vector<CountedAccess> collect_accesses(const Trace& trace) {
           if (it != h.rend()) h.erase(std::next(it).base());
         }
         break;
+      case TraceOp::kFork:
+      case TraceOp::kJoin:
+      case TraceOp::kHalt:
       case TraceOp::kSync:
       case TraceOp::kFinishBegin:
       case TraceOp::kFinishEnd:
@@ -117,6 +114,9 @@ GuardedFilterResult filter_guarded_races(const Trace& trace,
   GuardedFilterResult out;
   if (raw.empty()) return out;
   const std::vector<CountedAccess> accesses = collect_accesses(trace);
+  const std::vector<VertexId>& vertex_of = oracle.graph().vertex_of_event;
+  R2D_REQUIRE(vertex_of.size() == trace.size(),
+              "oracle's task graph was not built from this trace");
   for (const RaceReport& r : raw) {
     // A report the trace cannot explain (foreign ordinal convention) is
     // never suppressed — the filter must not hide evidence it cannot judge.
@@ -131,7 +131,8 @@ GuardedFilterResult filter_guarded_races(const Trace& trace,
       const CountedAccess& prior = accesses[i];
       real = prior.loc == racing.loc && prior.lifetime == racing.lifetime &&
              conflicting(prior.kind, racing.kind) &&
-             oracle.concurrent(prior.vertex, racing.vertex) &&
+             oracle.concurrent(vertex_of[prior.event],
+                               vertex_of[racing.event]) &&
              disjoint(prior.lockset, racing.lockset);
     }
     if (real) out.reports.push_back(r);

@@ -1,6 +1,6 @@
 // Eraser-style lockset filtering of dynamic race reports.
 //
-// The online detector (and its DePa / sharded / panel siblings) is lock-
+// The online detector (and its DePa / panel siblings) is lock-
 // agnostic by design: acquire/release events are vertex-less annotations,
 // so lock-free traces stay bit-identical across every backend. Lock
 // semantics enter DOWNSTREAM, as pure SUPPRESSION over the detector's

@@ -1,5 +1,5 @@
-// Certifying race reports: every report from the serial, sharded, and
-// offline detectors on generator workloads carries a witness certificate
+// Certifying race reports: every report from the serial and offline
+// detectors on generator workloads carries a witness certificate
 // that check_certificate re-proves against the reachability oracle — and
 // doctored certificates are rejected with a reason naming the failing claim.
 #include <gtest/gtest.h>
@@ -9,7 +9,7 @@
 
 #include "baselines/naive.hpp"
 #include "core/detector.hpp"
-#include "core/sharded_analyzer.hpp"
+#include "core/replay.hpp"
 #include "runtime/serial_executor.hpp"
 #include "runtime/trace.hpp"
 #include "verify/certificate.hpp"
@@ -63,13 +63,6 @@ TEST(Certificates, FirstReportAlwaysCertifiesAcrossDetectors) {
     const CertificateChecker checker(trace);
     expect_all_certified(checker, serial, "serial", seed);
 
-    for (const std::size_t shards : {2u, 5u}) {
-      const auto sharded =
-          detect_races_parallel(trace, shards, ReportPolicy::kFirstOnly);
-      EXPECT_EQ(sharded, serial) << "seed " << seed;
-      expect_all_certified(checker, sharded, "sharded", seed);
-    }
-
     // The offline walk reports vertex ids where the replay reports task
     // ids; the shared coordinates (location, kinds, access ordinal) must
     // match, and the vertex must belong to the reported task.
@@ -103,10 +96,6 @@ TEST(Certificates, AllReportsCertifyOnGeneratorWorkloads) {
     total_reports += reports.size();
     const CertificateChecker checker(trace);
     expect_all_certified(checker, reports, "serial-kAll", seed);
-
-    const auto sharded = detect_races_parallel(trace, 4);
-    EXPECT_EQ(sharded, reports) << "seed " << seed;
-    expect_all_certified(checker, sharded, "sharded-kAll", seed);
   }
   EXPECT_GE(total_reports, 5u);
 }

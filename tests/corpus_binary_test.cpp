@@ -15,7 +15,7 @@
 #include <sstream>
 #include <string>
 
-#include "core/sharded_analyzer.hpp"
+#include "core/replay.hpp"
 #include "io/binary_reader.hpp"
 #include "io/binary_writer.hpp"
 #include "runtime/trace_io.hpp"

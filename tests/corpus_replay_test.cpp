@@ -1,7 +1,7 @@
 // Regression corpus replay: every checked-in trace under tests/corpus/ must
-// lint, replay through the full differential panel (serial, sharded at
-// several widths, offline walks, naive gold, applicable baselines), and
-// certify its reports — forever. Files land here minimized by the fuzzer's
+// lint, replay through the full differential panel (serial, DePa, offline
+// walks, naive gold, applicable baselines), and certify its reports —
+// forever. Files land here minimized by the fuzzer's
 // shrinker or hand-written around a specific discipline, so a failure names
 // a tiny, readable trace.
 //

@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include "core/detector.hpp"
+#include "core/replay.hpp"
+#include "core/suprema_walk.hpp"
 #include "runtime/instrumented.hpp"
+#include "runtime/serial_executor.hpp"
+#include "runtime/trace.hpp"
 
 namespace race2d {
 namespace {
@@ -201,6 +205,88 @@ TEST(DetectorSemantics, FootprintIsConstantPerLocation) {
   const double small = measure(16);
   const double large = measure(4096);
   EXPECT_LE(large, small * 2.0);  // flat, modulo hash-table rounding
+}
+
+// --- owner-epoch fast path -------------------------------------------------
+// A join must invalidate cached verdicts: re-accesses re-query.
+
+using TraceDriver = std::vector<RaceReport> (*)(const Trace&, ReportPolicy,
+                                                LintGate);
+constexpr TraceDriver kDrivers[] = {detect_races_trace,
+                                    detect_races_trace_depa};
+
+TEST(EpochCache, StructuralVersionBumpsOnStructureOnly) {
+  SupremaEngine engine;
+  const VertexId a = engine.add_vertex();
+  engine.on_loop(a);
+  const std::uint64_t after_start = engine.structural_version();
+  EXPECT_GT(after_start, 0u);
+  engine.on_loop(a);  // re-loop of a visited vertex: no structural change
+  engine.on_loop(a);
+  EXPECT_EQ(engine.structural_version(), after_start);
+
+  const VertexId b = engine.add_vertex();
+  EXPECT_EQ(engine.structural_version(), after_start);  // creation alone: no
+  engine.on_loop(b);  // task start
+  EXPECT_GT(engine.structural_version(), after_start);
+
+  const std::uint64_t before_halt = engine.structural_version();
+  engine.on_stop_arc(b);  // halt
+  EXPECT_GT(engine.structural_version(), before_halt);
+  const std::uint64_t before_join = engine.structural_version();
+  engine.on_last_arc(b, a);  // join
+  EXPECT_GT(engine.structural_version(), before_join);
+}
+
+TEST(EpochCache, JoinInvalidatesCachedVerdicts) {
+  // Task 0 races with its (already halted, not yet joined) child on the
+  // first read, then joins it. The re-access after the join must re-query:
+  // the race is ordered away, so exactly ONE report total. A cache that
+  // survived the join's version bump would either duplicate the report or
+  // keep the stale verdict.
+  const Trace trace = {
+      {TraceOp::kFork, 0, 1, 0},
+      {TraceOp::kWrite, 1, kInvalidTask, 0x10},
+      {TraceOp::kHalt, 1, kInvalidTask, 0},
+      {TraceOp::kRead, 0, kInvalidTask, 0x10},   // access 2: races with write
+      {TraceOp::kJoin, 0, 1, 0},
+      {TraceOp::kRead, 0, kInvalidTask, 0x10},   // ordered now: no report
+      {TraceOp::kWrite, 0, kInvalidTask, 0x10},  // ordered now: no report
+      {TraceOp::kHalt, 0, kInvalidTask, 0},
+  };
+  for (const TraceDriver detect : kDrivers) {
+    const auto races = detect(trace, ReportPolicy::kAll, LintGate::kEnforce);
+    ASSERT_EQ(races.size(), 1u);
+    EXPECT_EQ(races[0].access_index, 2u);
+    EXPECT_EQ(races[0].loc, 0x10u);
+    EXPECT_EQ(races[0].current_kind, AccessKind::kRead);
+    EXPECT_EQ(races[0].prior_kind, AccessKind::kWrite);
+  }
+}
+
+TEST(EpochCache, RepeatedSameTaskAccessesStayExact) {
+  // A task hammering one location (the fast path's target pattern) must
+  // report exactly what serial logic reports: nothing when ordered,
+  // every racing access when not.
+  TraceRecorder rec;
+  SerialExecutor exec(&rec);
+  exec.run([](TaskContext& ctx) {
+    for (int i = 0; i < 100; ++i) ctx.write(0x7);   // same-task: clean
+    auto child = ctx.fork([](TaskContext& c) {
+      for (int i = 0; i < 50; ++i) c.read(0x7);     // racy reads vs parent?
+    });
+    ctx.join(child);
+    for (int i = 0; i < 100; ++i) ctx.read(0x7);    // ordered after join
+  });
+  const Trace& trace = rec.trace();
+  for (const ReportPolicy policy :
+       {ReportPolicy::kAll, ReportPolicy::kFirstOnly}) {
+    EXPECT_EQ(detect_races_trace_depa(trace, policy),
+              detect_races_trace(trace, policy));
+  }
+  // Child reads are ordered after the parent's writes (fork order), and
+  // post-join accesses are ordered after everything: race-free overall.
+  EXPECT_TRUE(detect_races_trace(trace).empty());
 }
 
 }  // namespace

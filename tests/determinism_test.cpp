@@ -3,15 +3,14 @@
 // Two claims are under test. (1) The ParallelExecutor computes the same
 // results as the serial schedule no matter how the pool interleaves — the
 // PR-1 substrate claim that "the programs really are parallel" is only
-// useful if re-running them is reproducible. (2) The ShardedTraceAnalyzer's
-// ordinal merge is deterministic: for a fixed trace and shard count, every
-// run yields a bit-identical report stream (same order, same access
-// ordinals, same locations), independent of thread scheduling.
+// useful if re-running them is reproducible. (2) Trace replay is a pure
+// function of the trace: every run yields a bit-identical report stream
+// (same order, same access ordinals, same locations).
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "core/sharded_analyzer.hpp"
+#include "core/replay.hpp"
 #include "runtime/parallel_executor.hpp"
 #include "runtime/serial_executor.hpp"
 #include "runtime/trace.hpp"
@@ -65,40 +64,24 @@ TEST(Determinism, ParallelExecutorPipelineSameSeedSameChecksum) {
   }
 }
 
-TEST(Determinism, ShardedAnalyzerBitIdenticalReportsAcrossRuns) {
+TEST(Determinism, ReplayBitIdenticalReportsAcrossRuns) {
   ProgramParams params;
   params.seed = 0xDE7E12A11ULL;
   params.max_tasks = 96;
   params.loc_pool = 24;
   const Trace trace = record(random_program(params));
 
-  // Reference stream from the serial detector (PR-1's agreement contract:
-  // sharded == serial, exactly, report for report).
+  // Reference stream from the serial detector.
   const std::vector<RaceReport> serial_reports =
       detect_races_trace(trace, ReportPolicy::kAll);
   ASSERT_FALSE(serial_reports.empty()) << "pick a seed that races";
 
   for (int rep = 0; rep < kReps; ++rep) {
-    for (const unsigned shards : {1u, 2u, 3u, 5u, 8u}) {
-      const std::vector<RaceReport> reports =
-          detect_races_parallel(trace, shards, ReportPolicy::kAll);
-      EXPECT_TRUE(reports_equal(reports, serial_reports))
-          << "rep " << rep << " shards " << shards << ": "
-          << reports.size() << " vs " << serial_reports.size() << " reports";
-    }
-  }
-}
-
-TEST(Determinism, ShardedAnalyzerStableOnRaceFreeTrace) {
-  ProgramParams params;
-  params.seed = 77;
-  params.max_tasks = 64;
-  const Trace trace = record(race_free_program(params));
-
-  for (int rep = 0; rep < kReps; ++rep) {
     const std::vector<RaceReport> reports =
-        detect_races_parallel(trace, 4, ReportPolicy::kAll);
-    EXPECT_TRUE(reports.empty()) << "rep " << rep;
+        detect_races_trace(trace, ReportPolicy::kAll);
+    EXPECT_TRUE(reports_equal(reports, serial_reports))
+        << "rep " << rep << ": " << reports.size() << " vs "
+        << serial_reports.size() << " reports";
   }
 }
 

@@ -7,6 +7,7 @@
 #include "baselines/naive.hpp"
 #include "core/delayed_walk.hpp"
 #include "core/detector.hpp"
+#include "core/replay.hpp"
 #include "lattice/generate.hpp"
 #include "lattice/traversal.hpp"
 #include "runtime/instrumented.hpp"
@@ -106,6 +107,44 @@ TEST_P(OnlineVsNaive, RacyProgramsAlwaysCaught) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OnlineVsNaive,
                          ::testing::Range<std::uint64_t>(1, 33));
+
+// Serial replay vs the offline walk over the materialized task graph, on
+// EVERY report, not just the first. The walk reports vertex ids where replay
+// reports task ids, so compare the shared coordinates: which access exposed
+// the race, where, and against what kind of prior access.
+class SerialVsOffline : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SerialVsOffline, EveryReportMatchesTheWalk) {
+  ProgramParams params;
+  params.seed = GetParam();
+  params.max_actions = 24;
+  params.max_depth = 6;
+  params.max_tasks = 64;
+  params.loc_pool = 12;  // small pool: races frequent
+  TraceRecorder recorder;
+  SerialExecutor exec(&recorder);
+  exec.run(random_program(params));
+  const Trace& trace = recorder.trace();
+
+  const std::vector<RaceReport> serial = detect_races_trace(trace);
+  const TaskGraph tg = build_task_graph(trace);
+  const std::vector<RaceReport> offline =
+      detect_races_offline(tg.diagram, tg.ops, WalkMode::kNonSeparating);
+  ASSERT_EQ(serial.size(), offline.size()) << "seed " << GetParam();
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(serial[i].access_index, offline[i].access_index)
+        << "seed " << GetParam() << " report " << i;
+    EXPECT_EQ(serial[i].loc, offline[i].loc)
+        << "seed " << GetParam() << " report " << i;
+    EXPECT_EQ(serial[i].current_kind, offline[i].current_kind)
+        << "seed " << GetParam() << " report " << i;
+    EXPECT_EQ(serial[i].prior_kind, offline[i].prior_kind)
+        << "seed " << GetParam() << " report " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SerialVsOffline,
+                         ::testing::Range<std::uint64_t>(1, 17));
 
 // Offline detector (both walk modes) vs naive on random lattice diagrams
 // with randomly attached accesses: contribution (b), language-independent.

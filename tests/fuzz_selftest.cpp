@@ -8,8 +8,8 @@
 #include <filesystem>
 #include <set>
 
+#include "core/replay.hpp"
 #include "core/shadow_ops.hpp"
-#include "core/sharded_analyzer.hpp"
 #include "fuzz/corpus.hpp"
 #include "fuzz/differential.hpp"
 #include "fuzz/fuzz_driver.hpp"

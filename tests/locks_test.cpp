@@ -10,7 +10,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "core/sharded_analyzer.hpp"
+#include "core/replay.hpp"
 #include "runtime/trace.hpp"
 #include "static/locks.hpp"
 #include "static/skeleton.hpp"

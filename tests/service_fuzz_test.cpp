@@ -31,7 +31,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "core/sharded_analyzer.hpp"
+#include "core/replay.hpp"
 #include "fuzz/fuzz_plan.hpp"
 #include "fuzz/trace_gen.hpp"
 #include "io/binary_writer.hpp"

@@ -15,7 +15,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/sharded_analyzer.hpp"
+#include "core/replay.hpp"
 #include "fuzz/fuzz_plan.hpp"
 #include "fuzz/trace_gen.hpp"
 #include "io/binary_writer.hpp"

@@ -13,7 +13,7 @@
 
 #include "core/depa_detector.hpp"
 #include "core/om_timestamps.hpp"
-#include "core/sharded_analyzer.hpp"
+#include "core/replay.hpp"
 #include "fuzz/fuzz_plan.hpp"
 #include "fuzz/trace_gen.hpp"
 #include "io/binary_writer.hpp"

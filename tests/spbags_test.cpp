@@ -17,70 +17,10 @@
 namespace race2d {
 namespace {
 
-void drive_spbags(SPBagsDetector& det, const Trace& trace) {
+template <typename Detector>
+void drive(Detector& det, const Trace& trace) {
   det.on_root();
-  for (const TraceEvent& e : trace) {
-    switch (e.op) {
-      case TraceOp::kFork:
-        ASSERT_EQ(det.on_fork(e.actor), e.other);
-        break;
-      case TraceOp::kJoin:
-        det.on_join(e.actor, e.other);
-        break;
-      case TraceOp::kSync:
-        det.on_sync(e.actor);
-        break;
-      case TraceOp::kHalt:
-        det.on_halt(e.actor);
-        break;
-      case TraceOp::kRead:
-        det.on_read(e.actor, e.loc);
-        break;
-      case TraceOp::kWrite:
-        det.on_write(e.actor, e.loc);
-        break;
-      case TraceOp::kRetire:
-        break;  // SP-bags keeps last-accessor state only; nothing to drop
-      case TraceOp::kFinishBegin:
-      case TraceOp::kFinishEnd:
-      case TraceOp::kAcquire:  // SP-bags is lock-agnostic
-      case TraceOp::kRelease:
-        break;
-    }
-  }
-}
-
-void drive_suprema(OnlineRaceDetector& det, const Trace& trace) {
-  det.on_root();
-  for (const TraceEvent& e : trace) {
-    switch (e.op) {
-      case TraceOp::kFork:
-        ASSERT_EQ(det.on_fork(e.actor), e.other);
-        break;
-      case TraceOp::kJoin:
-        det.on_join(e.actor, e.other);
-        break;
-      case TraceOp::kHalt:
-        det.on_halt(e.actor);
-        break;
-      case TraceOp::kSync:
-        break;
-      case TraceOp::kRead:
-        det.on_read(e.actor, e.loc);
-        break;
-      case TraceOp::kWrite:
-        det.on_write(e.actor, e.loc);
-        break;
-      case TraceOp::kRetire:
-        det.on_retire(e.actor, e.loc);
-        break;
-      case TraceOp::kFinishBegin:
-      case TraceOp::kFinishEnd:
-      case TraceOp::kAcquire:  // the online detector ignores lock markers
-      case TraceOp::kRelease:
-        break;
-    }
-  }
+  for (const TraceEvent& e : trace) ASSERT_TRUE(apply_event(det, e));
 }
 
 Trace run_trace(TaskBody body) {
@@ -98,7 +38,7 @@ TEST(SpBags, SpawnedWriteConcurrentWithParentWriteRaces) {
     scope.sync();
   });
   SPBagsDetector det;
-  drive_spbags(det, t);
+  drive(det, t);
   EXPECT_TRUE(det.race_found());
 }
 
@@ -110,7 +50,7 @@ TEST(SpBags, SyncOrdersWrites) {
     ctx.write(3);  // after sync: ordered
   });
   SPBagsDetector det;
-  drive_spbags(det, t);
+  drive(det, t);
   EXPECT_FALSE(det.race_found());
 }
 
@@ -122,7 +62,7 @@ TEST(SpBags, ReadReadIsNotARace) {
     scope.sync();
   });
   SPBagsDetector det;
-  drive_spbags(det, t);
+  drive(det, t);
   EXPECT_FALSE(det.race_found());
 }
 
@@ -134,7 +74,7 @@ TEST(SpBags, SiblingWritesBetweenSyncsRace) {
     scope.sync();
   });
   SPBagsDetector det;
-  drive_spbags(det, t);
+  drive(det, t);
   EXPECT_TRUE(det.race_found());
 }
 
@@ -142,7 +82,7 @@ TEST(SpBags, FibRacyVariantDetected) {
   FibWorkload racy(8, /*inject_race=*/true);
   const Trace t = run_trace(racy.task());
   SPBagsDetector det;
-  drive_spbags(det, t);
+  drive(det, t);
   EXPECT_TRUE(det.race_found());
 }
 
@@ -150,7 +90,7 @@ TEST(SpBags, FibCleanVariantRaceFree) {
   FibWorkload clean(10);
   const Trace t = run_trace(clean.task());
   SPBagsDetector det;
-  drive_spbags(det, t);
+  drive(det, t);
   EXPECT_FALSE(det.race_found());
   EXPECT_EQ(clean.result(), FibWorkload::expected(10));
 }
@@ -195,8 +135,8 @@ TEST_P(SpBagsVsSuprema, SameVerdictAndFirstRaceOnSpPrograms) {
   const Trace trace = run_trace(random_sp_program(GetParam() * 2246822519u));
   SPBagsDetector spbags;
   OnlineRaceDetector suprema;
-  drive_spbags(spbags, trace);
-  drive_suprema(suprema, trace);
+  drive(spbags, trace);
+  drive(suprema, trace);
   const NaiveResult gold = detect_races_naive(build_task_graph(trace));
 
   EXPECT_EQ(spbags.race_found(), !gold.races.empty()) << GetParam();

@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "core/sharded_analyzer.hpp"
+#include "core/replay.hpp"
 #include "graph/reachability.hpp"
 #include "static/mhp.hpp"
 #include "static/race_scan.hpp"

@@ -20,36 +20,7 @@ namespace {
 template <typename Detector>
 void drive(Detector& det, const Trace& trace) {
   det.on_root();
-  for (const TraceEvent& e : trace) {
-    switch (e.op) {
-      case TraceOp::kFork:
-        det.on_fork(e.actor);
-        break;
-      case TraceOp::kJoin:
-        det.on_join(e.actor, e.other);
-        break;
-      case TraceOp::kHalt:
-        det.on_halt(e.actor);
-        break;
-      case TraceOp::kSync:
-        break;
-      case TraceOp::kRead:
-        det.on_read(e.actor, e.loc);
-        break;
-      case TraceOp::kWrite:
-        det.on_write(e.actor, e.loc);
-        break;
-      case TraceOp::kRetire:
-        if constexpr (requires { det.on_retire(e.actor, e.loc); })
-          det.on_retire(e.actor, e.loc);
-        break;
-      case TraceOp::kFinishBegin:
-      case TraceOp::kFinishEnd:
-      case TraceOp::kAcquire:  // detectors under stress are lock-agnostic
-      case TraceOp::kRelease:
-        break;
-    }
-  }
+  for (const TraceEvent& e : trace) apply_event(det, e);
 }
 
 TEST(Stress, ManySeedsAllDetectorsAgree) {

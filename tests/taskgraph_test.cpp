@@ -2,15 +2,27 @@
 // 2D lattices) plus exact structure for the Figure 2 program.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <string>
+#include <vector>
+
 #include "baselines/oracle.hpp"
+#include "fuzz/fuzz_plan.hpp"
+#include "fuzz/trace_gen.hpp"
 #include "lattice/dimension.hpp"
 #include "lattice/validate.hpp"
 #include "runtime/serial_executor.hpp"
 #include "runtime/trace.hpp"
+#include "runtime/trace_io.hpp"
 #include "workloads/generators.hpp"
 
 namespace race2d {
 namespace {
+
+#ifndef RACE2D_CORPUS_DIR
+#error "tests/CMakeLists.txt must define RACE2D_CORPUS_DIR"
+#endif
 
 TaskGraph run_and_build(TaskBody body) {
   TraceRecorder rec;
@@ -98,6 +110,62 @@ TEST(TaskGraph, RootMustHalt) {
 TEST(TaskGraph, JoinBeforeTargetHaltRejected) {
   Trace t = {{TraceOp::kFork, 0, 1, 0}, {TraceOp::kJoin, 0, 1, 0}};
   EXPECT_THROW(build_task_graph(t), ContractViolation);
+}
+
+// vertex_of_event is the one vertex numbering of a trace: every transition
+// event owns exactly one vertex of its actor's task, accesses own the vertex
+// carrying them, annotations own none, and only the source is nobody's.
+void expect_vertex_map_exact(const Trace& trace, const std::string& what) {
+  const TaskGraph tg = build_task_graph(trace);
+  ASSERT_EQ(tg.vertex_of_event.size(), trace.size()) << what;
+  std::vector<bool> owned(tg.diagram.vertex_count(), false);
+  std::size_t valid = 0;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const TraceEvent& e = trace[i];
+    const VertexId v = tg.vertex_of_event[i];
+    if (e.op == TraceOp::kSync || e.op == TraceOp::kFinishBegin ||
+        e.op == TraceOp::kFinishEnd || e.op == TraceOp::kAcquire ||
+        e.op == TraceOp::kRelease) {
+      EXPECT_EQ(v, kInvalidVertex) << what << " event " << i;
+      continue;
+    }
+    ASSERT_LT(v, tg.diagram.vertex_count()) << what << " event " << i;
+    EXPECT_NE(v, tg.source) << what << " event " << i;
+    EXPECT_FALSE(owned[v]) << what << " vertex " << v << " owned twice";
+    owned[v] = true;
+    ++valid;
+    EXPECT_EQ(tg.task_of_vertex[v], e.actor) << what << " event " << i;
+    if (e.op == TraceOp::kRead || e.op == TraceOp::kWrite ||
+        e.op == TraceOp::kRetire) {
+      const AccessKind kind = e.op == TraceOp::kRead    ? AccessKind::kRead
+                              : e.op == TraceOp::kWrite ? AccessKind::kWrite
+                                                        : AccessKind::kRetire;
+      ASSERT_EQ(tg.ops[v].size(), 1u) << what << " event " << i;
+      EXPECT_EQ(tg.ops[v][0].loc, e.loc) << what << " event " << i;
+      EXPECT_EQ(tg.ops[v][0].kind, kind) << what << " event " << i;
+    } else {
+      EXPECT_TRUE(tg.ops[v].empty()) << what << " event " << i;
+    }
+  }
+  EXPECT_EQ(valid, tg.diagram.vertex_count() - 1) << what;
+}
+
+TEST(TaskGraph, VertexOfEventOverCorpus) {
+  std::size_t files = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(RACE2D_CORPUS_DIR)) {
+    if (entry.path().extension() != ".trace") continue;
+    std::ifstream in(entry.path());
+    expect_vertex_map_exact(load_trace_text(in), entry.path().string());
+    ++files;
+  }
+  EXPECT_GE(files, 10u) << "the regression corpus shrank below its floor";
+}
+
+TEST(TaskGraph, VertexOfEventOverFuzzSeeds) {
+  for (std::uint64_t seed = 1; seed <= 64; ++seed)
+    expect_vertex_map_exact(generate_trace(FuzzPlan::from_seed(seed)).trace,
+                            "seed " + std::to_string(seed));
 }
 
 // Theorem 6 as a property: every random structured program's task graph is a

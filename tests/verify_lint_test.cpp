@@ -1,8 +1,8 @@
 // The trace linter (stable L/W codes), the diagram/traversal linters
 // (D/T codes), the lint gates on every detector entry point, and the
 // corruption harness: systematic mutations of recorded traces must either
-// be rejected with a typed diagnostic or replay identically on the serial
-// and sharded detectors — never crash.
+// be rejected with a typed diagnostic or replay identically on the DSU and
+// DePa detectors — never crash.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "core/detector.hpp"
-#include "core/sharded_analyzer.hpp"
+#include "core/replay.hpp"
 #include "lattice/generate.hpp"
 #include "lattice/traversal.hpp"
 #include "lattice/validate.hpp"
@@ -307,13 +307,6 @@ TEST(LintGate, SerialDriverRejectsMalformedTrace) {
   }
 }
 
-TEST(LintGate, ShardedDriverRejectsMalformedTrace) {
-  const Trace bad = {fork(0, 1), write(1, 0x1)};  // truncated
-  EXPECT_THROW(detect_races_parallel(bad, 4), TraceLintError);
-  ShardedTraceAnalyzer analyzer(bad, 2);
-  EXPECT_THROW(analyzer.run(), TraceLintError);
-}
-
 TEST(LintGate, SkipGateReplaysWarnedTraces) {
   const Trace warned = {write(0, 0x1), retire(0, 0x1), read(0, 0x1), halt(0)};
   // Warnings never gate; both gate modes accept this trace.
@@ -346,7 +339,6 @@ TEST(LintGate, LockViolationsGateButSkipReplaysThem) {
   } catch (const TraceLintError& e) {
     EXPECT_TRUE(has_code(e.result(), LintCode::kReleaseWithoutAcquire));
   }
-  EXPECT_THROW(detect_races_parallel(bad_release, 2), TraceLintError);
 
   Trace lock_free = bad_release;
   lock_free.erase(lock_free.begin() + 4);  // drop the stray release
@@ -357,8 +349,6 @@ TEST(LintGate, LockViolationsGateButSkipReplaysThem) {
   ASSERT_NO_THROW(baseline = detect_races_trace(lock_free,
                                                 ReportPolicy::kAll));
   EXPECT_EQ(skipped, baseline);
-  ASSERT_NO_THROW(detect_races_parallel(bad_release, 2, ReportPolicy::kAll,
-                                        LintGate::kSkip));
 
   // An acquire naming a lock id nothing ever released (and a double
   // acquire) must likewise never crash an ungated replay.
@@ -375,27 +365,16 @@ TEST(LintGate, SkipGateCorruptTraceFailsStructurally) {
   // corrupt trace with the gate open must surface a structured
   // ContractViolation, never an assert or out-of-bounds access.
   const Trace unknown_task = {read(5, 0x1), halt(0)};
-  EXPECT_THROW(detect_races_trace(unknown_task, ReportPolicy::kAll,
-                                  LintGate::kSkip),
-               ContractViolation);
-
   const Trace unknown_writer = {write(7, 0x1), halt(0)};
-  EXPECT_THROW(detect_races_trace(unknown_writer, ReportPolicy::kAll,
-                                  LintGate::kSkip),
-               ContractViolation);
-}
-
-TEST(LintGate, SkipGateCorruptTraceShardedFailsStructurally) {
-  // The sharded analyzer prescans under kSkip and must likewise reject a
-  // trace whose task ids fall outside the dense fork range.
-  const Trace bad = {write(7, 0x1), halt(0)};
-  EXPECT_THROW(
-      detect_races_parallel(bad, 4, ReportPolicy::kAll, LintGate::kSkip),
-      ContractViolation);
-  const Trace bad_join = {fork(0, 1), halt(1), join(0, 9), halt(0)};
-  EXPECT_THROW(
-      detect_races_parallel(bad_join, 2, ReportPolicy::kAll, LintGate::kSkip),
-      ContractViolation);
+  const Trace unknown_joined = {fork(0, 1), halt(1), join(0, 9), halt(0)};
+  for (const Trace* corrupt : {&unknown_task, &unknown_writer, &unknown_joined}) {
+    EXPECT_THROW(
+        detect_races_trace(*corrupt, ReportPolicy::kAll, LintGate::kSkip),
+        ContractViolation);
+    EXPECT_THROW(
+        detect_races_trace_depa(*corrupt, ReportPolicy::kAll, LintGate::kSkip),
+        ContractViolation);
+  }
 }
 
 TEST(TraceIoParse, TaskIdOutOfRangeRejected) {
@@ -535,7 +514,7 @@ TEST(LatticeCheckReasons, NameOffendingVertices) {
 // ---------------------------------------------------------------------------
 // Corruption harness: mutate recorded traces event by event. Every mutant is
 // either rejected by the linter (and then every gated driver throws the
-// typed error, never crashes) or replays with serial == sharded reports.
+// typed error, never crashes) or replays with DSU == DePa reports.
 
 enum class Mutation { kDrop, kDuplicate, kSwap, kRetarget };
 
@@ -567,7 +546,7 @@ Trace mutate(const Trace& base, Mutation m, std::size_t i) {
 
 void expect_gated_rejection(const Trace& mutant, const char* what) {
   EXPECT_THROW(detect_races_trace(mutant), TraceLintError) << what;
-  EXPECT_THROW(detect_races_parallel(mutant, 3), TraceLintError) << what;
+  EXPECT_THROW(detect_races_trace_depa(mutant), TraceLintError) << what;
 }
 
 TEST(CorruptionHarness, EveryMutantRejectedOrVerdictConsistent) {
@@ -595,12 +574,12 @@ TEST(CorruptionHarness, EveryMutantRejectedOrVerdictConsistent) {
         ++clean;
         // Lint-clean mutants must replay without tripping any internal
         // assert, and the two independent replay paths must agree.
-        std::vector<RaceReport> serial, sharded;
+        std::vector<RaceReport> serial, depa;
         ASSERT_NO_THROW(serial = detect_races_trace(mutant))
             << "seed " << seed << " mutation " << static_cast<int>(m)
             << " index " << i;
-        ASSERT_NO_THROW(sharded = detect_races_parallel(mutant, 3));
-        EXPECT_EQ(serial, sharded);
+        ASSERT_NO_THROW(depa = detect_races_trace_depa(mutant));
+        EXPECT_EQ(serial, depa);
         // Duplicating an access (or swapping two accesses of one task)
         // cannot change whether the trace is racy.
         const bool same_shape =
