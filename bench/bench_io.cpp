@@ -73,6 +73,36 @@ void BM_BinaryDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_BinaryDecode);
 
+/// io_trace() with every location moved to a scattered 8-aligned address,
+/// as a recorder of real heap objects sees them, so nearly every access
+/// carries a 6–7-byte location delta. Arg 1 also spreads task ids 2^14
+/// apart, so every fork, join and change of actor carries a 3-byte delta.
+/// The decoder's fast path takes only 1–2-byte varints: this is the
+/// traffic that falls back to the checked path.
+void BM_WideDeltaDecode(benchmark::State& state) {
+  const TaskId task_scale = state.range(0) != 0 ? TaskId{1} << 14 : 1;
+  Trace trace = io_trace();
+  for (TraceEvent& e : trace) {
+    e.actor *= task_scale;
+    if (e.other != kInvalidTask) e.other *= task_scale;
+    if (e.op == TraceOp::kRead || e.op == TraceOp::kWrite ||
+        e.op == TraceOp::kRetire)
+      e.loc = (e.loc * 0x9E3779B97F4A7C15ULL) >> 24 << 3;
+  }
+  const std::string bytes = trace_to_binary(trace);
+  const std::int64_t events = static_cast<std::int64_t>(trace.size());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(trace_from_binary(bytes));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          events);
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes.size()));
+  state.counters["bytes_per_event"] =
+      static_cast<double>(bytes.size()) / static_cast<double>(events);
+}
+BENCHMARK(BM_WideDeltaDecode)->Arg(0)->Arg(1);
+
 void BM_TextEncode(benchmark::State& state) {
   const Trace& trace = io_trace();
   for (auto _ : state) {

@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # Correctness gate: the tier-1 build + test cycle, a 30-second fixed-seed
 # differential fuzz smoke (race2d_fuzz cross-checks every detector on
-# seeded random programs; any mismatch fails the gate), an ASan+UBSan
-# build of the FULL test suite (the verify layer intentionally feeds
-# corrupt traces to every detector; the sanitizers prove the rejection
-# paths never read past a buffer), then a ThreadSanitizer build of the
-# concurrency-bearing tests (the parallel executor and the race2dd worker
-# pool spawn real threads; TSan checks they share state only through
-# synchronized paths).
+# seeded random programs; any mismatch fails the gate), a 2-second
+# end-to-end perfbench run per workload (reports checked, every request
+# answered OK), an ASan+UBSan build of the FULL test suite (the verify
+# layer intentionally feeds corrupt traces to every detector; the
+# sanitizers prove the rejection paths never read past a buffer), then a
+# ThreadSanitizer build of the concurrency-bearing tests (the parallel
+# executor and the race2dd worker pool spawn real threads; TSan checks they
+# share state only through synchronized paths).
 # clang-tidy is a gated stage when installed: findings in the
 # WarningsAsErrors families of .clang-tidy fail the gate (scripts/tidy.sh
 # still exits 0 when the tool is absent, as in the reference container).
@@ -186,6 +187,27 @@ echo "== static smoke: 500-seed static-vs-dynamic agreement sweep"
 # concretization the lockset-refined static verdict must match the dynamic
 # detector's lockset-filtered one; a single mismatch fails the gate.
 ./build/examples/example_static_analyzer --fuzz 500
+
+echo "== perfbench smoke: end-to-end race2dd benchmark, 2 s per workload"
+# perfbench/run.py builds race2dd and its load generator from these sources
+# in a Release tree (.bench_build/), drives the daemon over its socket and
+# checks every session's drained reports against detect_races_trace. The
+# stage fails unless a run is correct and every request is answered OK.
+for workload in bulk chatty; do
+  result=$(python3 perfbench/run.py --workload "$workload" --seed 1 \
+    --seconds 2 --trace 0 | tail -n 1)
+  if ! python3 -c '
+import json, sys
+r = json.loads(sys.argv[1])
+sys.exit(0 if r["correct"] is True and r["metrics"]["ok_share"]["value"] == 1
+         else 1)
+' "$result"; then
+    echo "check.sh: perfbench $workload run is not correct or not all OK"
+    echo "$result"
+    exit 1
+  fi
+  echo "perfbench smoke: $workload correct, ok_share 1"
+done
 
 if [[ "${RACE2D_SKIP_ASAN:-0}" == "1" ]]; then
   echo "== ASan/UBSan skipped (RACE2D_SKIP_ASAN=1)"

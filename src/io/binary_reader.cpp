@@ -1,5 +1,6 @@
 #include "io/binary_reader.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <istream>
 #include <sstream>
@@ -24,6 +25,100 @@ std::uint64_t read_u64le(const unsigned char* p) {
   std::uint64_t v = 0;
   for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
   return v;
+}
+
+/// The longest well-formed event: an opcode and two maximal varints. An
+/// event that starts this far before the end of its payload lies wholly
+/// inside it, so decoding it needs no bounds checks.
+constexpr std::size_t kMaxEventBytes = 1 + 2 * kMaxVarintBytes;
+
+/// Reads a canonical 1- or 2-byte varint at `q` into `v` and returns its
+/// length, or 0 for anything longer or overlong.
+inline std::size_t short_varint(const unsigned char* q, std::uint64_t& v) {
+  if (q[0] < 0x80) {
+    v = q[0];
+    return 1;
+  }
+  if (q[1] == 0 || q[1] >= 0x80) return 0;
+  v = (q[0] & 0x7Fu) | static_cast<std::uint64_t>(q[1]) << 7;
+  return 2;
+}
+
+/// Applies a zigzag task delta; false when the result leaves the id range.
+inline bool shift_task(TaskId prev, std::uint64_t delta, TaskId& out) {
+  const std::int64_t v = static_cast<std::int64_t>(prev) + zigzag_decode(delta);
+  if (v < 0 || v >= static_cast<std::int64_t>(kInvalidTask)) return false;
+  out = static_cast<TaskId>(v);
+  return true;
+}
+
+/// The unchecked form of BinaryTraceDecoder::decode_event, looped: appends
+/// up to `n` events from p[pos] to `out` while each starts at least
+/// kMaxEventBytes before `size`, and returns how many it appended. It
+/// takes only 1–2-byte varints and formats no errors: it stops before an
+/// event with a longer varint, an unknown opcode or an out-of-range task
+/// id, leaving `pos` and `regs` at that event, so the checked path decodes
+/// or rejects it with the same code and offset as always.
+std::uint64_t decode_fast(const unsigned char* p, std::size_t size,
+                          std::size_t& pos, std::uint64_t n,
+                          EventDeltaState& regs, std::vector<TraceEvent>& out) {
+  std::uint64_t done = 0;
+  for (; done < n && size - pos >= kMaxEventBytes; ++done) {
+    const unsigned char* q = p + pos;
+    TraceEvent e{};
+    e.op = static_cast<TraceOp>(*q++);
+    std::uint64_t v = 0;
+    std::size_t len = short_varint(q, v);
+    if (len == 0 || !shift_task(regs.prev_actor, v, e.actor)) return done;
+    q += len;
+    // Each case commits to `regs` only past its last way to decline.
+    switch (e.op) {
+      case TraceOp::kFork:
+      case TraceOp::kJoin:
+        len = short_varint(q, v);
+        if (len == 0 || !shift_task(regs.prev_other, v, e.other)) return done;
+        q += len;
+        regs.prev_other = e.other;
+        break;
+      case TraceOp::kHalt:
+      case TraceOp::kSync:
+      case TraceOp::kFinishBegin:
+      case TraceOp::kFinishEnd:
+        break;
+      case TraceOp::kRead:
+      case TraceOp::kWrite:
+      case TraceOp::kRetire:
+        len = short_varint(q, v);
+        if (len == 0) return done;
+        q += len;
+        e.loc = regs.prev_loc += static_cast<Loc>(zigzag_decode(v));
+        break;
+      case TraceOp::kAcquire:
+      case TraceOp::kRelease:
+        len = short_varint(q, v);
+        if (len == 0) return done;
+        q += len;
+        e.loc = regs.prev_sync += static_cast<Loc>(zigzag_decode(v));
+        break;
+      default:
+        return done;  // unknown opcode
+    }
+    regs.prev_actor = e.actor;
+    pos = static_cast<std::size_t>(q - p);
+    out.push_back(e);
+  }
+  return done;
+}
+
+/// Reserves room for a chunk's declared events (at least two bytes each,
+/// so the payload caps what a forged count can claim), growing
+/// geometrically so a frame of many chunks does not reallocate per chunk.
+void reserve_events(std::vector<TraceEvent>& out, std::uint64_t count,
+                    std::size_t payload_bytes) {
+  const std::size_t want =
+      out.size() + static_cast<std::size_t>(
+                       std::min<std::uint64_t>(count, payload_bytes / 2));
+  if (want > out.capacity()) out.reserve(std::max(want, 2 * out.capacity()));
 }
 
 }  // namespace
@@ -195,7 +290,10 @@ void BinaryTraceDecoder::decode_chunk(const unsigned char* p, std::size_t size,
   // Per-chunk delta state (the writer resets it at every chunk boundary so
   // chunks decode independently).
   EventDeltaState regs;
+  reserve_events(out, count, size);
   for (std::uint64_t i = 0; i < count; ++i) {
+    i += decode_fast(p, size, pos, count - i, regs, out);
+    if (i == count) break;
     if (pos >= size) {
       std::ostringstream os;
       os << "chunk declares " << count
@@ -259,6 +357,7 @@ void BinaryTraceDecoder::decode_compressed_chunk(const unsigned char* p,
 
   EventDeltaState regs;  // persists across items; resets at chunk boundary
   std::uint64_t expanded = 0;
+  reserve_events(out, count, size);
   while (pos < size) {
     const std::uint64_t item_at = offset_ + pos;
     const unsigned char tag = p[pos++];
@@ -274,6 +373,8 @@ void BinaryTraceDecoder::decode_compressed_chunk(const unsigned char* p,
         fail(DecodeCode::kBadRunCount, item_at, os.str());
       }
       for (std::uint64_t i = 0; i < n; ++i) {
+        i += decode_fast(p, size, pos, n - i, regs, out);
+        if (i == n) break;
         if (pos >= size)
           fail(DecodeCode::kEventCountMismatch, offset_ + pos,
                "compressed chunk payload ends inside a literal item");
@@ -449,11 +550,16 @@ void BinaryTraceDecoder::feed(const void* data, std::size_t size,
     }
     if (n == 0) break;
     const std::size_t take = std::min(n, need_ - buffer_.size());
+    if (buffer_.size() + take == need_) buffer_.reserve(need_);
     buffer_.insert(buffer_.end(), p, p + take);
     p += take;
     n -= take;
     if (buffer_.size() == need_) {
-      // Move out of buffer_ before processing: decode_* never re-enters.
+      // The piece is decoded from an exactly sized buffer: nothing stays
+      // resident past the accounted bytes, and a sanitizer sees any read
+      // past the piece. Move out of buffer_ before processing: decode_*
+      // never re-enters.
+      buffer_.shrink_to_fit();
       std::vector<unsigned char> piece;
       piece.swap(buffer_);
       process(piece.data(), piece.size(), out, runs);

@@ -17,6 +17,20 @@
 // rejected before any of its bytes are interpreted, so corruption cannot
 // leak half-decoded events into a detector.
 //
+// Events are decoded on one of two paths. An event in a 'C' chunk or a
+// 'Z' literal item that starts at least 21 bytes (an opcode and two
+// maximal varints) before the end of its payload cannot run past it, so
+// it takes a fast path with no per-byte bounds checks that decodes 1–2-byte
+// varints inline. Everything else — a longer varint, the payload's tail,
+// run templates, and every malformed form — takes the checked path, which
+// is therefore the only one that reports an error: every code and offset
+// is the same as if the fast path did not exist. The fast path pays off
+// when task and location deltas mostly stay within ±2^13, as in traces
+// that number locations densely; where they mostly do not (scattered heap
+// addresses, say) each event first tries and abandons it, at a measured
+// cost (EXPERIMENTS.md E21, BM_WideDeltaDecode). A frame that arrives in
+// pieces is assembled in an exactly sized buffer before it is decoded.
+//
 // Version-2 'Z' chunks decode natively. By default every run is expanded so
 // trace_from_binary and friends see the exact event sequence; a feed() with
 // a DecodedRun sink instead materializes only the FIRST repetition of each

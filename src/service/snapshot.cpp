@@ -6,6 +6,8 @@
 #include "io/crc32c.hpp"
 #include "service/protocol.hpp"
 #include "support/assert.hpp"
+#include "support/flat_hash_map.hpp"
+#include "support/ids.hpp"
 
 namespace race2d {
 
@@ -245,11 +247,18 @@ TraceLintStream::Snapshot get_lint(Reader& r) {
   }
   const std::size_t mutexes = r.count(12);
   l.mutexes.reserve(mutexes);
+  FlatHashMap<Loc, bool> seen;
+  seen.reserve(mutexes);
   for (std::size_t i = 0; i < mutexes; ++i) {
     const Loc id = r.u64();
     const TaskId holder = r.u32();
     if (holder != kInvalidTask && holder >= tasks)
       reject("K007", "lint mutex holder names a missing task");
+    if (is_semaphore_id(id))
+      reject("K007", "lint mutex section names a semaphore");
+    bool& repeated = seen[id];
+    if (repeated) reject("K007", "lint mutex section repeats an id");
+    repeated = true;
     l.mutexes.emplace_back(id, holder);
   }
   const std::size_t semaphores = r.count(16);

@@ -61,49 +61,12 @@ void TraceLintStream::emit(LintCode code, std::size_t index, Fn&& compose,
 bool TraceLintStream::feed(const TraceEvent& e) {
   R2D_REQUIRE(!finished_, "TraceLintStream::feed() after finish()");
   const std::size_t i = index_++;
-  const char* op = op_name(e.op);
-
-  if (stack_.empty()) {
-    emit(LintCode::kEventAfterRootHalt, i, [&](std::ostream& os) {
-      os << op << " by task " << e.actor << " after the root halted";
-    }, "a well-formed trace ends at the root's halt");
-    return ok_so_far();
-  }
-  if (e.actor == kInvalidTask) {
-    emit(LintCode::kInvalidTaskId, i, [&](std::ostream& os) {
-      os << op << " uses the reserved invalid task id as its actor";
-    });
-    return ok_so_far();
-  }
-  if (!known(e.actor)) {
-    emit(LintCode::kUnknownActor, i, [&](std::ostream& os) {
-      os << op << " by unknown task " << e.actor << " (only "
-         << tasks_.size() << " task(s) introduced so far)";
-    }, "every task id must first appear as a fork's child");
-    return ok_so_far();
-  }
-  if (tasks_[e.actor].halted) {
-    if (e.op == TraceOp::kHalt) {
-      emit(LintCode::kDoubleHalt, i, [&](std::ostream& os) {
-        os << "task " << e.actor << " halts twice";
-      }, "drop the duplicate halt");
-    } else {
-      emit(LintCode::kActorHalted, i, [&](std::ostream& os) {
-        os << op << " by task " << e.actor << ", which already halted";
-      }, "no events may follow a task's halt");
-    }
-    return ok_so_far();
-  }
-  if (stack_.back() != e.actor) {
-    const TaskId expected = stack_.back();
-    emit(LintCode::kOutOfSerialOrder, i, [&](std::ostream& os) {
-      os << op << " by task " << e.actor
-         << " while the serial fork-first order has task " << expected
-         << " running";
-    }, "a forked child runs to its halt before the parent resumes");
-    // Keep going: line bookkeeping below stays consistent, so later
-    // findings are independent rather than cascades of this one.
-  }
+  // Fast path: the running task (the stack holds known ids only) passes
+  // every check admit() makes, unless it halted — which the stream itself
+  // never leaves on the stack, but a restored snapshot can.
+  const bool running = !stack_.empty() && stack_.back() == e.actor &&
+                       !tasks_[e.actor].halted;
+  if (!running && !admit(i, e)) return ok_so_far();
 
   switch (e.op) {
     case TraceOp::kFork:   on_fork(i, e); break;
@@ -112,9 +75,14 @@ bool TraceLintStream::feed(const TraceEvent& e) {
     case TraceOp::kSync:   break;
     case TraceOp::kAcquire: on_acquire(i, e); break;
     case TraceOp::kRelease: on_release(i, e); break;
+    // Retire hygiene is all warnings: without them no location state.
     case TraceOp::kRead:
-    case TraceOp::kWrite:  on_access(i, e); break;
-    case TraceOp::kRetire: on_retire(i, e); break;
+    case TraceOp::kWrite:
+      if (options_.warnings) on_access(i, e);
+      break;
+    case TraceOp::kRetire:
+      if (options_.warnings) on_retire(i, e);
+      break;
     case TraceOp::kFinishBegin:
       ++tasks_[e.actor].finish_depth;
       break;
@@ -130,6 +98,52 @@ bool TraceLintStream::feed(const TraceEvent& e) {
       break;
   }
   return ok_so_far();
+}
+
+bool TraceLintStream::admit(std::size_t i, const TraceEvent& e) {
+  const char* op = op_name(e.op);
+  if (stack_.empty()) {
+    emit(LintCode::kEventAfterRootHalt, i, [&](std::ostream& os) {
+      os << op << " by task " << e.actor << " after the root halted";
+    }, "a well-formed trace ends at the root's halt");
+    return false;
+  }
+  if (e.actor == kInvalidTask) {
+    emit(LintCode::kInvalidTaskId, i, [&](std::ostream& os) {
+      os << op << " uses the reserved invalid task id as its actor";
+    });
+    return false;
+  }
+  if (!known(e.actor)) {
+    emit(LintCode::kUnknownActor, i, [&](std::ostream& os) {
+      os << op << " by unknown task " << e.actor << " (only "
+         << tasks_.size() << " task(s) introduced so far)";
+    }, "every task id must first appear as a fork's child");
+    return false;
+  }
+  if (tasks_[e.actor].halted) {
+    if (e.op == TraceOp::kHalt) {
+      emit(LintCode::kDoubleHalt, i, [&](std::ostream& os) {
+        os << "task " << e.actor << " halts twice";
+      }, "drop the duplicate halt");
+    } else {
+      emit(LintCode::kActorHalted, i, [&](std::ostream& os) {
+        os << op << " by task " << e.actor << ", which already halted";
+      }, "no events may follow a task's halt");
+    }
+    return false;
+  }
+  if (stack_.back() != e.actor) {
+    const TaskId expected = stack_.back();
+    emit(LintCode::kOutOfSerialOrder, i, [&](std::ostream& os) {
+      os << op << " by task " << e.actor
+         << " while the serial fork-first order has task " << expected
+         << " running";
+    }, "a forked child runs to its halt before the parent resumes");
+    // Keep going: line bookkeeping stays consistent, so later findings
+    // are independent rather than cascades of this one.
+  }
+  return true;
 }
 
 void TraceLintStream::on_fork(std::size_t i, const TraceEvent& e) {
@@ -229,22 +243,15 @@ void TraceLintStream::on_acquire(std::size_t i, const TraceEvent& e) {
     --*count;
     return;
   }
-  TaskId* existing = mutexes_.find(e.loc);
-  if (existing == nullptr) {
-    // First time this mutex appears: seed its entry as released. operator[]
-    // would default-construct the holder as task 0, which is a real id.
-    mutexes_[e.loc] = kInvalidTask;
-    existing = mutexes_.find(e.loc);
-  }
-  TaskId& holder = *existing;
-  if (holder != kInvalidTask) {
+  if (const TaskId* holder = mutexes_.find(e.loc)) {
     emit(LintCode::kDoubleAcquire, i, [&](std::ostream& os) {
       os << "task " << e.actor << " acquires mutex 0x" << std::hex << e.loc
-         << std::dec << " already held by task " << holder;
+         << std::dec << " already held by task " << *holder;
     }, "mutexes are not reentrant; in serial order this blocks forever");
     return;
   }
-  holder = e.actor;
+  mutexes_[e.loc] = e.actor;
+  ++held_counts_[e.actor];
 }
 
 void TraceLintStream::on_release(std::size_t i, const TraceEvent& e) {
@@ -252,8 +259,8 @@ void TraceLintStream::on_release(std::size_t i, const TraceEvent& e) {
     ++semaphores_[e.loc];  // V from any task is legal (semaphore hand-off)
     return;
   }
-  TaskId* holder = mutexes_.find(e.loc);
-  if (holder == nullptr || *holder == kInvalidTask) {
+  const TaskId* holder = mutexes_.find(e.loc);
+  if (holder == nullptr) {
     emit(LintCode::kReleaseWithoutAcquire, i, [&](std::ostream& os) {
       os << "task " << e.actor << " releases mutex 0x" << std::hex << e.loc
          << std::dec << " which no task holds";
@@ -267,21 +274,25 @@ void TraceLintStream::on_release(std::size_t i, const TraceEvent& e) {
     }, "only the holding task may release a mutex (semaphores may)");
     return;  // repair: the illegal release leaves the holder in place
   }
-  *holder = kInvalidTask;
+  mutexes_.erase(e.loc);
+  std::uint32_t* count = held_counts_.find(e.actor);
+  if (--*count == 0) held_counts_.erase(e.actor);
 }
 
 void TraceLintStream::on_halt(std::size_t i, const TraceEvent& e) {
-  std::vector<Loc> held;
-  mutexes_.for_each([&](Loc id, TaskId holder) {
-    if (holder == e.actor) held.push_back(id);
-  });
-  std::sort(held.begin(), held.end());  // stable diagnostic order
-  for (Loc id : held) {
-    emit(LintCode::kUnreleasedAtHalt, i, [&](std::ostream& os) {
-      os << "task " << e.actor << " halts still holding mutex 0x" << std::hex
-         << id << std::dec;
-    }, "release every mutex before the task halts");
-    mutexes_[id] = kInvalidTask;  // repair: avoid cascading L017 downstream
+  if (held_counts_.erase(e.actor)) {
+    std::vector<Loc> held;
+    mutexes_.for_each([&](Loc id, TaskId holder) {
+      if (holder == e.actor) held.push_back(id);
+    });
+    std::sort(held.begin(), held.end());  // stable diagnostic order
+    for (Loc id : held) {
+      emit(LintCode::kUnreleasedAtHalt, i, [&](std::ostream& os) {
+        os << "task " << e.actor << " halts still holding mutex 0x"
+           << std::hex << id << std::dec;
+      }, "release every mutex before the task halts");
+      mutexes_.erase(id);  // repair: avoid cascading L017 downstream
+    }
   }
   if (tasks_[e.actor].finish_depth > 0) {
     emit(LintCode::kFinishUnclosed, i, [&](std::ostream& os) {
@@ -377,6 +388,9 @@ TraceLintStream::Snapshot TraceLintStream::export_state() const {
 }
 
 void TraceLintStream::import_state(Snapshot&& s) {
+  // feed() serves the stack's top without checking that it is known.
+  for (const TaskId t : s.stack)
+    R2D_REQUIRE(t < s.tasks.size(), "snapshot stack names a missing task");
   index_ = static_cast<std::size_t>(s.index);
   finished_ = s.finished;
   warnings_emitted_ = static_cast<std::size_t>(s.warnings_emitted);
@@ -384,11 +398,20 @@ void TraceLintStream::import_state(Snapshot&& s) {
   tasks_ = std::move(s.tasks);
   stack_ = std::move(s.stack);
   locs_.clear();
-  locs_.reserve(s.locs.size());
-  for (const auto& [loc, state] : s.locs) locs_[loc] = state;
+  if (options_.warnings) {
+    locs_.reserve(s.locs.size());
+    for (const auto& [loc, state] : s.locs) locs_[loc] = state;
+  }
   mutexes_.clear();
   mutexes_.reserve(s.mutexes.size());
-  for (const auto& [id, holder] : s.mutexes) mutexes_[id] = holder;
+  for (const auto& [id, holder] : s.mutexes) {
+    if (holder == kInvalidTask)
+      mutexes_.erase(id);
+    else
+      mutexes_[id] = holder;
+  }
+  held_counts_.clear();  // derived: not part of the snapshot
+  mutexes_.for_each([this](Loc, TaskId holder) { ++held_counts_[holder]; });
   semaphores_.clear();
   semaphores_.reserve(s.semaphores.size());
   for (const auto& [id, count] : s.semaphores) semaphores_[id] = count;
@@ -396,10 +419,9 @@ void TraceLintStream::import_state(Snapshot&& s) {
 
 std::size_t TraceLintStream::memory_bytes() const {
   return tasks_.capacity() * sizeof(TaskState) +
-         stack_.capacity() * sizeof(TaskId) +
-         locs_.size() * 2 * (sizeof(Loc) + sizeof(std::uint8_t)) +
-         mutexes_.size() * 2 * (sizeof(Loc) + sizeof(TaskId)) +
-         semaphores_.size() * 2 * (sizeof(Loc) + sizeof(std::uint64_t));
+         stack_.capacity() * sizeof(TaskId) + locs_.heap_bytes() +
+         mutexes_.heap_bytes() + held_counts_.heap_bytes() +
+         semaphores_.heap_bytes();
 }
 
 LintResult TraceLinter::run(const Trace& trace) const {

@@ -27,6 +27,18 @@
 //
 // Diagnostics carry stable codes (see diagnostics.hpp and docs/API.md); the
 // detector drivers gate on error-level findings via require_lint_clean().
+//
+// Cost. An event by the running task that has not halted passes every
+// actor and order check at once, so it skips them; with warnings off a
+// read, write, retire or sync then does no further work. Only the retire
+// hygiene warnings need per-location state, so an errors-only linter (the
+// gates) keeps none: its state is Θ(tasks + held mutexes + semaphores).
+// A release erases its mutex and a count per holding task says how many
+// each still holds, so a halt by a task that holds none is O(1). Only a
+// halt that still holds a mutex, which is an L019 error, scans the held
+// mutexes: a pass is O(n) on traces whose tasks release before halting,
+// and the service gate, which stops a session at its first error, scans
+// at most once.
 #pragma once
 
 #include <cstddef>
@@ -55,8 +67,10 @@ struct TraceLintOptions {
 /// they arrive, finish() when the stream ends. This is the form a
 /// long-running ingest front (the DetectionService) gates on — an
 /// error-level finding is known at the offending event, BEFORE that event
-/// ever reaches a detector, with Θ(tasks + locations) state and no trace
-/// materialization. TraceLinter::run() is the batch driver over it.
+/// ever reaches a detector, with no trace materialization. State is
+/// Θ(tasks + locations) with warnings on and Θ(tasks) plus the held sync
+/// objects with warnings off. TraceLinter::run() is the batch driver over
+/// it.
 class TraceLintStream {
  public:
   explicit TraceLintStream(TraceLintOptions options = {});
@@ -73,9 +87,9 @@ class TraceLintStream {
   /// Fast-forwards the event index past `extra` repetitions of a clean
   /// template whose FIRST repetition was just fed. Sound for pure
   /// read/write runs: re-linting an access the linter already accepted is
-  /// idempotent on its state (the location stays tracked, no task/mutex
-  /// state moves), so only the running index needs to advance — diagnostics
-  /// from later events keep exact indices.
+  /// idempotent on its state (the location, if tracked, stays tracked; no
+  /// task/mutex state moves), so only the running index needs to advance —
+  /// diagnostics from later events keep exact indices.
   void note_replayed(std::uint64_t extra) {
     index_ += static_cast<std::size_t>(extra);
   }
@@ -86,7 +100,8 @@ class TraceLintStream {
   const LintResult& result() const { return result_; }
   LintResult take() { return std::move(result_); }
 
-  /// Rough resident footprint of the lint state (service quota accounting).
+  /// Resident heap footprint of the lint state (service quota accounting):
+  /// vector capacities and hash-table slot arrays, empty tables included.
   std::size_t memory_bytes() const;
 
   struct TaskState {
@@ -107,8 +122,12 @@ class TraceLintStream {
     std::uint64_t errors_emitted = 0;
     std::vector<TaskState> tasks;
     std::vector<TaskId> stack;
+    /// Location states; empty from a linter with warnings off, and dropped
+    /// on import into one.
     std::vector<std::pair<Loc, std::uint8_t>> locs;
-    /// Held mutexes (sync id → holding task) and semaphore counts.
+    /// Held mutexes (sync id → holding task) and semaphore counts. Import
+    /// reads a holder of kInvalidTask as released; for a repeated id the
+    /// last entry wins.
     std::vector<std::pair<Loc, TaskId>> mutexes;
     std::vector<std::pair<Loc, std::uint64_t>> semaphores;
   };
@@ -116,11 +135,15 @@ class TraceLintStream {
   void import_state(Snapshot&& s);
 
  private:
+  /// Tables start at the smallest size: most streams leave them empty.
+  static constexpr std::size_t kMinSlots = 4;
 
   template <typename Fn>
   void emit(LintCode code, std::size_t index, Fn&& compose,
             const char* hint = "");
   bool known(TaskId t) const { return t < tasks_.size(); }
+  /// The actor and order checks; false when they reject the event.
+  bool admit(std::size_t i, const TraceEvent& e);
   void on_fork(std::size_t i, const TraceEvent& e);
   void on_join(std::size_t i, const TraceEvent& e);
   void on_halt(std::size_t i, const TraceEvent& e);
@@ -137,18 +160,21 @@ class TraceLintStream {
   std::size_t errors_emitted_ = 0;
   std::vector<TaskState> tasks_;
   std::vector<TaskId> stack_;  ///< running tasks, innermost (current) last
-  FlatHashMap<Loc, std::uint8_t> locs_;
-  /// Mutex holders (kInvalidTask = released) and semaphore counts. Lock-free
-  /// traces never touch either map.
-  FlatHashMap<Loc, TaskId> mutexes_;
-  FlatHashMap<Loc, std::uint64_t> semaphores_;
+  /// Per-location retire state; filled only with warnings on.
+  FlatHashMap<Loc, std::uint8_t> locs_{kMinSlots};
+  /// Held mutexes only (a release erases its entry) with their holders,
+  /// how many each holding task holds, and semaphore counts. Lock-free
+  /// traces never touch any of the three.
+  FlatHashMap<Loc, TaskId> mutexes_{kMinSlots};
+  FlatHashMap<TaskId, std::uint32_t> held_counts_{kMinSlots};
+  FlatHashMap<Loc, std::uint64_t> semaphores_{kMinSlots};
 };
 
 class TraceLinter {
  public:
   explicit TraceLinter(TraceLintOptions options = {}) : options_(options) {}
 
-  /// Lints `trace` in one pass. Θ(events) time, Θ(tasks + locations) space.
+  /// Lints `trace` in one pass (see the file comment for its cost).
   LintResult run(const Trace& trace) const;
 
  private:

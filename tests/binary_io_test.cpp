@@ -5,6 +5,7 @@
 // stream rejected.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "io/binary_reader.hpp"
 #include "io/binary_writer.hpp"
 #include "io/crc32c.hpp"
+#include "io/delta_codec.hpp"
 #include "io/text_reader.hpp"
 #include "io/varint.hpp"
 #include "runtime/trace.hpp"
@@ -73,6 +75,83 @@ DecodeCode decode_code_of(const std::string& bytes) {
   }
   ADD_FAILURE() << "input decoded without error";
   return DecodeCode::kBadMagic;
+}
+
+/// A trace whose deltas need 3- to 10-byte varints (locations and sync
+/// ids) and 1- to 5-byte ones (task ids), interleaved with 1–2-byte
+/// events, over every opcode, with a short stationary run now and then so
+/// a version-2 writer emits 'Z' chunks. Not lint-clean; the codec does not
+/// care.
+Trace wide_delta_trace() {
+  const TaskId actors[] = {0, 1u << 13, (1u << 20) + 5, (1u << 27) + 3,
+                           (1u << 31) + 7, kInvalidTask - 1};
+  Trace t;
+  Loc loc = 0;
+  Loc sync = 0;
+  for (std::size_t k = 0; k < 240; ++k) {
+    // A zigzag value of exactly `bytes` varint bytes; odd ones are negative.
+    const unsigned bytes = 3 + k % 8;
+    const std::uint64_t zz = (std::uint64_t{1} << (7 * (bytes - 1))) + k % 2;
+    const Loc delta = static_cast<Loc>(zigzag_decode(zz));
+    const auto op = static_cast<TraceOp>(k % 11);
+    const TaskId actor = actors[k % 6];
+    const TaskId other = actors[(k / 6) % 6];
+    TraceEvent e{op, actor, kInvalidTask, 0};
+    switch (op) {
+      case TraceOp::kFork:
+      case TraceOp::kJoin:
+        e.other = other;
+        break;
+      case TraceOp::kRead:
+      case TraceOp::kWrite:
+      case TraceOp::kRetire:
+        e.loc = loc += delta;
+        break;
+      case TraceOp::kAcquire:
+      case TraceOp::kRelease:
+        e.loc = sync += delta;
+        break;
+      default:
+        break;
+    }
+    t.push_back(e);
+    t.push_back({TraceOp::kRead, actor, kInvalidTask, loc += 3});
+    if (k % 8 == 7)
+      for (int r = 0; r < 4; ++r)
+        t.push_back({TraceOp::kWrite, actor, kInvalidTask, loc});
+  }
+  return t;
+}
+
+/// Frames `payload` as one chunk behind a header: 'C' in a version-1
+/// stream, 'Z' in a version-2 one, with its CRC sealed. No trailer: the
+/// payload's own code fires first.
+std::string sealed_chunk(char marker, const std::string& payload) {
+  std::string out = trace_to_binary(Trace{}).substr(0, kBinaryHeaderBytes);
+  if (marker == static_cast<char>(kCompressedChunkMarker))
+    out[4] = static_cast<char>(kBinaryTraceVersionCompressed);
+  out += marker;
+  const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
+  for (int i = 0; i < 4; ++i)
+    out += static_cast<char>((len >> (8 * i)) & 0xffu);
+  const std::uint32_t crc = crc32c(payload.data(), payload.size());
+  for (int i = 0; i < 4; ++i)
+    out += static_cast<char>((crc >> (8 * i)) & 0xffu);
+  return out + payload;
+}
+
+/// Absolute offset of a sealed_chunk payload's first byte.
+constexpr std::uint64_t kPayloadAt = kBinaryHeaderBytes + 1 + 8;
+
+/// The rejection `bytes` decode to; fails the test when they decode.
+TraceDecodeError decode_error_of(const std::string& bytes) {
+  try {
+    (void)trace_from_binary(bytes);
+  } catch (const TraceDecodeError& e) {
+    return e;
+  }
+  ADD_FAILURE() << "input decoded without error";
+  return TraceDecodeError(DecodeCode::kBadMagic, 0, "");
 }
 
 TEST(Varint, CanonicalAndSignedMappings) {
@@ -363,6 +442,163 @@ TEST(DecodeRejection, PayloadLevelCodes) {
   // B010 also fires on an empty chunk (the writer never emits one).
   EXPECT_EQ(decode_code_of(frame(std::string())),
             DecodeCode::kEventCountMismatch);
+}
+
+// The same payload-level forms as above, each placed at least 21 bytes
+// (an opcode and two maximal varints) before the end of a long 'C' chunk
+// and inside a long 'Z' literal item, where the decoder takes its
+// unchecked fast path for every well-formed event around them. The checked
+// path must still name each form's code and the offset of its datum.
+TEST(DecodeRejection, PayloadLevelCodesInTheFastRegion) {
+  // Filler events by task 0 with 1- and 2-byte varints.
+  EventDeltaState filler_regs;
+  std::string filler;
+  for (int k = 0; k < 16; ++k) {
+    const TraceEvent e =
+        k % 2 == 0 ? TraceEvent{TraceOp::kRead, 0, kInvalidTask,
+                                static_cast<Loc>(0x100 + 0x40 * k)}
+                   : TraceEvent{TraceOp::kSync, 0, kInvalidTask, 0};
+    append_event_delta(filler, e, filler_regs);
+  }
+  ASSERT_GE(filler.size(), 21u);
+  const auto op_byte = [](TraceOp op) {
+    return std::string(1, static_cast<char>(op));
+  };
+  const auto varint = [](std::uint64_t v) {
+    std::string out;
+    append_varint(out, v);
+    return out;
+  };
+  const struct {
+    const char* what;
+    std::string bad;     // the malformed event, after 16 filler events
+    std::size_t datum;   // offset of the rejected datum within `bad`
+    DecodeCode code;
+  } forms[] = {
+      {"overlong 2-byte varint", op_byte(TraceOp::kHalt) + "\x80" + '\0', 1,
+       DecodeCode::kMalformedVarint},
+      {"varint past 10 bytes", op_byte(TraceOp::kHalt) + std::string(10, '\x80'),
+       1, DecodeCode::kMalformedVarint},
+      {"unknown opcode", "\x7f" + varint(0), 0, DecodeCode::kUnknownOpcode},
+      {"actor below zero", op_byte(TraceOp::kHalt) + varint(zigzag_encode(-1)),
+       1, DecodeCode::kTaskIdOutOfRange},
+      {"actor at the invalid id",
+       op_byte(TraceOp::kHalt) +
+           varint(zigzag_encode(static_cast<std::int64_t>(kInvalidTask))),
+       1, DecodeCode::kTaskIdOutOfRange},
+      {"fork child below zero",
+       op_byte(TraceOp::kFork) + varint(0) + varint(zigzag_encode(-1)), 2,
+       DecodeCode::kTaskIdOutOfRange},
+  };
+  for (const auto& f : forms) {
+    const std::string events = filler + f.bad + filler;
+    const std::uint64_t bad_at = 1 + filler.size() + f.datum;  // count = 33
+    const TraceDecodeError c =
+        decode_error_of(sealed_chunk('C', varint(33) + events));
+    EXPECT_EQ(c.code(), f.code) << "'C' " << f.what;
+    EXPECT_EQ(c.byte_offset(), kPayloadAt + bad_at) << "'C' " << f.what;
+    // 'Z': count 33, then one literal item (tag, n = 33) holding them.
+    const TraceDecodeError z = decode_error_of(sealed_chunk(
+        'Z', varint(33) + std::string(1, static_cast<char>(kItemLiteral)) +
+                 varint(33) + events));
+    EXPECT_EQ(z.code(), f.code) << "'Z' " << f.what;
+    EXPECT_EQ(z.byte_offset(), kPayloadAt + 2 + bad_at) << "'Z' " << f.what;
+  }
+
+  // B010, count below the events present: decoding stops in the fast
+  // region and the leftover bytes start where the 17th event does.
+  const std::string two = filler + filler;
+  const TraceDecodeError leftover =
+      decode_error_of(sealed_chunk('C', varint(16) + two));
+  EXPECT_EQ(leftover.code(), DecodeCode::kEventCountMismatch);
+  EXPECT_EQ(leftover.byte_offset(), kPayloadAt + 1 + filler.size());
+  // B010, count above the events present: the fast region runs out first,
+  // and the payload ends where the 33rd event should start — for a 'C'
+  // chunk and for a 'Z' literal item alike.
+  const TraceDecodeError short_c =
+      decode_error_of(sealed_chunk('C', varint(33) + two));
+  EXPECT_EQ(short_c.code(), DecodeCode::kEventCountMismatch);
+  EXPECT_EQ(short_c.byte_offset(), kPayloadAt + 1 + two.size());
+  const TraceDecodeError short_z = decode_error_of(sealed_chunk(
+      'Z', varint(33) + std::string(1, static_cast<char>(kItemLiteral)) +
+               varint(33) + two));
+  EXPECT_EQ(short_z.code(), DecodeCode::kEventCountMismatch);
+  EXPECT_EQ(short_z.byte_offset(), kPayloadAt + 3 + two.size());
+}
+
+// Every cut of a long payload, re-sealed and fed one byte at a time so the
+// payload sits in an exactly sized buffer: the decoder must name the cut —
+// B010 at an event boundary, B006 inside an event — and never read past
+// the payload, which the sanitizer build would report. Wide varints at the
+// cut are what a fast path without its 21-byte guard would run past.
+TEST(DecodeRejection, EveryPayloadCutIsNamedWithoutOverreading) {
+  const Trace trace = wide_delta_trace();
+  constexpr std::size_t kEvents = 40;
+  EventDeltaState regs;
+  std::string events;
+  std::vector<std::size_t> boundaries = {0};
+  for (std::size_t k = 0; k < kEvents; ++k) {
+    append_event_delta(events, trace[k], regs);
+    boundaries.push_back(events.size());
+  }
+  std::string count;
+  append_varint(count, kEvents);
+  const std::string literal =
+      count + std::string(1, static_cast<char>(kItemLiteral)) + count;
+  for (std::size_t cut = 0; cut < events.size(); ++cut) {
+    const bool boundary =
+        std::find(boundaries.begin(), boundaries.end(), cut) !=
+        boundaries.end();
+    for (const char marker : {'C', 'Z'}) {
+      const std::string head = marker == 'C' ? count : literal;
+      const std::string bytes =
+          sealed_chunk(marker, head + events.substr(0, cut));
+      BinaryTraceDecoder decoder;
+      Trace out;
+      try {
+        for (const char byte : bytes) decoder.feed(&byte, 1, out);
+        ADD_FAILURE() << marker << " cut " << cut << " decoded";
+      } catch (const TraceDecodeError& e) {
+        EXPECT_EQ(e.code(), boundary ? DecodeCode::kEventCountMismatch
+                                     : DecodeCode::kMalformedVarint)
+            << marker << " cut " << cut;
+        EXPECT_LE(e.byte_offset(), kPayloadAt + head.size() + cut)
+            << marker << " cut " << cut;
+      }
+    }
+  }
+}
+
+// Wide deltas at every chunk size from 1 to 64 bytes: the point where the
+// decoder leaves its fast path (21 bytes before a payload's end) falls at
+// every event position, and every varint length meets it. Each stream is
+// also fed one byte at a time, so every payload is decoded from an exactly
+// sized buffer and a sanitizer build catches any read past its end.
+TEST(BinaryRoundTrip, WideDeltasAtEveryChunkSize) {
+  const Trace trace = wide_delta_trace();
+  std::size_t folded_runs = 0;
+  for (const CompressionMode mode : {CompressionMode::kNone,
+                                     CompressionMode::kRuns}) {
+    for (std::size_t chunk = 1; chunk <= 64; ++chunk) {
+      BinaryWriteOptions options;
+      options.chunk_payload_bytes = chunk;
+      options.compression = mode;
+      const std::string wire = trace_to_binary(trace, options);
+      EXPECT_EQ(trace_from_binary(wire), trace) << "chunk " << chunk;
+      BinaryTraceDecoder with_runs;
+      Trace firsts;
+      std::vector<DecodedRun> runs;
+      with_runs.feed(wire.data(), wire.size(), firsts, &runs);
+      folded_runs += runs.size();
+
+      BinaryTraceDecoder decoder;
+      Trace dribbled;
+      for (const char byte : wire) decoder.feed(&byte, 1, dribbled);
+      decoder.finish();
+      EXPECT_EQ(dribbled, trace) << "byte-at-a-time, chunk " << chunk;
+    }
+  }
+  EXPECT_GT(folded_runs, 0u) << "the version-2 streams carry no 'Z' chunk";
 }
 
 TEST(BinaryReader, StreamedLoadRunsTheLinter) {

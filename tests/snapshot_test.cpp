@@ -419,6 +419,143 @@ TEST(Snapshot, DepaTagMutantsAndOldLayoutsAreRejected) {
   EXPECT_EQ(out.error.substr(0, 4), "K002") << out.error;
 }
 
+// The lint gate's fast path serves the task on top of the lint stack
+// without re-running the actor checks, so it must not trust a restored
+// stack to hold only running tasks. A well-sealed blob that marks the
+// running task halted is either refused with K007 or restores a session
+// whose gate still rejects that task's next access with an L-code.
+TEST(Snapshot, HaltedTaskOnTheRestoredLintStackIsStillRejected) {
+  // One event per chunk, so the stream can be cut after any event.
+  BinaryWriteOptions options;
+  options.chunk_payload_bytes = 1;
+  const std::string wire = trace_to_binary(
+      parse_trace_text("fork 0 1\nwrite 1 10\nwrite 1 11\nhalt 1\n"
+                       "join 0 1\nhalt 0\n"),
+      options);
+  std::size_t cut = kBinaryHeaderBytes;
+  for (int chunk = 0; chunk < 2; ++chunk) {
+    std::uint32_t len = 0;
+    for (int i = 0; i < 4; ++i)
+      len |= static_cast<std::uint32_t>(
+                 static_cast<unsigned char>(wire[cut + 1 + i]))
+             << (8 * i);
+    cut += 9 + len;
+  }
+
+  DetectionService a;
+  const std::uint32_t id = open_session(a, DetectorEngine::kDsu);
+  ASSERT_EQ(feed_bytes(a, id, wire.substr(0, cut)).status, ServiceStatus::kOk);
+  const std::string blob = snapshot_via_service(a, id);
+
+  // The lint section's task table and stack: task 0 with task 1 as its
+  // left neighbour, task 1 running on top of the stack.
+  const auto le32 = [](std::uint32_t v) { return le64(v).substr(0, 4); };
+  const auto task = [&](TaskId left, TaskId right) {
+    return le32(left) + le32(right) + le32(0) + std::string(2, '\0');
+  };
+  const std::string lint_tasks = le64(2) + task(1, kInvalidTask) +
+                                 task(kInvalidTask, 0) + le64(2) + le32(0) +
+                                 le32(1);
+  const std::size_t at = blob.find(lint_tasks);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(blob.rfind(lint_tasks), at);
+  std::string mutated = blob;
+  mutated[at + 8 + 14 + 12] = '\x01';  // task 1's `halted`
+  reseal(mutated);
+
+  DetectionService b;
+  Request restore;
+  restore.verb = Verb::kRestore;
+  restore.bytes = mutated;
+  const Response restored = b.handle(restore);
+  if (restored.status != ServiceStatus::kOk) {
+    EXPECT_EQ(restored.message.substr(0, 4), "K007") << restored.message;
+    return;
+  }
+  const Response next = feed_bytes(b, restored.session, wire.substr(cut));
+  EXPECT_EQ(next.status, ServiceStatus::kLintReject) << next.message;
+  EXPECT_EQ(next.message.substr(0, 1), "L") << next.message;
+  EXPECT_EQ(next.feed.events, 0u);
+}
+
+// The lint gate counts each task's held mutexes from the restored mutex
+// section. A live gate never holds a semaphore-range id as a mutex nor
+// lists one id twice, so a resealed blob that does is refused with K007.
+TEST(Snapshot, LintMutexSectionMutantsAreRejected) {
+  // One event per chunk; cut after the two acquires, so both are held.
+  BinaryWriteOptions options;
+  options.chunk_payload_bytes = 1;
+  const std::string wire = trace_to_binary(
+      parse_trace_text("acquire 0 10\nacquire 0 20\nrelease 0 20\n"
+                       "release 0 10\nhalt 0\n"),
+      options);
+  std::size_t cut = kBinaryHeaderBytes;
+  for (int chunk = 0; chunk < 2; ++chunk) {
+    std::uint32_t len = 0;
+    for (int i = 0; i < 4; ++i)
+      len |= static_cast<std::uint32_t>(
+                 static_cast<unsigned char>(wire[cut + 1 + i]))
+             << (8 * i);
+    cut += 9 + len;
+  }
+  DetectionService a;
+  const std::uint32_t id = open_session(a, DetectorEngine::kDsu);
+  ASSERT_EQ(feed_bytes(a, id, wire.substr(0, cut)).status, ServiceStatus::kOk);
+  const std::string blob = snapshot_via_service(a, id);
+
+  const auto le32 = [](std::uint32_t v) { return le64(v).substr(0, 4); };
+  using Entries = std::vector<std::pair<Loc, TaskId>>;
+  const auto section = [&](const Entries& entries) {
+    std::string out = le64(entries.size());
+    for (const auto& [loc, holder] : entries) out += le64(loc) + le32(holder);
+    return out;
+  };
+  // The export's order is the hash table's, so look for either.
+  std::string held = section({{0x10, 0}, {0x20, 0}});
+  std::size_t at = blob.find(held);
+  if (at == std::string::npos) {
+    held = section({{0x20, 0}, {0x10, 0}});
+    at = blob.find(held);
+  }
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(blob.rfind(held), at);
+
+  const auto restore = [&](DetectionService& into, const Entries& entries) {
+    std::string mutated = blob;
+    mutated.replace(at, held.size(), section(entries));
+    // The header's payload length, then its CRC.
+    const auto len = static_cast<std::uint32_t>(mutated.size() - 16);
+    mutated.replace(8, 4, le32(len));
+    reseal(mutated);
+    Request req;
+    req.verb = Verb::kRestore;
+    req.bytes = mutated;
+    return into.handle(req);
+  };
+  constexpr Loc kTop = ~Loc{0};
+  const Entries mutants[] = {
+      {{0x10, 0}, {kSemaphoreBit | 0x20, 0}},
+      {{0x10, 0}, {0x20, 0}, {0x20, kInvalidTask}},
+      {{0x10, 0}, {0x20, 0}, {0x20, 0}},
+      {{0x10, 0}, {kTop, 0}, {0x20, 0}, {0x20, kInvalidTask}, {kTop, 0}},
+  };
+  for (const Entries& entries : mutants) {
+    DetectionService b;
+    const Response rsp = restore(b, entries);
+    EXPECT_NE(rsp.status, ServiceStatus::kOk);
+    EXPECT_EQ(rsp.message.substr(0, 4), "K007") << rsp.message;
+  }
+
+  // Control: the same two holdings in the other order restore, and the
+  // rest of the stream releases both cleanly.
+  DetectionService b;
+  const Response rsp = restore(b, {{0x20, 0}, {0x10, 0}});
+  ASSERT_EQ(rsp.status, ServiceStatus::kOk) << rsp.message;
+  const Response rest = feed_bytes(b, rsp.session, wire.substr(cut));
+  EXPECT_EQ(rest.status, ServiceStatus::kOk) << rest.message;
+  EXPECT_EQ(rest.feed.events, 3u);
+}
+
 TEST(Snapshot, PoisonedSessionsRefuseToSnapshot) {
   DetectionService service;
   const std::uint32_t id = open_session(service, DetectorEngine::kDsu);

@@ -6,11 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
 #include "core/detector.hpp"
 #include "core/replay.hpp"
+#include "fuzz/fuzz_plan.hpp"
+#include "fuzz/trace_gen.hpp"
+#include "io/binary_reader.hpp"
 #include "lattice/generate.hpp"
 #include "lattice/traversal.hpp"
 #include "lattice/validate.hpp"
@@ -21,6 +26,10 @@
 #include "verify/graph_lint.hpp"
 #include "verify/trace_lint.hpp"
 #include "workloads/generators.hpp"
+
+#ifndef RACE2D_CORPUS_DIR
+#error "tests/CMakeLists.txt must define RACE2D_CORPUS_DIR"
+#endif
 
 namespace race2d {
 namespace {
@@ -218,6 +227,77 @@ TEST(TraceLint, SemaphoreHandOffSemantics) {
   const LintResult halt_after_p =
       lint_trace({rel(0, sem), acq(0, sem), halt(0)});
   EXPECT_FALSE(has_code(halt_after_p, LintCode::kUnreleasedAtHalt));
+}
+
+TEST(TraceLint, HaltReportsOnlyItsOwnHeldMutexes) {
+  // Three tasks hold mutexes at once; task 2 halts holding three of them,
+  // acquired out of id order, after taking and dropping a fourth. Its
+  // halt reports exactly its three, sorted by id, and frees them; the
+  // mutexes its ancestors hold stay theirs.
+  const Trace t = {acq(0, 0x50),  fork(0, 1),    acq(1, 0x70),
+                   fork(1, 2),    acq(2, 0x30),  acq(2, 0x10),
+                   acq(2, 0x40),  rel(2, 0x40),  acq(2, 0x20),
+                   halt(2),       join(1, 2),    acq(1, 0x10),
+                   rel(1, 0x10),  rel(1, 0x70),  halt(1),
+                   join(0, 1),    rel(0, 0x50),  halt(0)};
+  const LintResult r = lint_trace(t);
+  ASSERT_EQ(r.diagnostics.size(), 3u) << to_string(r);
+  const char* const ids[] = {"0x10", "0x20", "0x30"};
+  for (std::size_t k = 0; k < 3; ++k) {
+    const LintDiagnostic& d = r.diagnostics[k];
+    EXPECT_EQ(d.code, LintCode::kUnreleasedAtHalt);
+    EXPECT_EQ(d.index, 9u);
+    EXPECT_EQ(d.message,
+              std::string("task 2 halts still holding mutex ") + ids[k]);
+  }
+
+  // The per-task held counts are derived state: a stream restored from an
+  // export at any clean cut reports the same findings.
+  TraceLintOptions options;
+  for (std::size_t cut = 0; cut <= 9; ++cut) {
+    TraceLintStream before(options);
+    for (std::size_t i = 0; i < cut; ++i) before.feed(t[i]);
+    TraceLintStream after(options);
+    after.import_state(before.export_state());
+    for (std::size_t i = cut; i < t.size(); ++i) after.feed(t[i]);
+    after.finish();
+    const LintResult resumed = after.take();
+    ASSERT_EQ(resumed.diagnostics.size(), r.diagnostics.size())
+        << "cut " << cut;
+    for (std::size_t k = 0; k < r.diagnostics.size(); ++k) {
+      EXPECT_EQ(resumed.diagnostics[k].index, r.diagnostics[k].index);
+      EXPECT_EQ(resumed.diagnostics[k].message, r.diagnostics[k].message);
+    }
+  }
+}
+
+TEST(TraceLint, ReleasedMutexesAndGateLocationsLeaveNoState) {
+  // A release erases its mutex, so lock churn over many distinct mutexes
+  // leaves the lint state where it started; so do accesses to many
+  // locations when warnings are off. With warnings on, the location table
+  // is charged at its slot array, not its entry count.
+  constexpr Loc kCount = 4096;
+  TraceLintOptions gate;
+  gate.warnings = false;
+  TraceLintStream churn(gate);
+  churn.feed(write(0, 0x1));
+  const std::size_t start = churn.memory_bytes();
+  EXPECT_GT(start, 0u);
+  for (Loc id = 1; id <= kCount; ++id) {
+    churn.feed(acq(0, id << 4));
+    churn.feed(write(0, id));
+    churn.feed(rel(0, id << 4));
+  }
+  EXPECT_TRUE(churn.ok_so_far());
+  EXPECT_EQ(churn.memory_bytes(), start);
+  EXPECT_TRUE(churn.export_state().mutexes.empty());
+  EXPECT_TRUE(churn.export_state().locs.empty());
+
+  TraceLintStream full;
+  for (Loc loc = 1; loc <= kCount; ++loc) full.feed(write(0, loc));
+  // Flat slots of (key, state, occupied) at a load of at most 5/8.
+  EXPECT_GE(full.memory_bytes(), kCount * 16 * 8 / 5);
+  EXPECT_EQ(full.export_state().locs.size(), kCount);
 }
 
 TEST(TraceLint, RetireHygieneWarnings) {
@@ -632,6 +712,114 @@ TEST(CorruptionHarness, SpecificMutationsCarryStableCodes) {
   EXPECT_TRUE(has_code(
       lint_trace(mutate(base, Mutation::kRetarget, at(TraceOp::kFork))),
       LintCode::kForkChildNotDense));
+}
+
+// The errors-only gate (no location state, fast path for the running
+// task) against the full linter: the same errors — code, index, message —
+// and the same truncation flag whenever the full linter's warnings did not
+// fill the cap themselves. Run at the service's cap and at a cap of one, so
+// truncation is exercised too.
+struct GateCounts {
+  std::size_t rejected = 0;
+  std::size_t truncated = 0;
+};
+
+void expect_gate_matches_full(const Trace& trace, const std::string& what,
+                              GateCounts& counts) {
+  for (const std::size_t cap : {std::size_t{8}, std::size_t{1}}) {
+    TraceLintOptions gate;
+    gate.warnings = false;
+    gate.max_diagnostics = cap;
+    TraceLintOptions full;
+    full.max_diagnostics = cap;
+    const LintResult g = TraceLinter(gate).run(trace);
+    const LintResult f = TraceLinter(full).run(trace);
+    std::vector<const LintDiagnostic*> errors;
+    for (const LintDiagnostic& d : f.diagnostics)
+      if (d.severity == LintSeverity::kError) errors.push_back(&d);
+    ASSERT_EQ(g.diagnostics.size(), errors.size())
+        << what << " cap " << cap << "\ngate:\n" << to_string(g)
+        << "full:\n" << to_string(f);
+    for (std::size_t k = 0; k < errors.size(); ++k) {
+      EXPECT_EQ(g.diagnostics[k].code, errors[k]->code) << what;
+      EXPECT_EQ(g.diagnostics[k].index, errors[k]->index) << what;
+      EXPECT_EQ(g.diagnostics[k].message, errors[k]->message) << what;
+    }
+    if (f.warning_count() < cap)
+      EXPECT_EQ(g.truncated, f.truncated) << what << " cap " << cap;
+    else
+      EXPECT_TRUE(!g.truncated || f.truncated) << what << " cap " << cap;
+    if (!g.ok()) ++counts.rejected;
+    if (g.truncated) ++counts.truncated;
+  }
+}
+
+TEST(LintGate, ErrorsOnlyGateMatchesFullLinterOverCorpus) {
+  GateCounts counts;
+  std::size_t files = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(RACE2D_CORPUS_DIR)) {
+    const std::string ext = entry.path().extension().string();
+    if (ext != ".trace" && ext != ".btrace") continue;
+    std::ifstream in(entry.path(), std::ios::binary);
+    const Trace base =
+        ext == ".trace" ? parse_trace_text(in) : read_trace_binary(in);
+    const std::string name = entry.path().filename().string();
+    expect_gate_matches_full(base, name, counts);
+    for (const Mutation m : {Mutation::kDrop, Mutation::kDuplicate,
+                             Mutation::kSwap, Mutation::kRetarget})
+      for (std::size_t i = 0; i < base.size(); ++i)
+        expect_gate_matches_full(mutate(base, m, i),
+                                 name + " mutation " +
+                                     std::to_string(static_cast<int>(m)) +
+                                     " at " + std::to_string(i),
+                                 counts);
+    ++files;
+  }
+  EXPECT_GE(files, 20u) << "the regression corpus shrank below its floor";
+  EXPECT_GT(counts.rejected, 0u);
+  EXPECT_GT(counts.truncated, 0u);
+}
+
+TEST(LintGate, ErrorsOnlyGateMatchesFullLinterOverFuzzSeeds) {
+  // Each seed's trace, and one mutant of it with the mutation and its
+  // index drawn from the seed.
+  GateCounts counts;
+  for (std::uint64_t seed = 1; seed <= 2000; ++seed) {
+    const Trace base = generate_trace(FuzzPlan::from_seed(seed)).trace;
+    const std::string what = "seed " + std::to_string(seed);
+    expect_gate_matches_full(base, what, counts);
+    if (base.empty()) continue;
+    const auto m = static_cast<Mutation>(seed % 4);
+    const std::size_t i = (seed * 7919) % base.size();
+    expect_gate_matches_full(mutate(base, m, i), what + " mutant", counts);
+  }
+  EXPECT_GT(counts.rejected, 0u);
+  EXPECT_GT(counts.truncated, 0u);
+}
+
+TEST(LintGate, ErrorsOnlyGateMatchesFullLinterOverCorruptionMutants) {
+  // The corruption harness's mutants: seeds 1–3, every mutation at every
+  // index.
+  GateCounts counts;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    ProgramParams params;
+    params.seed = seed;
+    params.max_actions = 12;
+    params.max_tasks = 16;
+    const Trace base = record(random_program(params));
+    for (const Mutation m : {Mutation::kDrop, Mutation::kDuplicate,
+                             Mutation::kSwap, Mutation::kRetarget})
+      for (std::size_t i = 0; i < base.size(); ++i)
+        expect_gate_matches_full(
+            mutate(base, m, i),
+            "seed " + std::to_string(seed) + " mutation " +
+                std::to_string(static_cast<int>(m)) + " at " +
+                std::to_string(i),
+            counts);
+  }
+  EXPECT_GT(counts.rejected, 0u);
+  EXPECT_GT(counts.truncated, 0u);
 }
 
 }  // namespace
