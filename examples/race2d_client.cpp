@@ -20,9 +20,8 @@
 // where the snapshot left off (the blob records how many wire bytes it
 // covers), drains and closes — stdout then carries the remaining reports.
 //
-// Options: --policy=first|all (default all), --engine=dsu|depa (per-session
-// detector backend, default dsu), --frame=BYTES (feed frame size, default
-// 64Ki).
+// Options: --policy=first|all (default all), --frame=BYTES (feed frame
+// size, default 64Ki).
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
@@ -280,7 +279,7 @@ int stream_and_close(Channel& ch, std::uint32_t session,
 }
 
 int detect_file(Channel& ch, const char* path, ReportPolicy policy,
-                DetectorEngine engine, std::size_t frame_bytes) {
+                std::size_t frame_bytes) {
   std::string wire;
   const int load_rc = load_wire(path, wire);
   if (load_rc != 0) return load_rc;
@@ -288,7 +287,6 @@ int detect_file(Channel& ch, const char* path, ReportPolicy policy,
   Request open;
   open.verb = Verb::kOpen;
   open.open.policy = policy;
-  open.open.engine = engine;
   Response rsp;
   if (!ch.call(open, rsp)) return 2;
   if (rsp.status != ServiceStatus::kOk) {
@@ -382,7 +380,6 @@ int main(int argc, char** argv) {
   const char* spawn_binary = nullptr;
   const char* socket_path = nullptr;
   ReportPolicy policy = ReportPolicy::kAll;
-  DetectorEngine engine = DetectorEngine::kDsu;
   std::size_t frame_bytes = 64 * 1024;
   std::vector<const char*> files;
   bool want_stats = false;
@@ -403,16 +400,6 @@ int main(int argc, char** argv) {
         policy = ReportPolicy::kAll;
       } else {
         std::fprintf(stderr, "--policy takes first|all\n");
-        return 2;
-      }
-    } else if (std::strncmp(argv[i], "--engine=", 9) == 0) {
-      const char* e = argv[i] + 9;
-      if (std::strcmp(e, "dsu") == 0) {
-        engine = DetectorEngine::kDsu;
-      } else if (std::strcmp(e, "depa") == 0) {
-        engine = DetectorEngine::kDepa;
-      } else {
-        std::fprintf(stderr, "--engine takes dsu|depa\n");
         return 2;
       }
     } else if (std::strncmp(argv[i], "--frame=", 8) == 0) {
@@ -448,7 +435,7 @@ int main(int argc, char** argv) {
       (want_restore && (sub_args.empty() || sub_args.size() > 2))) {
     std::fprintf(stderr,
                  "usage: %s (--spawn <race2dd> | --socket <path>) "
-                 "[--policy=first|all] [--engine=dsu|depa] [--frame=BYTES]\n"
+                 "[--policy=first|all] [--frame=BYTES]\n"
                  "          detect <trace-file>... | stats\n"
                  "        | snapshot <session-id> <blob-file>\n"
                  "        | restore <blob-file> [trace-file]\n",
@@ -489,8 +476,7 @@ int main(int argc, char** argv) {
                      frame_bytes);
   } else {
     for (const char* path : files) {
-      const int file_rc =
-          detect_file(ch, path, policy, engine, frame_bytes);
+      const int file_rc = detect_file(ch, path, policy, frame_bytes);
       if (file_rc != 0 && rc == 0) rc = file_rc;
     }
   }

@@ -96,15 +96,15 @@ rm -rf "$socket_path" "$socket_out"
 echo "socket smoke: reports bit-identical across the corpus via 4 workers, 4 clients at a time"
 
 echo "== compress/spill matrix smoke: v2 corpus through a spill-enabled pool"
-# The engine x compression matrix. Every corpus stream is (1) cross-checked
+# The compression x spill matrix. Every corpus stream is (1) cross-checked
 # by race2d_convert --verify (v2 expands to the identical events and
 # re-encodes to the identical v1 bytes), (2) re-encoded as a version-2
 # run-compressed binary, and (3) driven through a 2-worker daemon whose
 # global quota is so small that EVERY feed sweep spills the session to the
-# cold tier and the next frame rehydrates it. For both engines the drained
-# report stream must stay bit-identical to the offline serial detector on
-# the ORIGINAL uncompressed trace — compression and the spill/rehydrate
-# cycle may never change a verdict.
+# cold tier and the next frame rehydrates it. The drained report stream
+# must stay bit-identical to the offline serial detector on the ORIGINAL
+# uncompressed trace — compression and the spill/rehydrate cycle may never
+# change a verdict.
 spill_dir=$(mktemp -d /tmp/race2dd-spill-XXXXXX)
 v2_dir=$(mktemp -d /tmp/race2d-v2-XXXXXX)
 spill_sock="/tmp/race2dd-spill-$$.sock"
@@ -127,15 +127,13 @@ for trace in tests/corpus/*.trace; do
   ./build/examples/race2d_convert --compress "$trace" "$z" 2>/dev/null
   ./build/examples/example_trace_analyzer --reports "$trace" \
     > /tmp/race2d_offline.txt
-  for engine in dsu depa; do
-    ./build/examples/race2d_client \
-      --socket "$spill_sock" --engine="$engine" --frame=4096 detect "$z" \
-      > /tmp/race2d_service.txt 2>/dev/null
-    if ! diff -u /tmp/race2d_offline.txt /tmp/race2d_service.txt; then
-      echo "check.sh: spilled $engine reports diverge from offline: $trace"
-      matrix_smoke=1
-    fi
-  done
+  ./build/examples/race2d_client \
+    --socket "$spill_sock" --frame=4096 detect "$z" \
+    > /tmp/race2d_service.txt 2>/dev/null
+  if ! diff -u /tmp/race2d_offline.txt /tmp/race2d_service.txt; then
+    echo "check.sh: spilled reports diverge from offline: $trace"
+    matrix_smoke=1
+  fi
 done
 # The tiny quota must actually have exercised the cold tier: the pool's
 # aggregated rehydration counter has to be non-zero.
@@ -150,7 +148,7 @@ kill "$spill_pid" 2>/dev/null || true
 wait "$spill_pid" 2>/dev/null || true
 rm -rf "$spill_sock" "$spill_dir" "$v2_dir"
 [[ "$matrix_smoke" == "0" ]] || exit 1
-echo "compress/spill matrix smoke: reports bit-identical across $(ls tests/corpus/*.trace | wc -l) v2 streams x 2 engines"
+echo "compress/spill matrix smoke: reports bit-identical across $(ls tests/corpus/*.trace | wc -l) v2 streams"
 
 echo "== skeleton corpus gate: static analyzer verdicts vs .expect"
 # Run the static analyzer over every checked-in skeleton (strict-* files in

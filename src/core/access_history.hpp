@@ -6,18 +6,15 @@
 // paper — contrast baselines/shadow state which grows with the thread count.
 //
 // On top of the two suprema the cell carries an *owner-epoch* fast path in
-// the spirit of FastTrack's same-epoch check: (epoch_task, epoch_version)
-// records that at engine version `epoch_version`, task `epoch_task`
-// observed both suprema ordered before it (and folded them to itself). A
-// repeat access by the same task at the same structural version is then
-// provably race-free and needs no union-find query at all. Racing accesses
-// are never cached, so they always re-query — and any structural event
-// (join, halt, task start) bumps the version and invalidates every cached
-// verdict. Still Θ(1) per location.
+// the spirit of FastTrack's same-epoch check: `epoch_task` names the task
+// whose last access found both suprema ordered before it (and folded them to
+// itself). A repeat access by that task is then provably race-free and needs
+// no union-find query at all; core/shadow_ops.hpp gives the argument.
+// Racing accesses are never cached, so they always re-query. Three ids:
+// 12 bytes, Θ(1) per location.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 #include "support/flat_hash_map.hpp"
 #include "support/ids.hpp"
@@ -28,7 +25,6 @@ struct ShadowCell {
   VertexId read_sup = kInvalidVertex;   ///< R[loc]; invalid = no prior read
   VertexId write_sup = kInvalidVertex;  ///< W[loc]; invalid = no prior write
   VertexId epoch_task = kInvalidVertex;  ///< owner of the cached clean verdict
-  std::uint64_t epoch_version = 0;  ///< engine version the verdict was cached at
 };
 
 class AccessHistory {

@@ -1,7 +1,5 @@
 #include "core/depa_detector.hpp"
 
-#include <unordered_map>
-
 #include "runtime/trace.hpp"
 #include "support/assert.hpp"
 
@@ -78,64 +76,6 @@ void DePaDetector::on_retire(TaskId t, Loc loc) {
   ++access_count_;
   detail::depa_retire_check(*cell, cur_[t], t, loc, access_count_, reporter_);
   cells_.erase(loc);
-}
-
-DePaDetector::State DePaDetector::export_state() const {
-  State s;
-  s.clock = clock_.export_state();
-  std::unordered_map<const OmInterval*, std::uint64_t> index;
-  index.reserve(s.clock.intervals.size());
-  clock_.for_each_interval([&index](std::size_t i, const OmInterval* iv) {
-    index.emplace(iv, static_cast<std::uint64_t>(i));
-  });
-  const auto to_index = [&index](const OmInterval* p) {
-    if (p == nullptr) return kNullInterval;
-    const auto it = index.find(p);
-    R2D_ASSERT(it != index.end());
-    return it->second;
-  };
-  s.cur.reserve(cur_.size());
-  for (const OmInterval* p : cur_) s.cur.push_back(to_index(p));
-  s.cells.reserve(cells_.size());
-  cells_.for_each([&s, &to_index](Loc loc, const DepaShadowCell& cell) {
-    s.cells.push_back({loc, to_index(cell.read_emax), to_index(cell.read_hmax),
-                       to_index(cell.write_emax), to_index(cell.write_hmax),
-                       cell.owner});
-  });
-  s.undrained = reporter_.all();
-  if (reporter_.any()) s.first = reporter_.first();
-  s.reports_total = reporter_.count();
-  s.access_count = access_count_;
-  return s;
-}
-
-bool DePaDetector::import_state(const State& s) {
-  R2D_REQUIRE(cur_.empty(), "import_state needs a fresh detector");
-  if (!clock_.import_state(s.clock)) return false;
-  const std::uint64_t n = s.clock.intervals.size();
-  const auto to_ptr = [this, n](std::uint64_t i) -> OmInterval* {
-    if (i == kNullInterval) return nullptr;
-    R2D_REQUIRE(i < n, "snapshot interval index out of range");
-    return clock_.interval_at(static_cast<std::size_t>(i));
-  };
-  cur_.reserve(s.cur.size());
-  for (const std::uint64_t i : s.cur) {
-    R2D_REQUIRE(i != kNullInterval, "task without a current interval");
-    cur_.push_back(to_ptr(i));
-  }
-  cells_.reserve(s.cells.size());
-  for (const CellState& c : s.cells) {
-    DepaShadowCell& cell = cells_[c.loc];
-    cell.read_emax = to_ptr(c.read_emax);
-    cell.read_hmax = to_ptr(c.read_hmax);
-    cell.write_emax = to_ptr(c.write_emax);
-    cell.write_hmax = to_ptr(c.write_hmax);
-    cell.owner = c.owner;
-  }
-  reporter_.import_state(std::vector<RaceReport>(s.undrained), s.first,
-                         static_cast<std::size_t>(s.reports_total));
-  access_count_ = static_cast<std::size_t>(s.access_count);
-  return true;
 }
 
 MemoryFootprint DePaDetector::footprint() const {

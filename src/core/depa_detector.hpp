@@ -129,8 +129,10 @@ inline void depa_retire_check(const DepaShadowCell& cell, const OmInterval* v,
 }  // namespace detail
 
 /// The serial-replay DePa detector: OnlineRaceDetector's interface over the
-/// order-maintenance backend. Drop-in for every replay driver (the
-/// differential panel, the service, bench_common::drive).
+/// order-maintenance backend. Drop-in for the replay drivers
+/// (detect_races_trace_depa, bench_common::drive); the differential panel
+/// holds the DSU's report stream to it bit for bit. Sessions of the service
+/// run the DSU detector only.
 class DePaDetector {
  public:
   explicit DePaDetector(ReportPolicy policy = ReportPolicy::kAll)
@@ -174,35 +176,6 @@ class DePaDetector {
 
   /// Shadow = per-location cells; per-task = clock arena + task table.
   MemoryFootprint footprint() const;
-
-  /// Snapshot image. Interval pointers are replaced by arena allocation
-  /// indices (kNullInterval = "no prior access of that kind"), which are
-  /// deterministic across processes — see OmClock::for_each_interval.
-  static constexpr std::uint64_t kNullInterval = ~std::uint64_t{0};
-  struct CellState {
-    Loc loc = 0;
-    std::uint64_t read_emax = kNullInterval;
-    std::uint64_t read_hmax = kNullInterval;
-    std::uint64_t write_emax = kNullInterval;
-    std::uint64_t write_hmax = kNullInterval;
-    TaskId owner = kInvalidTask;
-  };
-  struct State {
-    OmClock::State clock;
-    std::vector<std::uint64_t> cur;  ///< task id -> arena index
-    std::vector<CellState> cells;
-    std::vector<RaceReport> undrained;
-    RaceReport first;
-    std::uint64_t reports_total = 0;
-    std::uint64_t access_count = 0;
-  };
-  State export_state() const;
-  /// Rebuilds the detector (fresh construction required). Indices must be
-  /// in range — the snapshot codec bound-checks against clock.intervals
-  /// before calling. Returns false, leaving the detector empty, when the
-  /// clock's tags leave the universe or repeat within a list (the check
-  /// that needs the rebuild's sort; see OmClock::import_state).
-  [[nodiscard]] bool import_state(const State& s);
 
  private:
   OmClock clock_;

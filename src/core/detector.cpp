@@ -81,7 +81,7 @@ bool OnlineRaceDetector::try_apply_clean_run(const TraceEvent* events,
     // read_sup still naming an OLDER task, which a slow-replay read would
     // fold to e.actor — a state change. Requiring the relevant supremum to
     // have folded already makes every repetition a provable no-op.
-    if (!detail::epoch_hit(*cell, engine_, e.actor)) return false;
+    if (!detail::epoch_hit(*cell, e.actor)) return false;
     if (e.op == TraceOp::kRead) {
       if (cell->read_sup != e.actor) return false;
     } else {
@@ -117,7 +117,7 @@ OnlineRaceDetector::State OnlineRaceDetector::export_state() const {
 }
 
 void OnlineRaceDetector::import_state(State&& s) {
-  const std::size_t vertices = s.engine.dsu.parent.size();
+  const std::size_t vertices = s.engine.parent.size();
   engine_.import_state(std::move(s.engine));
   history_.clear();
   history_.reserve(s.cells.size());

@@ -53,28 +53,6 @@ void relabel(OmClock::List list, OmInterval* x, OmInterval* y) {
   }
 }
 
-/// Links the arena into `list` in tag order; false when a tag lies outside
-/// the universe or repeats.
-bool link_by_tag(std::deque<OmInterval>& arena, OmClock::List list) {
-  std::vector<OmInterval*> order;
-  order.reserve(arena.size());
-  for (OmInterval& iv : arena) order.push_back(&iv);
-  std::sort(order.begin(), order.end(),
-            [list](const OmInterval* a, const OmInterval* b) {
-              return (a->*list).tag < (b->*list).tag;
-            });
-  if (!order.empty() && (order.back()->*list).tag >= OmClock::kUniverse)
-    return false;
-  OmInterval* prev = nullptr;
-  for (OmInterval* v : order) {
-    if (prev != nullptr && (prev->*list).tag == (v->*list).tag) return false;
-    (v->*list).prev = prev;
-    if (prev != nullptr) (prev->*list).next = v;
-    prev = v;
-  }
-  return true;
-}
-
 }  // namespace
 
 void OmClock::insert_after(List list, OmInterval* x, OmInterval* y) {
@@ -126,27 +104,6 @@ OmInterval* OmClock::on_join(OmInterval* joiner_cur, OmInterval* joined_last) {
                                                       : joiner_cur,
                k);
   return k;
-}
-
-OmClock::State OmClock::export_state() const {
-  State s;
-  s.intervals.reserve(arena_.size());
-  for (const OmInterval& iv : arena_) s.intervals.push_back({iv.e.tag, iv.h.tag});
-  return s;
-}
-
-bool OmClock::import_state(const State& s) {
-  R2D_REQUIRE(arena_.empty(), "import_state needs a fresh clock");
-  for (const Tags& t : s.intervals) {
-    OmInterval& iv = arena_.emplace_back();
-    iv.e.tag = t.e;
-    iv.h.tag = t.h;
-  }
-  if (link_by_tag(arena_, &OmInterval::e) &&
-      link_by_tag(arena_, &OmInterval::h))
-    return true;
-  arena_.clear();
-  return false;
 }
 
 }  // namespace race2d

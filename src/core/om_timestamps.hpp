@@ -36,7 +36,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <vector>
 
 #include "support/assert.hpp"
 
@@ -103,34 +102,19 @@ class OmClock {
 
   /// Calls fn(index, interval_ptr) over the arena in allocation order.
   /// Allocation order is deterministic (one interval per structural event),
-  /// so the index is a stable cross-process name for an interval — what the
-  /// session snapshot stores instead of the pointer.
+  /// so the index names the same interval in two clocks fed the same
+  /// events — how a test sees which tags a relabel moved.
   template <typename Fn>
   void for_each_interval(Fn&& fn) const {
     std::size_t i = 0;
     for (const OmInterval& iv : arena_) fn(i++, &iv);
   }
 
-  /// The interval at allocation index `i` (restore-time pointer recovery).
-  OmInterval* interval_at(std::size_t i) {
+  /// The interval at allocation index `i`.
+  const OmInterval* interval_at(std::size_t i) const {
     R2D_ASSERT(i < arena_.size());
     return &arena_[i];
   }
-
-  /// Plain-data image: the two tags of every interval, in allocation order.
-  /// The links are implied by the tags.
-  struct Tags {
-    std::uint64_t e = 0;
-    std::uint64_t h = 0;
-  };
-  struct State {
-    std::vector<Tags> intervals;
-  };
-  State export_state() const;
-  /// Rebuilds the arena from `s` and links each list by sorting on its
-  /// tags. Requires an empty clock. Returns false, leaving the clock empty,
-  /// when a tag lies outside the universe or repeats within a list.
-  [[nodiscard]] bool import_state(const State& s);
 
   /// Heap bytes of the clock: Θ(1) per interval.
   std::size_t heap_bytes() const { return arena_.size() * sizeof(OmInterval); }

@@ -8,15 +8,25 @@
 // Owner-epoch fast path. After an access by t that reports no race, both
 // suprema of the cell are ordered before t and fold to t under the Sup
 // update (R[loc] ← Sup(R[loc], t) = t, and likewise W on a write). The cell
-// then caches (epoch_task = t, epoch_version = engine.structural_version()).
-// A later access by the same t at the same version can skip both Sup
-// queries: no structural event (merge, halt, task start) intervened, so the
-// "ordered" verdict still holds, and the only state change the slow path
-// would make is folding the accessed supremum to t — which the fast path
-// performs directly. Racing accesses never populate the cache (they must
-// keep re-querying: a join can order them later), and any slow-path access
-// by a different task overwrites or clears the cache, so staleness is
-// impossible by construction.
+// then caches epoch_task = t, and a later access by t skips both Sup
+// queries. The cache needs no version stamp, because while epoch_task == t
+// every prior access to the cell is ⊑ an earlier step of t:
+//
+//   * epoch_task == t means the last slow-path access to the cell was a
+//     clean access by t, whose prior accesses were all ⊑ t at that step;
+//   * every later access to the cell was also by t: an access by any other
+//     task misses the cache, takes the slow path and overwrites or clears
+//     epoch_task;
+//   * an earlier step of t is ⊑ its current step (program order), whatever
+//     structural events — t's forks, its children's halts, t's joins — came
+//     in between.
+//
+// So the slow path would find every prior access ⊑ t again, and its only
+// state change would be folding the accessed supremum to t — which the fast
+// path performs directly. A vertex-level walk accesses a vertex only while
+// visiting it, so there the cache serves just that visit. Racing accesses
+// never populate the cache (they must keep re-querying: a join can order
+// them later).
 #pragma once
 
 #include <cstddef>
@@ -38,17 +48,15 @@ namespace race2d::detail {
 /// before any replay starts, never flipped concurrently.
 inline bool g_inject_skip_write_sup_update = false;
 
-inline bool epoch_hit(const ShadowCell& cell, const SupremaEngine& engine,
-                      VertexId t) {
-  return cell.epoch_task == t &&
-         cell.epoch_version == engine.structural_version();
+inline bool epoch_hit(const ShadowCell& cell, VertexId t) {
+  return cell.epoch_task == t;
 }
 
 /// On-Read (Figure 6 line 2–3, with the §2.3 read rule: reads race only
 /// with prior writes). `ordinal` is the access index carried by reports.
 inline void shadow_read(SupremaEngine& engine, ShadowCell& cell, VertexId t,
                         Loc loc, std::size_t ordinal, RaceReporter& reporter) {
-  if (epoch_hit(cell, engine, t)) {
+  if (epoch_hit(cell, t)) {
     cell.read_sup = t;  // Sup(R[loc], t) = t: R[loc] ⊑ t was cached
     return;
   }
@@ -62,18 +70,13 @@ inline void shadow_read(SupremaEngine& engine, ShadowCell& cell, VertexId t,
       cell.read_sup == kInvalidVertex ? t : engine.sup(cell.read_sup, t);
   // Cache only the fully-ordered outcome: prior writes ⊑ t (clean) and
   // prior reads ⊑ t (the Sup update folded R[loc] to t).
-  if (clean && cell.read_sup == t) {
-    cell.epoch_task = t;
-    cell.epoch_version = engine.structural_version();
-  } else {
-    cell.epoch_task = kInvalidVertex;
-  }
+  cell.epoch_task = (clean && cell.read_sup == t) ? t : kInvalidVertex;
 }
 
 /// On-Write (Figure 6 line 5–8): a write races with prior reads and writes.
 inline void shadow_write(SupremaEngine& engine, ShadowCell& cell, VertexId t,
                          Loc loc, std::size_t ordinal, RaceReporter& reporter) {
-  if (epoch_hit(cell, engine, t)) {
+  if (epoch_hit(cell, t)) {
     cell.write_sup = t;  // Sup(W[loc], t) = t: W[loc] ⊑ t was cached
     return;
   }
@@ -90,12 +93,7 @@ inline void shadow_write(SupremaEngine& engine, ShadowCell& cell, VertexId t,
     cell.write_sup =
         cell.write_sup == kInvalidVertex ? t : engine.sup(cell.write_sup, t);
   }
-  if (clean && cell.write_sup == t) {
-    cell.epoch_task = t;
-    cell.epoch_version = engine.structural_version();
-  } else {
-    cell.epoch_task = kInvalidVertex;
-  }
+  cell.epoch_task = (clean && cell.write_sup == t) ? t : kInvalidVertex;
 }
 
 /// On-Retire: checked like a write (retiring live racing storage is itself a
@@ -106,7 +104,7 @@ inline bool shadow_retire(SupremaEngine& engine, AccessHistory& history,
                           RaceReporter& reporter) {
   ShadowCell* cell = history.find(loc);
   if (cell == nullptr) return false;  // never accessed: nothing to retire
-  if (!epoch_hit(*cell, engine, t)) {  // cached clean verdict ⇒ no report
+  if (!epoch_hit(*cell, t)) {  // cached clean verdict ⇒ no report
     if (cell->read_sup != kInvalidVertex &&
         engine.sup(cell->read_sup, t) != t) {
       reporter.report(

@@ -15,7 +15,7 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "lattice/diagram.hpp"
@@ -38,29 +38,17 @@ class SupremaEngine {
 
   std::size_t vertex_count() const { return dsu_.element_count(); }
 
-  /// Walk line 2–3: visiting the loop (t, t). Only a false→true transition
-  /// can change Sup answers (and thus bumps the structural version); the
-  /// thread-collapsed detectors re-loop the current task on every access.
-  void on_loop(VertexId t) {
-    if (!dsu_.visited(t)) {
-      dsu_.set_visited(t, true);
-      ++version_;
-    }
-  }
+  /// Walk line 2–3: visiting the loop (t, t). The thread-collapsed
+  /// detectors re-loop the current task on every access.
+  void on_loop(VertexId t) { dsu_.set_visited(t, true); }
 
   /// Walk line 5–6: visiting a last-arc (s, t) merges s's tree into t's,
   /// keeping t's label — Union(t, s).
-  void on_last_arc(VertexId s, VertexId t) {
-    dsu_.merge_into(t, s);
-    ++version_;
-  }
+  void on_last_arc(VertexId s, VertexId t) { dsu_.merge_into(t, s); }
 
   /// Figure 8, line 7–8: a stop-arc (s, ×) marks s unvisited so it becomes
   /// observationally equivalent to the not-yet-visited supremum.
-  void on_stop_arc(VertexId s) {
-    dsu_.set_visited(s, false);
-    ++version_;
-  }
+  void on_stop_arc(VertexId s) { dsu_.set_visited(s, false); }
 
   /// Dispatches any traversal event (ordinary arcs are no-ops).
   void on_event(const TraversalEvent& e);
@@ -77,31 +65,16 @@ class SupremaEngine {
 
   bool visited(VertexId v) const { return dsu_.visited(v); }
 
-  /// Monotone counter bumped whenever the engine's state changes in a way
-  /// that could alter a Sup answer (first visit, merge, un-visit). The
-  /// shadow cells' owner-epoch fast path caches "ordered" verdicts keyed by
-  /// (task, version); a matching version proves no structural event
-  /// intervened, so the cached verdict still stands.
-  std::uint64_t structural_version() const { return version_; }
-
   /// Heap bytes — the detector's Θ(1)-per-thread state (Theorem 5).
   std::size_t heap_bytes() const { return dsu_.heap_bytes(); }
 
-  /// Snapshot image: the labeled DSU plus the structural version (the
-  /// version must travel so restored shadow epoch caches stay valid).
-  struct State {
-    LabeledUnionFind::State dsu;
-    std::uint64_t version = 0;
-  };
-  State export_state() const { return {dsu_.export_state(), version_}; }
-  void import_state(State&& s) {
-    dsu_.import_state(std::move(s.dsu));
-    version_ = s.version;
-  }
+  /// Snapshot image: the labeled DSU is the engine's whole state.
+  using State = LabeledUnionFind::State;
+  State export_state() const { return dsu_.export_state(); }
+  void import_state(State&& s) { dsu_.import_state(std::move(s)); }
 
  private:
   LabeledUnionFind dsu_;
-  std::uint64_t version_ = 0;
 };
 
 /// Batch solver mirroring Figure 5's Walk(T, Q): runs the canonical

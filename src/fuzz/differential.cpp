@@ -120,8 +120,8 @@ DifferentialResult run_differential(const Trace& trace,
   // 0b. Compressed codec: the version-2 run-compressed stream must expand
   //     to the identical event list, and feeding those bytes through the
   //     full ingest session (decode → lint gate → detector with the O(1)
-  //     run fast path) must produce the BIT-IDENTICAL report stream on both
-  //     engines — the fast path is an optimization, never an oracle change.
+  //     run fast path) must produce the BIT-IDENTICAL report stream — the
+  //     fast path is an optimization, never an oracle change.
   if (config.codec_roundtrip &&
       config.codec_compression == CompressionMode::kRuns) {
     BinaryWriteOptions zopt;
@@ -135,24 +135,18 @@ DifferentialResult run_differential(const Trace& trace,
            << " event(s) in, " << expanded.size() << " out";
         fail(os.str());
       } else {
-        for (const DetectorEngine engine :
-             {DetectorEngine::kDsu, DetectorEngine::kDepa}) {
-          const char* name =
-              engine == DetectorEngine::kDsu ? "dsu" : "depa";
-          DetectionSession session(ReportPolicy::kAll,
-                                   /*max_pending_reports=*/1u << 30, engine);
-          const DetectionSession::FeedOutcome outcome = session.feed(zbytes);
-          ++result.detectors_run;
-          if (outcome.status != ServiceStatus::kOk) {
-            fail(std::string("compressed session replay (") + name +
-                 ") rejected a clean trace: " + outcome.message);
-            continue;
-          }
+        DetectionSession session(ReportPolicy::kAll,
+                                 /*max_pending_reports=*/1u << 30);
+        const DetectionSession::FeedOutcome outcome = session.feed(zbytes);
+        ++result.detectors_run;
+        if (outcome.status != ServiceStatus::kOk) {
+          fail("compressed session replay rejected a clean trace: " +
+               outcome.message);
+        } else {
           bool more = false;
           const std::vector<RaceReport> got = session.drain(0, more);
           if (got != serial) {
-            fail(std::string("compressed replay (") + name +
-                 ") diverges from serial replay: " +
+            fail("compressed replay diverges from serial replay: " +
                  describe("serial", serial) + " vs " +
                  describe("compressed", got));
           }

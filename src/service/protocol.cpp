@@ -100,8 +100,8 @@ std::string encode_request(const Request& request) {
     case Verb::kOpen:
       put_u8(out, static_cast<std::uint8_t>(request.open.policy));
       put_u64(out, request.open.quota_bytes);
-      // Trailing engine byte (decoders accept its absence as kDsu, so old
-      // servers reject a kDepa open loudly instead of silently downgrading).
+      // Trailing engine byte. Decoders accept its absence as kDsu; servers
+      // validate it and then serve every session with the DSU detector.
       put_u8(out, static_cast<std::uint8_t>(request.open.engine));
       break;
     case Verb::kFeed:

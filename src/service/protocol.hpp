@@ -8,8 +8,10 @@
 //
 //   verb:u8  session:u32le  body
 //     OPEN  body := policy:u8 (0 all / 1 first-only)  quota:u64le (0 = default)
-//                   [engine:u8 (0 dsu / 1 depa)] — optional trailing byte;
-//                   legacy 9-byte bodies mean the DSU engine
+//                   [engine:u8 (0 dsu / 1 depa)] — optional trailing byte,
+//                   validated (a value above 1 is a bad frame) and then
+//                   ignored: every session runs the DSU detector, whose
+//                   reports equal DePa's bit for bit
 //     FEED  body := raw binary-trace wire bytes (io/binary_format.hpp)
 //     DRAIN body := max_reports:u32le (0 = all pending)
 //     CLOSE body := empty
@@ -80,7 +82,9 @@ enum class ServiceStatus : std::uint8_t {
 /// Stable kebab-case id, e.g. "quota-evicted".
 const char* service_status_id(ServiceStatus status);
 
-/// Which precedence backend a session's detector runs on.
+/// The precedence backend an OPEN names. Both values are accepted on the
+/// wire and both are served by the DSU detector: the report streams are
+/// identical, so the byte selects nothing.
 enum class DetectorEngine : std::uint8_t {
   kDsu = 0,   ///< labeled DSU suprema (Figure 6; the default)
   kDepa = 1,  ///< order-maintenance labels (core/depa_detector.hpp)

@@ -244,8 +244,7 @@ Response DetectionService::do_open(const Request& request) {
           : limits_.session_quota_bytes;
   const std::uint32_t id =
       install(std::make_unique<DetectionSession>(request.open.policy,
-                                                 limits_.max_pending_reports,
-                                                 request.open.engine),
+                                                 limits_.max_pending_reports),
               quota);
   bump(sessions_opened_);
   Response r;

@@ -23,16 +23,9 @@ TraceLintOptions gate_options() {
 
 DetectionSession::DetectionSession(ReportPolicy policy,
                                    std::size_t max_pending_reports,
-                                   DetectorEngine engine)
-    : max_pending_reports_(max_pending_reports),
-      lint_(gate_options()),
-      detector_(engine == DetectorEngine::kDepa
-                    ? std::variant<OnlineRaceDetector, DePaDetector>(
-                          std::in_place_type<DePaDetector>, policy)
-                    : std::variant<OnlineRaceDetector, DePaDetector>(
-                          std::in_place_type<OnlineRaceDetector>, policy)) {
-  // The initial line {root | program} — both engines number it task 0.
-  std::visit([](auto& d) { d.on_root(); }, detector_);
+                                   DetectorEngine)
+    : DetectionSession(RestoreTag{}, policy, max_pending_reports) {
+  detector_.on_root();  // the initial line {root | program}: task 0
 }
 
 DetectionSession::FeedOutcome DetectionSession::poison(ServiceStatus status,
@@ -77,62 +70,55 @@ DetectionSession::FeedOutcome DetectionSession::feed(const std::string& bytes) {
 
   FeedOutcome out;
   bool rejected = false;
-  // One visit per frame: the event loop is instantiated per engine.
-  std::visit(
-      [&](auto& d) {
-        const auto feed_one = [&](const TraceEvent& e) {
-          if (!lint_.feed(e)) {
-            // The offending event never reaches the detector; everything
-            // decoded before it was already checked and detected.
-            rejected = true;
-            return;
-          }
-          // Lint enforced dense fork-order numbering, so the detector's
-          // fresh id equals e.other by construction.
-          apply_event(d, e);
-          ++events_total_;
-          ++out.events;
-        };
-        std::size_t run_idx = 0;
-        for (std::size_t i = 0; i < scratch_.size() && !rejected;) {
-          if (run_idx < runs_.size() && runs_[run_idx].first == i) {
-            // A stationary compressed run: feed the materialized first
-            // repetition per-event, then try to apply the `extra`
-            // unmaterialized repetitions in one step (clean same-task
-            // access runs are full no-ops on every engine state except the
-            // access ordinal). Fallback re-feeds the template slice
-            // per-event — bit-identical, just slower.
-            const DecodedRun run = runs_[run_idx++];
-            for (std::size_t j = 0; j < run.len && !rejected; ++j)
-              feed_one(scratch_[i + j]);
-            if (rejected) break;
-            const TraceEvent* tmpl = scratch_.data() + i;
-            if (d.try_apply_clean_run(tmpl, run.len, run.extra)) {
-              const std::uint64_t folded =
-                  static_cast<std::uint64_t>(run.len) * run.extra;
-              lint_.note_replayed(folded);
-              events_total_ += folded;
-              out.events += folded;
-            } else {
-              for (std::uint64_t r = 0; r < run.extra && !rejected; ++r)
-                for (std::size_t j = 0; j < run.len && !rejected; ++j)
-                  feed_one(tmpl[j]);
-            }
-            i += run.len;
-          } else {
-            feed_one(scratch_[i]);
-            ++i;
-          }
-        }
-      },
-      detector_);
+  const auto feed_one = [&](const TraceEvent& e) {
+    if (!lint_.feed(e)) {
+      // The offending event never reaches the detector; everything decoded
+      // before it was already checked and detected.
+      rejected = true;
+      return;
+    }
+    // Lint enforced dense fork-order numbering, so the detector's fresh id
+    // equals e.other by construction.
+    apply_event(detector_, e);
+    ++events_total_;
+    ++out.events;
+  };
+  std::size_t run_idx = 0;
+  for (std::size_t i = 0; i < scratch_.size() && !rejected;) {
+    if (run_idx < runs_.size() && runs_[run_idx].first == i) {
+      // A stationary compressed run: feed the materialized first repetition
+      // per-event, then try to apply the `extra` unmaterialized repetitions
+      // in one step (clean same-task access runs are full no-ops on the
+      // detector's state except the access ordinal). Fallback re-feeds the
+      // template slice per-event — bit-identical, just slower.
+      const DecodedRun run = runs_[run_idx++];
+      for (std::size_t j = 0; j < run.len && !rejected; ++j)
+        feed_one(scratch_[i + j]);
+      if (rejected) break;
+      const TraceEvent* tmpl = scratch_.data() + i;
+      if (detector_.try_apply_clean_run(tmpl, run.len, run.extra)) {
+        const std::uint64_t folded =
+            static_cast<std::uint64_t>(run.len) * run.extra;
+        lint_.note_replayed(folded);
+        events_total_ += folded;
+        out.events += folded;
+      } else {
+        for (std::uint64_t r = 0; r < run.extra && !rejected; ++r)
+          for (std::size_t j = 0; j < run.len && !rejected; ++j)
+            feed_one(tmpl[j]);
+      }
+      i += run.len;
+    } else {
+      feed_one(scratch_[i]);
+      ++i;
+    }
+  }
   if (rejected)
     return poison(ServiceStatus::kLintReject,
                   to_string(lint_.result().first_error()));
   // Move this feed's fresh reports into the drain queue; the reporter's
   // totals (any/count/first) keep describing the whole session.
-  std::vector<RaceReport> fresh = std::visit(
-      [](auto& d) { return d.mutable_reporter().take(); }, detector_);
+  std::vector<RaceReport> fresh = detector_.mutable_reporter().take();
   pending_.insert(pending_.end(), fresh.begin(), fresh.end());
   out.pending_reports = static_cast<std::uint32_t>(pending_.size());
   out.backpressure = pending_.size() * 2 >= max_pending_reports_;
@@ -184,47 +170,33 @@ DetectionSession::CloseOutcome DetectionSession::close() {
 }
 
 DetectionSession::DetectionSession(RestoreTag, ReportPolicy policy,
-                                   std::size_t max_pending_reports,
-                                   DetectorEngine engine)
+                                   std::size_t max_pending_reports)
     : max_pending_reports_(max_pending_reports),
       lint_(gate_options()),
-      detector_(engine == DetectorEngine::kDepa
-                    ? std::variant<OnlineRaceDetector, DePaDetector>(
-                          std::in_place_type<DePaDetector>, policy)
-                    : std::variant<OnlineRaceDetector, DePaDetector>(
-                          std::in_place_type<OnlineRaceDetector>, policy)) {
-  // No on_root(): import installs the detector image (root included).
+      detector_(policy) {
+  // No on_root(): a restore imports the detector image (root included).
 }
 
 DetectionSession::State DetectionSession::export_state() const {
   R2D_REQUIRE(!poisoned(), "export_state: poisoned sessions do not snapshot");
   State s;
   s.policy = policy();
-  s.engine = engine();
   s.max_pending_reports = max_pending_reports_;
   s.events_total = events_total_;
   s.fed_bytes = fed_bytes_;
   s.decoder = decoder_.export_state();
   s.lint = lint_.export_state();
-  if (s.engine == DetectorEngine::kDsu)
-    s.dsu = std::get<OnlineRaceDetector>(detector_).export_state();
-  else
-    s.depa = std::get<DePaDetector>(detector_).export_state();
+  s.detector = detector_.export_state();
   s.pending = pending_;
   return s;
 }
 
 std::unique_ptr<DetectionSession> DetectionSession::restore(State&& s) {
   std::unique_ptr<DetectionSession> session(new DetectionSession(
-      RestoreTag{}, s.policy,
-      static_cast<std::size_t>(s.max_pending_reports), s.engine));
+      RestoreTag{}, s.policy, static_cast<std::size_t>(s.max_pending_reports)));
   session->decoder_.import_state(std::move(s.decoder));
   session->lint_.import_state(std::move(s.lint));
-  if (s.engine == DetectorEngine::kDsu)
-    std::get<OnlineRaceDetector>(session->detector_)
-        .import_state(std::move(s.dsu));
-  else if (!std::get<DePaDetector>(session->detector_).import_state(s.depa))
-    return nullptr;
+  session->detector_.import_state(std::move(s.detector));
   session->pending_ = std::move(s.pending);
   session->events_total_ = s.events_total;
   session->fed_bytes_ = s.fed_bytes;
@@ -233,10 +205,10 @@ std::unique_ptr<DetectionSession> DetectionSession::restore(State&& s) {
 
 std::size_t DetectionSession::memory_bytes() const {
   return decoder_.buffered_bytes() + lint_.memory_bytes() +
-         std::visit([](const auto& d) { return d.footprint().total(); },
-                    detector_) +
+         detector_.footprint().total() +
          pending_.capacity() * sizeof(RaceReport) +
-         scratch_.capacity() * sizeof(TraceEvent);
+         scratch_.capacity() * sizeof(TraceEvent) +
+         runs_.capacity() * sizeof(DecodedRun);
 }
 
 }  // namespace race2d

@@ -1,9 +1,9 @@
 // One detection session: the ingest pipeline behind a service session id.
 //
 //   FEED bytes ──▶ BinaryTraceDecoder ──▶ TraceLintStream ──▶ detector
-//                  (O(chunk) resident)    (gate: an event      (DSU or DePa
-//                                          failing lint never   engine; reports
-//                                          reaches the          drained
+//                  (O(chunk) resident)    (gate: an event      (labeled DSU,
+//                                          failing lint never   Figure 6;
+//                                          reaches the          reports drained
 //                                          detector)            incrementally)
 //
 // The pipeline is fail-fast and sticky: the first decode or lint error
@@ -20,10 +20,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <variant>
 #include <vector>
 
-#include "core/depa_detector.hpp"
 #include "core/detector.hpp"
 #include "io/binary_reader.hpp"
 #include "service/protocol.hpp"
@@ -33,12 +31,12 @@ namespace race2d {
 
 class DetectionSession {
  public:
-  /// `engine` picks the precedence backend: the labeled DSU (default) or
-  /// the DePa order-maintenance tags. Both consume the identical event
-  /// stream and produce the identical report stream (the differential panel
-  /// enforces this), so the choice is a pure performance/footprint knob.
+  /// Every session runs the labeled-DSU detector. The third parameter is
+  /// the engine an OPEN named; it is ignored, because DePa's report stream
+  /// is bit-identical to the DSU's (the differential panel enforces this)
+  /// and the DSU is the faster and smaller of the two.
   DetectionSession(ReportPolicy policy, std::size_t max_pending_reports,
-                   DetectorEngine engine = DetectorEngine::kDsu);
+                   DetectorEngine = DetectorEngine::kDsu);
 
   struct FeedOutcome {
     ServiceStatus status = ServiceStatus::kOk;
@@ -71,26 +69,16 @@ class DetectionSession {
   CloseOutcome close();
 
   /// Resident bytes: decoder buffer + lint state + detector (DSU + shadow)
-  /// + undrained reports. The service's quota checks read this after every
-  /// feed.
+  /// + undrained reports + the current feed's decoded events and run
+  /// records. The service's quota checks read this after every feed.
   std::size_t memory_bytes() const;
 
   std::uint64_t events_total() const { return events_total_; }
-  std::uint64_t reports_total() const {
-    return std::visit([](const auto& d) { return d.reporter().count(); },
-                      detector_);
-  }
+  std::uint64_t reports_total() const { return detector_.reporter().count(); }
   std::size_t pending_reports() const { return pending_.size(); }
   bool poisoned() const { return poison_status_ != ServiceStatus::kOk; }
 
-  DetectorEngine engine() const {
-    return detector_.index() == 0 ? DetectorEngine::kDsu
-                                  : DetectorEngine::kDepa;
-  }
-  ReportPolicy policy() const {
-    return std::visit([](const auto& d) { return d.reporter().policy(); },
-                      detector_);
-  }
+  ReportPolicy policy() const { return detector_.reporter().policy(); }
   /// Wire bytes successfully decoded so far (what a snapshot covers — the
   /// restoring client resumes its stream at this offset).
   std::uint64_t fed_bytes() const { return fed_bytes_; }
@@ -100,34 +88,31 @@ class DetectionSession {
   /// contract violation (the service refuses with K008 first).
   struct State {
     ReportPolicy policy = ReportPolicy::kAll;
-    DetectorEngine engine = DetectorEngine::kDsu;
     std::uint64_t max_pending_reports = 0;
     std::uint64_t events_total = 0;
     std::uint64_t fed_bytes = 0;
     BinaryTraceDecoder::Snapshot decoder;
     TraceLintStream::Snapshot lint;
-    OnlineRaceDetector::State dsu;  ///< engine == kDsu
-    DePaDetector::State depa;       ///< engine == kDepa
+    OnlineRaceDetector::State detector;
     std::vector<RaceReport> pending;
   };
   State export_state() const;
   /// Builds a session that continues exactly where `s` left off. `s` must
-  /// be validated (the snapshot codec bound-checks every index first);
-  /// returns nullptr when the DePa clock's tags leave the universe or
-  /// repeat within a list, the one check made while rebuilding.
+  /// be validated first: the snapshot codec bound-checks every index and
+  /// matches the lint task table to the detector's vertices.
   static std::unique_ptr<DetectionSession> restore(State&& s);
 
  private:
   struct RestoreTag {};
   DetectionSession(RestoreTag, ReportPolicy policy,
-                   std::size_t max_pending_reports, DetectorEngine engine);
+                   std::size_t max_pending_reports);
 
   [[nodiscard]] FeedOutcome poison(ServiceStatus status, std::string message);
 
   std::size_t max_pending_reports_;
   BinaryTraceDecoder decoder_;
   TraceLintStream lint_;
-  std::variant<OnlineRaceDetector, DePaDetector> detector_;
+  OnlineRaceDetector detector_;
   std::vector<TraceEvent> scratch_;  ///< decoded events of the current feed
   std::vector<DecodedRun> runs_;     ///< stationary runs among them
   std::vector<RaceReport> pending_;  ///< detected, not yet drained

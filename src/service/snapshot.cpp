@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "io/crc32c.hpp"
-#include "service/protocol.hpp"
 #include "support/assert.hpp"
 #include "support/flat_hash_map.hpp"
 #include "support/ids.hpp"
@@ -14,10 +13,13 @@ namespace race2d {
 namespace {
 
 // Version byte bumped to 2 when the decoder section grew its wire-format
-// version and compressed-chunk flag, and to 3 when the DePa section traded
-// fork-path labels for order-maintenance tags; older blobs are refused with
-// K002 (the service never persisted them across releases).
-constexpr char kMagic[8] = {'R', '2', 'D', 'S', 'N', 'A', 'P', '\x03'};
+// version and compressed-chunk flag, to 3 when the DePa section traded
+// fork-path labels for order-maintenance tags, and to 4 when sessions kept
+// one engine: the payload lost its engine byte and DePa section, and the
+// DSU section its structural version and per-cell version stamps. Older
+// blobs are refused with K002 (the service never persisted them across
+// releases).
+constexpr char kMagic[8] = {'R', '2', 'D', 'S', 'N', 'A', 'P', '\x04'};
 constexpr std::size_t kHeaderBytes = sizeof(kMagic) + 4 + 4;
 
 /// Restore-side rejection: the K-coded message restore_session returns.
@@ -273,20 +275,18 @@ TraceLintStream::Snapshot get_lint(Reader& r) {
 // ----------------------------------------------------- DSU engine section --
 
 void put_dsu(Writer& w, const OnlineRaceDetector::State& s) {
-  const std::size_t n = s.engine.dsu.parent.size();
+  const std::size_t n = s.engine.parent.size();
   w.u64(n);
-  for (std::uint32_t v : s.engine.dsu.parent) w.u32(v);
-  w.bytes(s.engine.dsu.rank.data(), s.engine.dsu.rank.size());
-  for (std::uint32_t v : s.engine.dsu.label) w.u32(v);
-  w.bytes(s.engine.dsu.visited.data(), s.engine.dsu.visited.size());
-  w.u64(s.engine.version);
+  for (std::uint32_t v : s.engine.parent) w.u32(v);
+  w.bytes(s.engine.rank.data(), s.engine.rank.size());
+  for (std::uint32_t v : s.engine.label) w.u32(v);
+  w.bytes(s.engine.visited.data(), s.engine.visited.size());
   w.u64(s.cells.size());
   for (const auto& [loc, cell] : s.cells) {
     w.u64(loc);
     w.u32(cell.read_sup);
     w.u32(cell.write_sup);
     w.u32(cell.epoch_task);
-    w.u64(cell.epoch_version);
   }
   put_reports(w, s.undrained);
   put_report(w, s.first);
@@ -300,26 +300,25 @@ OnlineRaceDetector::State get_dsu(Reader& r) {
   const auto valid_vertex = [n](std::uint32_t v) {
     return v == kInvalidVertex || v < n;
   };
-  s.engine.dsu.parent.reserve(n);
+  s.engine.parent.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint32_t v = r.u32();
     if (v >= n) reject("K007", "DSU parent names a missing vertex");
-    s.engine.dsu.parent.push_back(v);
+    s.engine.parent.push_back(v);
   }
   r.need(n);
-  s.engine.dsu.rank.assign(r.p + r.pos, r.p + r.pos + n);
+  s.engine.rank.assign(r.p + r.pos, r.p + r.pos + n);
   r.pos += n;
-  s.engine.dsu.label.reserve(n);
+  s.engine.label.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint32_t v = r.u32();
     if (v >= n) reject("K007", "DSU label names a missing vertex");
-    s.engine.dsu.label.push_back(v);
+    s.engine.label.push_back(v);
   }
   r.need(n);
-  s.engine.dsu.visited.assign(r.p + r.pos, r.p + r.pos + n);
+  s.engine.visited.assign(r.p + r.pos, r.p + r.pos + n);
   r.pos += n;
-  s.engine.version = r.u64();
-  const std::size_t cells = r.count(24);
+  const std::size_t cells = r.count(20);  // loc + three ids
   s.cells.reserve(cells);
   for (std::size_t i = 0; i < cells; ++i) {
     const Loc loc = r.u64();
@@ -327,88 +326,10 @@ OnlineRaceDetector::State get_dsu(Reader& r) {
     cell.read_sup = r.u32();
     cell.write_sup = r.u32();
     cell.epoch_task = r.u32();
-    cell.epoch_version = r.u64();
     if (!valid_vertex(cell.read_sup) || !valid_vertex(cell.write_sup) ||
         !valid_vertex(cell.epoch_task))
       reject("K007", "shadow cell names a missing vertex");
     s.cells.emplace_back(loc, cell);
-  }
-  s.undrained = get_reports(r);
-  s.first = get_report(r);
-  s.reports_total = r.u64();
-  s.access_count = r.u64();
-  return s;
-}
-
-// ---------------------------------------------------- DePa engine section --
-
-void put_depa(Writer& w, const DePaDetector::State& s) {
-  w.u64(s.clock.intervals.size());
-  for (const OmClock::Tags& iv : s.clock.intervals) {
-    w.u64(iv.e);
-    w.u64(iv.h);
-  }
-  w.u64(s.cur.size());
-  for (std::uint64_t idx : s.cur) w.u64(idx);
-  w.u64(s.cells.size());
-  for (const DePaDetector::CellState& c : s.cells) {
-    w.u64(c.loc);
-    w.u64(c.read_emax);
-    w.u64(c.read_hmax);
-    w.u64(c.write_emax);
-    w.u64(c.write_hmax);
-    w.u32(c.owner);
-  }
-  put_reports(w, s.undrained);
-  put_report(w, s.first);
-  w.u64(s.reports_total);
-  w.u64(s.access_count);
-}
-
-DePaDetector::State get_depa(Reader& r) {
-  DePaDetector::State s;
-  // Tags are range-checked and the lists rebuilt by sorting on them when
-  // the session is restored (a failure there is a K007, see
-  // restore_session).
-  const std::size_t intervals = r.count(16);  // E tag + H tag
-  s.clock.intervals.resize(intervals);
-  for (OmClock::Tags& iv : s.clock.intervals) {
-    iv.e = r.u64();
-    iv.h = r.u64();
-  }
-  const auto valid_index = [intervals](std::uint64_t idx) {
-    return idx == DePaDetector::kNullInterval || idx < intervals;
-  };
-  const std::size_t tasks = r.count(8);
-  s.cur.reserve(tasks);
-  for (std::size_t i = 0; i < tasks; ++i) {
-    const std::uint64_t idx = r.u64();
-    if (idx >= intervals)
-      reject("K007", "task interval index names a missing interval");
-    s.cur.push_back(idx);
-  }
-  const std::size_t cells = r.count(44);
-  s.cells.reserve(cells);
-  for (std::size_t i = 0; i < cells; ++i) {
-    DePaDetector::CellState c;
-    c.loc = r.u64();
-    c.read_emax = r.u64();
-    c.read_hmax = r.u64();
-    c.write_emax = r.u64();
-    c.write_hmax = r.u64();
-    c.owner = r.u32();
-    if (!valid_index(c.read_emax) || !valid_index(c.read_hmax) ||
-        !valid_index(c.write_emax) || !valid_index(c.write_hmax))
-      reject("K007", "shadow cell names a missing interval");
-    // The per-kind maxima are folded together: both set or both null.
-    if ((c.read_emax == DePaDetector::kNullInterval) !=
-            (c.read_hmax == DePaDetector::kNullInterval) ||
-        (c.write_emax == DePaDetector::kNullInterval) !=
-            (c.write_hmax == DePaDetector::kNullInterval))
-      reject("K007", "shadow cell maxima half-set");
-    if (c.owner != kInvalidTask && c.owner >= tasks)
-      reject("K007", "shadow cell owner names a missing task");
-    s.cells.push_back(c);
   }
   s.undrained = get_reports(r);
   s.first = get_report(r);
@@ -444,23 +365,21 @@ DetectionSession::State decode_payload(Reader& r, std::uint64_t& quota_bytes) {
   DetectionSession::State s;
   s.fed_bytes = r.u64();
   const std::uint8_t policy = r.u8();
-  const std::uint8_t engine = r.u8();
   if (policy > static_cast<std::uint8_t>(ReportPolicy::kFirstOnly))
     reject("K006", "unknown report policy");
-  if (engine > static_cast<std::uint8_t>(DetectorEngine::kDepa))
-    reject("K006", "unknown detector engine");
   s.policy = static_cast<ReportPolicy>(policy);
-  s.engine = static_cast<DetectorEngine>(engine);
   quota_bytes = r.u64();
   if (quota_bytes == 0) reject("K006", "session quota out of range");
   s.max_pending_reports = r.u64();
   s.events_total = r.u64();
   s.decoder = get_decoder(r);
   s.lint = get_lint(r);
-  if (s.engine == DetectorEngine::kDsu)
-    s.dsu = get_dsu(r);
-  else
-    s.depa = get_depa(r);
+  s.detector = get_dsu(r);
+  // Both start at the root and lint admits exactly the forks the detector
+  // applies, so a live session has one lint task per DSU vertex. A gate
+  // that knew a task the detector does not would pass it an unknown id.
+  if (s.lint.tasks.size() != s.detector.engine.parent.size())
+    reject("K007", "lint task table and DSU vertex count disagree");
   s.pending = get_reports(r);
   if (r.remaining() != 0)
     reject("K005", "trailing bytes after the session state");
@@ -475,16 +394,12 @@ std::string snapshot_session(const DetectionSession& session,
   Writer w;
   w.u64(s.fed_bytes);
   w.u8(static_cast<std::uint8_t>(s.policy));
-  w.u8(static_cast<std::uint8_t>(s.engine));
   w.u64(static_cast<std::uint64_t>(quota_bytes));
   w.u64(s.max_pending_reports);
   w.u64(s.events_total);
   put_decoder(w, s.decoder);
   put_lint(w, s.lint);
-  if (s.engine == DetectorEngine::kDsu)
-    put_dsu(w, s.dsu);
-  else
-    put_depa(w, s.depa);
+  put_dsu(w, s.detector);
   put_reports(w, s.pending);
 
   std::string blob;
@@ -504,9 +419,6 @@ RestoreOutcome restore_session(const std::string& blob) {
     Reader r = open_payload(blob);
     DetectionSession::State s = decode_payload(r, out.quota_bytes);
     out.session = DetectionSession::restore(std::move(s));
-    if (out.session == nullptr)
-      reject("K007", "order-maintenance tag outside the universe or repeated "
-                     "within a list");
   } catch (const SnapshotReject& e) {
     out.quota_bytes = 0;
     out.error = e.message;

@@ -10,8 +10,9 @@
 //    B015–B018 (with the chunk CRC re-computed, so the CRC pass cannot mask
 //    the structural check), and every truncation prefix and single-bit flip
 //    of a valid v2 stream is rejected;
-//  * the run sink surfaces stationary runs and the detector fast path is
-//    bit-identical to per-event replay on both engines;
+//  * the run sink surfaces stationary runs, the detectors' fast paths are
+//    bit-identical to per-event replay, and a session charges its run
+//    records to its memory quota;
 //  * blob codec: round trip on adversarial byte shapes, nullopt on any
 //    corruption;
 //  * spill tier: store/load round trip, LRU budget eviction, K009/K010.
@@ -30,6 +31,9 @@
 #include "compress/chunk_codec.hpp"
 #include "compress/run_decoder.hpp"
 #include "compress/spill_tier.hpp"
+#include "core/depa_detector.hpp"
+#include "core/detector.hpp"
+#include "core/replay.hpp"
 #include "fuzz/fuzz_plan.hpp"
 #include "fuzz/trace_gen.hpp"
 #include "io/binary_reader.hpp"
@@ -175,25 +179,101 @@ TEST(RunDecoder, SurfacesStationaryRuns) {
   EXPECT_EQ(everything, t);
 }
 
-TEST(RunReplay, BitIdenticalReportsOnBothEngines) {
+TEST(RunReplay, BitIdenticalReports) {
   for (const Trace& t : {repetitive_trace(500), racy_repetitive_trace(100),
                          generate_trace(FuzzPlan::from_seed(77)).trace}) {
-    const std::string v1 = v1_bytes(t);
-    const std::string v2 = v2_bytes(t);
-    for (const DetectorEngine engine :
-         {DetectorEngine::kDsu, DetectorEngine::kDepa}) {
-      DetectionSession plain(ReportPolicy::kAll, 1u << 20, engine);
-      DetectionSession fast(ReportPolicy::kAll, 1u << 20, engine);
-      const auto a = plain.feed(v1);
-      const auto b = fast.feed(v2);
-      ASSERT_EQ(a.status, ServiceStatus::kOk);
-      ASSERT_EQ(b.status, ServiceStatus::kOk);
-      EXPECT_EQ(a.events, b.events);
-      bool more = false;
-      EXPECT_EQ(plain.drain(0, more), fast.drain(0, more));
-      EXPECT_EQ(plain.events_total(), fast.events_total());
-    }
+    DetectionSession plain(ReportPolicy::kAll, 1u << 20);
+    DetectionSession fast(ReportPolicy::kAll, 1u << 20);
+    const auto a = plain.feed(v1_bytes(t));
+    const auto b = fast.feed(v2_bytes(t));
+    ASSERT_EQ(a.status, ServiceStatus::kOk);
+    ASSERT_EQ(b.status, ServiceStatus::kOk);
+    EXPECT_EQ(a.events, b.events);
+    bool more = false;
+    EXPECT_EQ(plain.drain(0, more), fast.drain(0, more));
+    EXPECT_EQ(plain.events_total(), fast.events_total());
   }
+}
+
+// Sessions fold runs on the DSU detector only, but DePaDetector keeps its
+// own run fast path (the traced benchmark replays runs through it), so it
+// is held to per-event replay directly: decode with the run sink, fold what
+// folds, and the reports and access count match serial replay.
+TEST(RunReplay, DepaRunFoldingIsBitIdentical) {
+  std::size_t folded = 0;
+  for (const Trace& t : {repetitive_trace(500), racy_repetitive_trace(100),
+                         generate_trace(FuzzPlan::from_seed(77)).trace}) {
+    const std::string v2 = v2_bytes(t);
+    RunDecoder decoder;
+    std::vector<TraceEvent> events;
+    std::vector<DecodedRun> runs;
+    decoder.feed(v2.data(), v2.size(), events, runs);
+    decoder.finish();
+    DePaDetector depa;
+    depa.on_root();
+    std::size_t k = 0;
+    for (std::size_t i = 0; i < events.size();) {
+      if (k == runs.size() || runs[k].first != i) {
+        apply_event(depa, events[i++]);
+        continue;
+      }
+      const DecodedRun run = runs[k++];
+      const TraceEvent* tmpl = events.data() + i;
+      for (std::size_t j = 0; j < run.len; ++j) apply_event(depa, tmpl[j]);
+      if (depa.try_apply_clean_run(tmpl, run.len, run.extra)) {
+        ++folded;
+      } else {
+        for (std::uint64_t r = 0; r < run.extra; ++r)
+          for (std::size_t j = 0; j < run.len; ++j) apply_event(depa, tmpl[j]);
+      }
+      i += run.len;
+    }
+    OnlineRaceDetector dsu;
+    dsu.on_root();
+    for (const TraceEvent& e : t) apply_event(dsu, e);
+    EXPECT_EQ(depa.reporter().all(), detect_races_trace(t));
+    EXPECT_EQ(depa.access_count(), dsu.access_count());
+  }
+  EXPECT_GT(folded, 0u);
+}
+
+// A frame of many short stationary runs keeps one DecodedRun per run until
+// the next feed. The quota reads memory_bytes(), so it must count them next
+// to the decoded events and the detector: rebuilding those pieces outside
+// the session (same decoder, same replay) bounds memory_bytes() from below.
+TEST(RunReplay, SessionChargesItsRunRecords) {
+  // Scattered locations, each written four times: a literal write, then a
+  // stationary run of three. The scattered deltas keep the encoder from
+  // folding whole groups into one longer template.
+  Trace t;
+  std::mt19937_64 rng(7);
+  t.push_back({TraceOp::kFork, 0, 1});
+  for (int n = 0; n < 2000; ++n) {
+    const Loc loc = rng() >> 24;
+    for (int i = 0; i < 4; ++i)
+      t.push_back({TraceOp::kWrite, 1, kInvalidTask, loc});
+  }
+  t.push_back({TraceOp::kHalt, 1});
+  t.push_back({TraceOp::kJoin, 0, 1});
+  t.push_back({TraceOp::kHalt, 0});
+  const std::string v2 = v2_bytes(t, 1 << 20);
+
+  BinaryTraceDecoder decoder;
+  std::vector<TraceEvent> events;
+  std::vector<DecodedRun> runs;
+  decoder.feed(v2.data(), v2.size(), events, &runs);
+  ASSERT_GE(runs.size(), 1000u);
+  OnlineRaceDetector detector;
+  detector.on_root();
+  for (const TraceEvent& e : events) apply_event(detector, e);
+
+  DetectionSession session(ReportPolicy::kAll, 1u << 20);
+  ASSERT_EQ(session.feed(v2).status, ServiceStatus::kOk);
+  EXPECT_EQ(session.events_total(), t.size());
+  EXPECT_GE(session.memory_bytes(),
+            detector.footprint().total() +
+                events.capacity() * sizeof(TraceEvent) +
+                runs.capacity() * sizeof(DecodedRun));
 }
 
 // ---- rejection taxonomy ---------------------------------------------------

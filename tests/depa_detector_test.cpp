@@ -13,7 +13,7 @@
 //   3. DePaDetector's report stream is BIT-IDENTICAL to serial Figure-6
 //      replay: same reports, same order, same ordinals — on generated
 //      programs, fuzz traces, the whole checked-in regression corpus, and a
-//      program long enough to force relabels, also across snapshots.
+//      program long enough to force relabels.
 //
 //   4. Per-task bytes stay flat however many tasks a program runs.
 #include <gtest/gtest.h>
@@ -23,22 +23,19 @@
 #include <fstream>
 #include <iterator>
 #include <list>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "baselines/oracle.hpp"
+#include "composed_program.hpp"
 #include "core/depa_detector.hpp"
 #include "core/om_timestamps.hpp"
 #include "core/replay.hpp"
 #include "fuzz/fuzz_plan.hpp"
 #include "fuzz/trace_gen.hpp"
-#include "io/binary_writer.hpp"
 #include "runtime/serial_executor.hpp"
 #include "runtime/trace.hpp"
 #include "runtime/trace_io.hpp"
-#include "service/session.hpp"
-#include "service/snapshot.hpp"
 #include "support/rng.hpp"
 #include "workloads/generators.hpp"
 
@@ -302,39 +299,6 @@ TEST(DePaDetector, PerTaskBytesStayFlatOverSequentialChildren) {
   }
 }
 
-/// `count` fuzz subprograms run one after another under one root, the way
-/// the end-to-end benchmark composes its long sessions: subprogram i is a
-/// child of task 0 with its task ids shifted to stay dense in fork order and
-/// its locations shifted into window i % 16, and the root joins it before
-/// forking the next, so subprograms never race with each other.
-Trace composed_program(std::uint64_t seed, std::size_t count) {
-  Xoshiro256 rng(seed);
-  Trace out;
-  TaskId next_task = 1;
-  for (std::size_t i = 0; i < count; ++i) {
-    const Trace sub = generate_trace(FuzzPlan::from_seed(rng())).trace;
-    const TaskId base = next_task;
-    const Loc loc_base = static_cast<Loc>(i % 16) << 21;
-    out.push_back({TraceOp::kFork, 0, base, 0});
-    ++next_task;
-    bool halted = false;
-    for (TraceEvent e : sub) {
-      if (e.op == TraceOp::kFork) ++next_task;
-      if (e.op == TraceOp::kHalt && e.actor == 0) halted = true;
-      e.actor += base;
-      if (e.other != kInvalidTask) e.other += base;
-      if (e.op == TraceOp::kRead || e.op == TraceOp::kWrite ||
-          e.op == TraceOp::kRetire)
-        e.loc += loc_base;
-      out.push_back(e);
-    }
-    if (!halted) out.push_back({TraceOp::kHalt, base, kInvalidTask, 0});
-    out.push_back({TraceOp::kJoin, 0, base, 0});
-  }
-  out.push_back({TraceOp::kHalt, 0, kInvalidTask, 0});
-  return out;
-}
-
 // The fuzz panel's traces are too short to fill a tag gap; 2 000 composed
 // subprograms relabel both lists many times over.
 TEST(DePaDetector, BitIdenticalToSerialOnALongComposedProgram) {
@@ -356,38 +320,6 @@ TEST(DePaDetector, BitIdenticalToSerialOnALongComposedProgram) {
     moved += iv->e.tag != now->e.tag || iv->h.tag != now->h.tag;
   });
   EXPECT_GT(moved, 0u);
-}
-
-// The same program through a DePa session that is snapshotted and restored
-// every 64 frames: each restore rebuilds lists that have been relabeled, and
-// the drained stream still matches serial replay report for report.
-TEST(DePaDetector, SnapshotsOfRelabeledListsRestoreBitIdentically) {
-  constexpr std::size_t kFrame = 1024;
-  const Trace trace = composed_program(2026, 2000);
-  const std::string wire = trace_to_binary(trace);
-  auto session = std::make_unique<DetectionSession>(
-      ReportPolicy::kAll, std::size_t{1} << 20, DetectorEngine::kDepa);
-  std::vector<RaceReport> got;
-  std::size_t restores = 0;
-  for (std::size_t off = 0, frame = 1; off < wire.size();
-       off += kFrame, ++frame) {
-    const DetectionSession::FeedOutcome fed =
-        session->feed(wire.substr(off, kFrame));
-    ASSERT_EQ(fed.status, ServiceStatus::kOk) << fed.message;
-    bool more = false;
-    const std::vector<RaceReport> drained = session->drain(0, more);
-    got.insert(got.end(), drained.begin(), drained.end());
-    if (frame % 64 == 0) {
-      RestoreOutcome restored =
-          restore_session(snapshot_session(*session, std::size_t{1} << 30));
-      ASSERT_NE(restored.session, nullptr) << restored.error;
-      session = std::move(restored.session);
-      ++restores;
-    }
-  }
-  EXPECT_TRUE(session->close().complete);
-  EXPECT_GE(restores, 10u);
-  EXPECT_EQ(got, detect_races_trace(trace));
 }
 
 }  // namespace

@@ -3,12 +3,18 @@
 // (reads compare against W only — §2.3).
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <vector>
+
+#include "baselines/naive.hpp"
+#include "composed_program.hpp"
+#include "core/access_history.hpp"
 #include "core/detector.hpp"
 #include "core/replay.hpp"
-#include "core/suprema_walk.hpp"
 #include "runtime/instrumented.hpp"
 #include "runtime/serial_executor.hpp"
 #include "runtime/trace.hpp"
+#include "runtime/trace_io.hpp"
 
 namespace race2d {
 namespace {
@@ -207,43 +213,109 @@ TEST(DetectorSemantics, FootprintIsConstantPerLocation) {
   EXPECT_LE(large, small * 2.0);  // flat, modulo hash-table rounding
 }
 
+// The shadow cell is three ids, so a hash slot (key, cell, occupied flag)
+// is 24 bytes; at the table's lowest load after a doubling (5/16) that is
+// 76.8 bytes per location. Each task costs the DSU 10 bytes (parent, rank,
+// label, visited), at most 20 with its vectors' doubling slack. Both are
+// checked along one long composed program, with no timing.
+TEST(DetectorSemantics, ShadowAndPerTaskBytesStaySmall) {
+  EXPECT_EQ(sizeof(ShadowCell), 12u);
+  constexpr std::size_t kPoints[] = {10'000, 100'000, 1'000'000};
+  const Trace trace = composed_program(2026, ~std::size_t{0}, kPoints[2]);
+  ASSERT_GE(trace.size(), kPoints[2]);
+  OnlineRaceDetector det;
+  det.on_root();
+  std::size_t point = 0;
+  for (std::size_t i = 0; i < trace.size() && point < 3; ++i) {
+    apply_event(det, trace[i]);
+    if (i + 1 != kPoints[point]) continue;
+    const MemoryFootprint f = det.footprint();
+    EXPECT_LE(f.shadow_bytes_per_location(det.tracked_locations()), 76.8)
+        << "after " << kPoints[point] << " events";
+    EXPECT_LE(static_cast<double>(f.per_task_bytes) /
+                  static_cast<double>(det.task_count()),
+              20.0)
+        << "after " << kPoints[point] << " events";
+    ++point;
+  }
+  EXPECT_EQ(point, 3u);
+}
+
 // --- owner-epoch fast path -------------------------------------------------
-// A join must invalidate cached verdicts: re-accesses re-query.
+// The cache holds one task id per cell and no version: a verdict cached by
+// t stays valid across t's own structural events, and any other task's
+// access replaces it.
 
 using TraceDriver = std::vector<RaceReport> (*)(const Trace&, ReportPolicy,
                                                 LintGate);
 constexpr TraceDriver kDrivers[] = {detect_races_trace,
                                     detect_races_trace_depa};
 
-TEST(EpochCache, StructuralVersionBumpsOnStructureOnly) {
-  SupremaEngine engine;
-  const VertexId a = engine.add_vertex();
-  engine.on_loop(a);
-  const std::uint64_t after_start = engine.structural_version();
-  EXPECT_GT(after_start, 0u);
-  engine.on_loop(a);  // re-loop of a visited vertex: no structural change
-  engine.on_loop(a);
-  EXPECT_EQ(engine.structural_version(), after_start);
+/// A report without its task: the naive oracle names task-graph vertices.
+using ReportKey = std::tuple<Loc, std::size_t, AccessKind, AccessKind>;
+std::vector<ReportKey> keys(const std::vector<RaceReport>& reports) {
+  std::vector<ReportKey> out;
+  for (const RaceReport& r : reports)
+    out.emplace_back(r.loc, r.access_index, r.current_kind, r.prior_kind);
+  return out;
+}
 
-  const VertexId b = engine.add_vertex();
-  EXPECT_EQ(engine.structural_version(), after_start);  // creation alone: no
-  engine.on_loop(b);  // task start
-  EXPECT_GT(engine.structural_version(), after_start);
-
-  const std::uint64_t before_halt = engine.structural_version();
-  engine.on_stop_arc(b);  // halt
-  EXPECT_GT(engine.structural_version(), before_halt);
-  const std::uint64_t before_join = engine.structural_version();
-  engine.on_last_arc(b, a);  // join
-  EXPECT_GT(engine.structural_version(), before_join);
+TEST(EpochCache, OwnerVerdictSurvivesItsChildrensStructure) {
+  // Owners' accesses to 0x10 separated by their children's forks, halts
+  // and joins. Comments give each access's expected verdict.
+  const Trace trace = parse_trace_text(
+      "write 0 10\n"
+      "fork 0 1\n"
+      "read 1 20\n"
+      "halt 1\n"
+      "write 0 10\n"  // owner 0 across child 1's fork and halt: clean
+      "join 0 1\n"
+      "write 0 10\n"  // owner 0 across the join: clean
+      "fork 0 2\n"
+      "write 2 10\n"  // ordered after 0's writes by the fork: owner 2
+      "halt 2\n"
+      "read 0 10\n"   // 2 is unjoined: read-write race
+      "join 0 2\n"
+      "read 0 10\n"   // ordered now: owner 0
+      "fork 0 3\n"
+      "halt 3\n"
+      "join 0 3\n"
+      "write 0 10\n"  // owner 0 across child 3's whole life: clean
+      "fork 0 4\n"
+      "fork 4 5\n"
+      "write 5 30\n"
+      "halt 5\n"
+      "join 4 5\n"
+      "write 4 10\n"  // owner 4
+      "fork 4 6\n"
+      "halt 6\n"
+      "join 4 6\n"
+      "write 4 10\n"  // owner 4 across its child's life: clean
+      "halt 4\n"
+      "read 0 10\n"   // 4 is unjoined: read-write race
+      "join 0 4\n"
+      "write 0 10\n"  // clean
+      "fork 0 7\n"
+      "write 7 10\n"  // owner 7
+      "halt 7\n"
+      "write 0 10\n"  // 7 is unjoined: write-write race
+      "join 0 7\n"
+      "halt 0\n");
+  const std::vector<RaceReport> dsu = detect_races_trace(trace);
+  ASSERT_EQ(dsu.size(), 3u);
+  EXPECT_EQ(dsu[0].current_kind, AccessKind::kRead);
+  EXPECT_EQ(dsu[1].current_kind, AccessKind::kRead);
+  EXPECT_EQ(dsu[2].prior_kind, AccessKind::kWrite);
+  EXPECT_EQ(detect_races_trace_depa(trace), dsu);
+  EXPECT_EQ(keys(detect_races_naive(build_task_graph(trace)).races),
+            keys(dsu));
 }
 
 TEST(EpochCache, JoinInvalidatesCachedVerdicts) {
   // Task 0 races with its (already halted, not yet joined) child on the
-  // first read, then joins it. The re-access after the join must re-query:
-  // the race is ordered away, so exactly ONE report total. A cache that
-  // survived the join's version bump would either duplicate the report or
-  // keep the stale verdict.
+  // first read, then joins it. The racing read cached nothing, so the
+  // re-access after the join re-queries: the race is ordered away, so
+  // exactly ONE report total.
   const Trace trace = {
       {TraceOp::kFork, 0, 1, 0},
       {TraceOp::kWrite, 1, kInvalidTask, 0x10},

@@ -1,6 +1,6 @@
 // WorkerPool: sharded multi-core service. Session-id pinning, concurrent
-// multi-stream determinism against the offline detector (both engines, 1/2/8
-// workers, repeated), pool-wide session cap and memory budget, and the
+// multi-stream determinism against the offline detector (1/2/8 workers,
+// repeated), pool-wide session cap and memory budget, and the
 // stats-vs-feed concurrency contract (metrics_json is safe to hammer from
 // other threads while workers feed — run under TSan by scripts/check.sh).
 #include <gtest/gtest.h>
@@ -39,12 +39,11 @@ Trace generated(std::uint64_t seed) {
   return generate_trace(FuzzPlan::from_seed(seed)).trace;
 }
 
-std::uint32_t pool_open(WorkerPool& pool, DetectorEngine engine,
+std::uint32_t pool_open(WorkerPool& pool,
                         ReportPolicy policy = ReportPolicy::kAll) {
   Request req;
   req.verb = Verb::kOpen;
   req.open.policy = policy;
-  req.open.engine = engine;
   const Response rsp = pool.handle(req);
   EXPECT_EQ(rsp.status, ServiceStatus::kOk);
   return rsp.session;
@@ -82,7 +81,7 @@ Response pool_close(WorkerPool& pool, std::uint32_t session) {
 TEST(WorkerPool, SessionIdsArePinnedToTheirShard) {
   WorkerPool pool(4);
   for (int i = 0; i < 12; ++i) {
-    const std::uint32_t id = pool_open(pool, DetectorEngine::kDsu);
+    const std::uint32_t id = pool_open(pool);
     ASSERT_NE(id, 0u);
     // Whatever shard issued the id, it must route back to that shard.
     EXPECT_EQ(pool.shard_of(id), id % 4u);
@@ -110,11 +109,11 @@ TEST(WorkerPool, SubmitToPinsOpensToTheRequestedShard) {
   }
 }
 
-// The tentpole determinism gate: an 18-stream corpus fed through 1, 2 and 8
-// workers by concurrent client threads, frames interleaved arbitrarily by
-// the scheduler, 20 repetitions, both engines — every session's report
-// stream must be bit-identical to the offline serial detector.
-TEST(WorkerPool, ConcurrentStreamsMatchOfflineDetectorBothEngines) {
+// The determinism gate: an 18-stream corpus fed through 1, 2 and 8 workers
+// by concurrent client threads, frames interleaved arbitrarily by the
+// scheduler, 20 repetitions — every session's report stream must be
+// bit-identical to the offline serial detector.
+TEST(WorkerPool, ConcurrentStreamsMatchOfflineDetector) {
   constexpr std::size_t kStreams = 18;
   constexpr std::size_t kClients = 6;  // 3 sessions per client thread
   constexpr int kReps = 20;
@@ -129,60 +128,53 @@ TEST(WorkerPool, ConcurrentStreamsMatchOfflineDetectorBothEngines) {
     expected.push_back(detect_races_trace(t));
   }
 
-  for (const DetectorEngine engine :
-       {DetectorEngine::kDsu, DetectorEngine::kDepa}) {
-    for (const std::size_t workers : {1u, 2u, 8u}) {
-      for (int rep = 0; rep < kReps; ++rep) {
-        WorkerPool pool(workers);
-        std::vector<std::vector<RaceReport>> got(kStreams);
-        std::atomic<int> failures{0};
-        std::vector<std::thread> clients;
-        for (std::size_t c = 0; c < kClients; ++c) {
-          clients.emplace_back([&, c] {
-            // Each client interleaves ITS sessions frame-by-frame while the
-            // other clients do the same — the pool sees a scheduler-chosen
-            // global interleaving every repetition.
-            const std::size_t lo = c * (kStreams / kClients);
-            const std::size_t hi = lo + kStreams / kClients;
-            std::vector<std::uint32_t> ids(hi - lo);
-            std::vector<std::size_t> off(hi - lo, 0);
-            for (std::size_t s = lo; s < hi; ++s)
-              ids[s - lo] = pool_open(pool, engine);
-            constexpr std::size_t kFrame = 96;
-            bool progress = true;
-            while (progress) {
-              progress = false;
-              for (std::size_t s = lo; s < hi; ++s) {
-                const std::string& wire = wires[s];
-                std::size_t& o = off[s - lo];
-                if (o >= wire.size()) continue;
-                const std::size_t n = std::min(kFrame, wire.size() - o);
-                const Response r =
-                    pool_feed(pool, ids[s - lo], wire.substr(o, n));
-                if (r.status != ServiceStatus::kOk)
-                  failures.fetch_add(1, std::memory_order_relaxed);
-                o += n;
-                progress = true;
-              }
-            }
+  for (const std::size_t workers : {1u, 2u, 8u}) {
+    for (int rep = 0; rep < kReps; ++rep) {
+      WorkerPool pool(workers);
+      std::vector<std::vector<RaceReport>> got(kStreams);
+      std::atomic<int> failures{0};
+      std::vector<std::thread> clients;
+      for (std::size_t c = 0; c < kClients; ++c) {
+        clients.emplace_back([&, c] {
+          // Each client interleaves ITS sessions frame-by-frame while the
+          // other clients do the same — the pool sees a scheduler-chosen
+          // global interleaving every repetition.
+          const std::size_t lo = c * (kStreams / kClients);
+          const std::size_t hi = lo + kStreams / kClients;
+          std::vector<std::uint32_t> ids(hi - lo);
+          std::vector<std::size_t> off(hi - lo, 0);
+          for (std::size_t s = lo; s < hi; ++s) ids[s - lo] = pool_open(pool);
+          constexpr std::size_t kFrame = 96;
+          bool progress = true;
+          while (progress) {
+            progress = false;
             for (std::size_t s = lo; s < hi; ++s) {
-              got[s] = pool_drain(pool, ids[s - lo]);
-              const Response close = pool_close(pool, ids[s - lo]);
-              if (close.status != ServiceStatus::kOk || !close.close.complete)
+              const std::string& wire = wires[s];
+              std::size_t& o = off[s - lo];
+              if (o >= wire.size()) continue;
+              const std::size_t n = std::min(kFrame, wire.size() - o);
+              const Response r =
+                  pool_feed(pool, ids[s - lo], wire.substr(o, n));
+              if (r.status != ServiceStatus::kOk)
                 failures.fetch_add(1, std::memory_order_relaxed);
+              o += n;
+              progress = true;
             }
-          });
-        }
-        for (std::thread& t : clients) t.join();
-        ASSERT_EQ(failures.load(), 0)
-            << "engine " << static_cast<int>(engine) << " workers " << workers
-            << " rep " << rep;
-        for (std::size_t s = 0; s < kStreams; ++s)
-          ASSERT_EQ(got[s], expected[s])
-              << "stream " << s << " engine " << static_cast<int>(engine)
-              << " workers " << workers << " rep " << rep;
-        EXPECT_EQ(pool.live_sessions(), 0u);
+          }
+          for (std::size_t s = lo; s < hi; ++s) {
+            got[s] = pool_drain(pool, ids[s - lo]);
+            const Response close = pool_close(pool, ids[s - lo]);
+            if (close.status != ServiceStatus::kOk || !close.close.complete)
+              failures.fetch_add(1, std::memory_order_relaxed);
+          }
+        });
       }
+      for (std::thread& t : clients) t.join();
+      ASSERT_EQ(failures.load(), 0) << "workers " << workers << " rep " << rep;
+      for (std::size_t s = 0; s < kStreams; ++s)
+        ASSERT_EQ(got[s], expected[s])
+            << "stream " << s << " workers " << workers << " rep " << rep;
+      EXPECT_EQ(pool.live_sessions(), 0u);
     }
   }
 }
@@ -191,7 +183,7 @@ TEST(WorkerPool, PoolWideSessionCapBindsAcrossShards) {
   ServiceLimits limits;
   limits.max_sessions = 5;
   WorkerPool pool(4, limits);
-  for (int i = 0; i < 5; ++i) pool_open(pool, DetectorEngine::kDsu);
+  for (int i = 0; i < 5; ++i) pool_open(pool);
   Request req;
   req.verb = Verb::kOpen;
   const Response refused = pool.handle(req);
@@ -203,8 +195,8 @@ TEST(WorkerPool, GlobalBudgetEvictsTheHeaviestSessionAsynchronously) {
   ServiceLimits limits;
   limits.total_quota_bytes = 48 * 1024;  // tiny pool-wide budget
   WorkerPool pool(2, limits);
-  const std::uint32_t a = pool_open(pool, DetectorEngine::kDsu);
-  const std::uint32_t b = pool_open(pool, DetectorEngine::kDsu);
+  const std::uint32_t a = pool_open(pool);
+  const std::uint32_t b = pool_open(pool);
   // A wide trace: thousands of distinct locations make the shadow memory —
   // and with it the sessions' measured footprint — grow past the budget.
   std::ostringstream text;
@@ -236,7 +228,7 @@ TEST(WorkerPool, GlobalBudgetEvictsTheHeaviestSessionAsynchronously) {
   }
   EXPECT_TRUE(evicted) << "resident " << pool.resident_bytes();
   // The pool is unharmed: a fresh session still detects.
-  const std::uint32_t fresh = pool_open(pool, DetectorEngine::kDsu);
+  const std::uint32_t fresh = pool_open(pool);
   ASSERT_EQ(pool_feed(pool, fresh, trace_to_binary(racy_trace())).status,
             ServiceStatus::kOk);
   EXPECT_EQ(pool_drain(pool, fresh).size(), 1u);
@@ -284,8 +276,7 @@ TEST(WorkerPool, SpillTierRetainsAThousandSessionsBeyondTheQuota) {
   // governor spills sessions as the pool overshoots its budget.
   std::vector<std::uint32_t> ids(kSessions);
   for (std::size_t s = 0; s < kSessions; ++s) {
-    ids[s] = pool_open(pool, s % 2 == 0 ? DetectorEngine::kDsu
-                                        : DetectorEngine::kDepa);
+    ids[s] = pool_open(pool);
     const std::string& wire = wire_of(s);
     const Response r = pool_feed(pool, ids[s], wire.substr(0, wire.size() / 2));
     ASSERT_EQ(r.status, ServiceStatus::kOk)
@@ -335,7 +326,7 @@ TEST(WorkerPool, StatsAreSafeToHammerDuringFeeds) {
     feeders.emplace_back([&, f] {
       const std::string wire = trace_to_binary(generated(900 + f));
       for (int i = 0; i < 40; ++i) {
-        const std::uint32_t id = pool_open(pool, DetectorEngine::kDsu);
+        const std::uint32_t id = pool_open(pool);
         for (std::size_t off = 0; off < wire.size(); off += 256) {
           const Response r = pool_feed(
               pool, id, wire.substr(off, std::min<std::size_t>(256, wire.size() - off)));

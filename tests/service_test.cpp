@@ -146,6 +146,9 @@ TEST(Protocol, MalformedPayloadsAreRejectedNotCrashes) {
     return r;
   }());
   EXPECT_FALSE(decode_request(open + "x", req, error));
+  // open naming an engine above 1 (the byte is ignored, but still checked)
+  open.back() = '\x02';
+  EXPECT_FALSE(decode_request(open, req, error));
 }
 
 TEST(Service, SingleSessionMatchesOfflineDetector) {

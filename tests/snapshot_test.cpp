@@ -1,18 +1,20 @@
-// Session snapshot/restore: round-trip fidelity at every chunk boundary
-// (both engines), cross-worker migration through the pool, and the
-// rejection contract — every truncation prefix and every single-bit flip
-// of a valid blob must bounce with a stable K-code, never crash.
+// Session snapshot/restore: round-trip fidelity at every chunk boundary and
+// across a long program restored every 64 frames, OPENs naming either
+// engine serving the same session, cross-worker migration through the
+// pool, and the rejection contract — every truncation prefix and every
+// single-bit flip of a valid blob must bounce with a stable K-code, never
+// crash.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "core/depa_detector.hpp"
-#include "core/om_timestamps.hpp"
+#include "composed_program.hpp"
 #include "core/replay.hpp"
 #include "fuzz/fuzz_plan.hpp"
 #include "fuzz/trace_gen.hpp"
@@ -40,7 +42,8 @@ Trace generated(std::uint64_t seed) {
   return generate_trace(FuzzPlan::from_seed(seed)).trace;
 }
 
-std::uint32_t open_session(DetectionService& service, DetectorEngine engine) {
+std::uint32_t open_session(DetectionService& service,
+                           DetectorEngine engine = DetectorEngine::kDsu) {
   Request req;
   req.verb = Verb::kOpen;
   req.open.engine = engine;
@@ -97,6 +100,47 @@ std::string le64(std::uint64_t v) {
   return out;
 }
 
+std::string le32(std::uint32_t v) { return le64(v).substr(0, 4); }
+
+/// Replaces `len` payload bytes at blob offset `at` with `with`, then fixes
+/// the header's payload length and re-seals the CRC.
+std::string splice(const std::string& blob, std::size_t at, std::size_t len,
+                   const std::string& with) {
+  std::string out = blob;
+  out.replace(at, len, with);
+  out.replace(8, 4, le32(static_cast<std::uint32_t>(out.size() - 16)));
+  reseal(out);
+  return out;
+}
+
+/// A wire stream cut into one-event chunks, and the byte offset just past
+/// its first `events` chunks.
+struct CutStream {
+  std::string wire;
+  std::size_t cut = 0;
+};
+CutStream cut_after(const std::string& text, int events) {
+  BinaryWriteOptions options;
+  options.chunk_payload_bytes = 1;
+  CutStream out;
+  out.wire = trace_to_binary(parse_trace_text(text), options);
+  out.cut = kBinaryHeaderBytes;
+  for (int chunk = 0; chunk < events; ++chunk) {
+    std::uint32_t len = 0;
+    for (int i = 0; i < 4; ++i)
+      len |= static_cast<std::uint32_t>(
+                 static_cast<unsigned char>(out.wire[out.cut + 1 + i]))
+             << (8 * i);
+    out.cut += 9 + len;
+  }
+  return out;
+}
+
+/// One lint task record: left and right neighbours, no finish scope, live.
+std::string lint_task(TaskId left, TaskId right) {
+  return le32(left) + le32(right) + le32(0) + std::string(2, '\0');
+}
+
 /// Has the blob's error-code prefix: "Kxxx: ...".
 bool has_k_code(const std::string& error) {
   return error.size() >= 5 && error[0] == 'K' &&
@@ -108,59 +152,51 @@ bool has_k_code(const std::string& error) {
 
 // The central property: snapshot at EVERY feed-chunk boundary, restore into
 // a fresh service, feed the remainder — the combined report stream is
-// bit-identical to an uninterrupted run, for both engines.
-TEST(Snapshot, RoundTripsAtEveryChunkBoundaryBothEngines) {
+// bit-identical to an uninterrupted run.
+TEST(Snapshot, RoundTripsAtEveryChunkBoundary) {
   constexpr std::size_t kChunk = 64;
-  for (const DetectorEngine engine :
-       {DetectorEngine::kDsu, DetectorEngine::kDepa}) {
-    for (const std::uint64_t seed : {7ull, 31ull, 123ull}) {
-      const Trace trace = generated(seed);
-      const std::string wire = trace_to_binary(trace);
-      const std::vector<RaceReport> expected = detect_races_trace(trace);
-      for (std::size_t cut = 0; cut <= wire.size(); cut += kChunk) {
-        // Phase 1: feed the prefix, snapshot (pending reports and all).
-        DetectionService a;
-        const std::uint32_t ida = open_session(a, engine);
-        std::uint64_t events_before = 0;
-        for (std::size_t off = 0; off < cut; off += kChunk) {
-          const Response r = feed_bytes(
-              a, ida, wire.substr(off, std::min(kChunk, cut - off)));
-          ASSERT_EQ(r.status, ServiceStatus::kOk) << r.message;
-          events_before = r.feed.events;
-        }
-        const std::string blob = snapshot_via_service(a, ida);
-        std::uint64_t fed = 0;
-        std::string error;
-        ASSERT_TRUE(snapshot_fed_bytes(blob, fed, error)) << error;
-        EXPECT_EQ(fed, cut);
-
-        // Phase 2: restore into a DIFFERENT service, feed the remainder.
-        DetectionService b;
-        Request restore;
-        restore.verb = Verb::kRestore;
-        restore.bytes = blob;
-        const Response restored = b.handle(restore);
-        ASSERT_EQ(restored.status, ServiceStatus::kOk) << restored.message;
-        const std::uint32_t idb = restored.session;
-        for (std::size_t off = cut; off < wire.size(); off += kChunk) {
-          const Response r = feed_bytes(
-              b, idb, wire.substr(off, std::min(kChunk, wire.size() - off)));
-          ASSERT_EQ(r.status, ServiceStatus::kOk)
-              << "engine " << static_cast<int>(engine) << " seed " << seed
-              << " cut " << cut << ": " << r.message;
-        }
-        EXPECT_EQ(drain_session(b, idb), expected)
-            << "engine " << static_cast<int>(engine) << " seed " << seed
-            << " cut " << cut;
-        Request close;
-        close.verb = Verb::kClose;
-        close.session = idb;
-        const Response closed = b.handle(close);
-        ASSERT_EQ(closed.status, ServiceStatus::kOk);
-        EXPECT_TRUE(closed.close.complete);
-        EXPECT_EQ(closed.close.events, trace.size());
-        (void)events_before;
+  for (const std::uint64_t seed : {7ull, 31ull, 123ull}) {
+    const Trace trace = generated(seed);
+    const std::string wire = trace_to_binary(trace);
+    const std::vector<RaceReport> expected = detect_races_trace(trace);
+    for (std::size_t cut = 0; cut <= wire.size(); cut += kChunk) {
+      // Phase 1: feed the prefix, snapshot (pending reports and all).
+      DetectionService a;
+      const std::uint32_t ida = open_session(a);
+      for (std::size_t off = 0; off < cut; off += kChunk) {
+        const Response r = feed_bytes(
+            a, ida, wire.substr(off, std::min(kChunk, cut - off)));
+        ASSERT_EQ(r.status, ServiceStatus::kOk) << r.message;
       }
+      const std::string blob = snapshot_via_service(a, ida);
+      std::uint64_t fed = 0;
+      std::string error;
+      ASSERT_TRUE(snapshot_fed_bytes(blob, fed, error)) << error;
+      EXPECT_EQ(fed, cut);
+
+      // Phase 2: restore into a DIFFERENT service, feed the remainder.
+      DetectionService b;
+      Request restore;
+      restore.verb = Verb::kRestore;
+      restore.bytes = blob;
+      const Response restored = b.handle(restore);
+      ASSERT_EQ(restored.status, ServiceStatus::kOk) << restored.message;
+      const std::uint32_t idb = restored.session;
+      for (std::size_t off = cut; off < wire.size(); off += kChunk) {
+        const Response r = feed_bytes(
+            b, idb, wire.substr(off, std::min(kChunk, wire.size() - off)));
+        ASSERT_EQ(r.status, ServiceStatus::kOk)
+            << "seed " << seed << " cut " << cut << ": " << r.message;
+      }
+      EXPECT_EQ(drain_session(b, idb), expected)
+          << "seed " << seed << " cut " << cut;
+      Request close;
+      close.verb = Verb::kClose;
+      close.session = idb;
+      const Response closed = b.handle(close);
+      ASSERT_EQ(closed.status, ServiceStatus::kOk);
+      EXPECT_TRUE(closed.close.complete);
+      EXPECT_EQ(closed.close.events, trace.size());
     }
   }
 }
@@ -169,9 +205,8 @@ TEST(Snapshot, RoundTripsAtEveryChunkBoundaryBothEngines) {
 // can land inside a 'Z' frame (the decoder's partial-chunk buffer, the
 // chunk dictionary lifetime) and even between the materialized first
 // repetition of a run and its fast-forwarded remainder. Every 64-byte split
-// must still finish bit-identical to the uninterrupted uncompressed run, on
-// both engines.
-TEST(Snapshot, RoundTripsCompressedStreamsAtEverySplitBothEngines) {
+// must still finish bit-identical to the uninterrupted uncompressed run.
+TEST(Snapshot, RoundTripsCompressedStreamsAtEverySplit) {
   constexpr std::size_t kChunk = 64;
   BinaryWriteOptions zopt;
   zopt.compression = CompressionMode::kRuns;
@@ -179,64 +214,115 @@ TEST(Snapshot, RoundTripsCompressedStreamsAtEverySplitBothEngines) {
   // A run-heavy trace (tight access loops) plus a generated one: the former
   // exercises the detector fast path across the snapshot boundary, the
   // latter the literal-item paths.
-  Trace loops = parse_trace_text(
-      "fork 0 1\n"
-      "write 1 16\n"
-      "halt 1\n"
-      "read 0 16\n"
-      "join 0 1\n"
-      "halt 0\n");
-  {
-    Trace t;
-    t.push_back({TraceOp::kFork, 0, 1});
-    for (int i = 0; i < 300; ++i) {
-      t.push_back({TraceOp::kRead, 1, kInvalidTask, 0x40});
-      t.push_back({TraceOp::kWrite, 1, kInvalidTask, 0x40});
-    }
-    t.push_back({TraceOp::kHalt, 1});
-    t.push_back({TraceOp::kJoin, 0, 1});
-    t.push_back({TraceOp::kHalt, 0});
-    loops = t;
+  Trace loops;
+  loops.push_back({TraceOp::kFork, 0, 1});
+  for (int i = 0; i < 300; ++i) {
+    loops.push_back({TraceOp::kRead, 1, kInvalidTask, 0x40});
+    loops.push_back({TraceOp::kWrite, 1, kInvalidTask, 0x40});
   }
-  for (const DetectorEngine engine :
-       {DetectorEngine::kDsu, DetectorEngine::kDepa}) {
-    for (const Trace& trace : {loops, generated(123)}) {
-      const std::string wire = trace_to_binary(trace, zopt);
-      const std::vector<RaceReport> expected = detect_races_trace(trace);
-      for (std::size_t cut = 0; cut <= wire.size(); cut += kChunk) {
-        DetectionService a;
-        const std::uint32_t ida = open_session(a, engine);
-        for (std::size_t off = 0; off < cut; off += kChunk) {
-          const Response r = feed_bytes(
-              a, ida, wire.substr(off, std::min(kChunk, cut - off)));
-          ASSERT_EQ(r.status, ServiceStatus::kOk) << r.message;
-        }
-        const std::string blob = snapshot_via_service(a, ida);
-        DetectionService b;
-        Request restore;
-        restore.verb = Verb::kRestore;
-        restore.bytes = blob;
-        const Response restored = b.handle(restore);
-        ASSERT_EQ(restored.status, ServiceStatus::kOk) << restored.message;
-        const std::uint32_t idb = restored.session;
-        for (std::size_t off = cut; off < wire.size(); off += kChunk) {
-          const Response r = feed_bytes(
-              b, idb, wire.substr(off, std::min(kChunk, wire.size() - off)));
-          ASSERT_EQ(r.status, ServiceStatus::kOk)
-              << "engine " << static_cast<int>(engine) << " cut " << cut
-              << ": " << r.message;
-        }
-        EXPECT_EQ(drain_session(b, idb), expected)
-            << "engine " << static_cast<int>(engine) << " cut " << cut;
-        Request close;
-        close.verb = Verb::kClose;
-        close.session = idb;
-        const Response closed = b.handle(close);
-        ASSERT_EQ(closed.status, ServiceStatus::kOk) << closed.message;
-        EXPECT_TRUE(closed.close.complete);
-        EXPECT_EQ(closed.close.events, trace.size());
+  loops.push_back({TraceOp::kHalt, 1});
+  loops.push_back({TraceOp::kJoin, 0, 1});
+  loops.push_back({TraceOp::kHalt, 0});
+  for (const Trace& trace : {loops, generated(123)}) {
+    const std::string wire = trace_to_binary(trace, zopt);
+    const std::vector<RaceReport> expected = detect_races_trace(trace);
+    for (std::size_t cut = 0; cut <= wire.size(); cut += kChunk) {
+      DetectionService a;
+      const std::uint32_t ida = open_session(a);
+      for (std::size_t off = 0; off < cut; off += kChunk) {
+        const Response r = feed_bytes(
+            a, ida, wire.substr(off, std::min(kChunk, cut - off)));
+        ASSERT_EQ(r.status, ServiceStatus::kOk) << r.message;
       }
+      const std::string blob = snapshot_via_service(a, ida);
+      DetectionService b;
+      Request restore;
+      restore.verb = Verb::kRestore;
+      restore.bytes = blob;
+      const Response restored = b.handle(restore);
+      ASSERT_EQ(restored.status, ServiceStatus::kOk) << restored.message;
+      const std::uint32_t idb = restored.session;
+      for (std::size_t off = cut; off < wire.size(); off += kChunk) {
+        const Response r = feed_bytes(
+            b, idb, wire.substr(off, std::min(kChunk, wire.size() - off)));
+        ASSERT_EQ(r.status, ServiceStatus::kOk)
+            << "cut " << cut << ": " << r.message;
+      }
+      EXPECT_EQ(drain_session(b, idb), expected) << "cut " << cut;
+      Request close;
+      close.verb = Verb::kClose;
+      close.session = idb;
+      const Response closed = b.handle(close);
+      ASSERT_EQ(closed.status, ServiceStatus::kOk) << closed.message;
+      EXPECT_TRUE(closed.close.complete);
+      EXPECT_EQ(closed.close.events, trace.size());
     }
+  }
+}
+
+// A long program whose session is snapshotted and restored every 64 frames:
+// 2 000 composed subprograms, so each restore carries thousands of tasks
+// and cells, and the drained stream still matches serial replay report for
+// report.
+TEST(Snapshot, LongComposedProgramRestoredEvery64Frames) {
+  constexpr std::size_t kFrame = 1024;
+  const Trace trace = composed_program(2026, 2000);
+  const std::string wire = trace_to_binary(trace);
+  auto session = std::make_unique<DetectionSession>(ReportPolicy::kAll,
+                                                    std::size_t{1} << 20);
+  std::vector<RaceReport> got;
+  std::size_t restores = 0;
+  for (std::size_t off = 0, frame = 1; off < wire.size();
+       off += kFrame, ++frame) {
+    const DetectionSession::FeedOutcome fed =
+        session->feed(wire.substr(off, kFrame));
+    ASSERT_EQ(fed.status, ServiceStatus::kOk) << fed.message;
+    bool more = false;
+    const std::vector<RaceReport> drained = session->drain(0, more);
+    got.insert(got.end(), drained.begin(), drained.end());
+    if (frame % 64 == 0) {
+      RestoreOutcome restored =
+          restore_session(snapshot_session(*session, std::size_t{1} << 30));
+      ASSERT_NE(restored.session, nullptr) << restored.error;
+      session = std::move(restored.session);
+      ++restores;
+    }
+  }
+  EXPECT_TRUE(session->close().complete);
+  EXPECT_GE(restores, 10u);
+  EXPECT_EQ(got, detect_races_trace(trace));
+}
+
+// Every session runs the DSU detector, whichever engine its OPEN names: two
+// sessions opened as DSU and as DePa and fed the same stream drain the
+// same reports and snapshot to the same bytes, mid-stream and at the end.
+TEST(Snapshot, OpensNamingEitherEngineServeTheSameSession) {
+  for (const std::uint64_t seed : {7ull, 31ull, 123ull}) {
+    const Trace trace = generated(seed);
+    const std::string wire = trace_to_binary(trace);
+    DetectionService service;
+    const std::uint32_t dsu = open_session(service);
+    const std::uint32_t depa = open_session(service, DetectorEngine::kDepa);
+    const std::size_t half = wire.size() / 2;
+    for (const std::uint32_t id : {dsu, depa})
+      ASSERT_EQ(feed_bytes(service, id, wire.substr(0, half)).status,
+                ServiceStatus::kOk);
+    EXPECT_EQ(snapshot_via_service(service, dsu),
+              snapshot_via_service(service, depa))
+        << "seed " << seed;
+    const std::vector<RaceReport> first = drain_session(service, dsu);
+    EXPECT_EQ(drain_session(service, depa), first) << "seed " << seed;
+    for (const std::uint32_t id : {dsu, depa})
+      ASSERT_EQ(feed_bytes(service, id, wire.substr(half)).status,
+                ServiceStatus::kOk);
+    EXPECT_EQ(snapshot_via_service(service, dsu),
+              snapshot_via_service(service, depa))
+        << "seed " << seed;
+    std::vector<RaceReport> all = first;
+    const std::vector<RaceReport> rest = drain_session(service, dsu);
+    all.insert(all.end(), rest.begin(), rest.end());
+    EXPECT_EQ(drain_session(service, depa), rest) << "seed " << seed;
+    EXPECT_EQ(all, detect_races_trace(trace)) << "seed " << seed;
   }
 }
 
@@ -252,7 +338,6 @@ TEST(Snapshot, MigratesAcrossWorkersThroughThePool) {
   WorkerPool source(8);
   Request open;
   open.verb = Verb::kOpen;
-  open.open.engine = DetectorEngine::kDepa;
   Response rsp = source.handle(open);
   ASSERT_EQ(rsp.status, ServiceStatus::kOk);
   const std::uint32_t id = rsp.session;
@@ -302,7 +387,7 @@ TEST(Snapshot, MigratesAcrossWorkersThroughThePool) {
 
 TEST(Snapshot, EveryTruncationPrefixIsRejected) {
   DetectionService service;
-  const std::uint32_t id = open_session(service, DetectorEngine::kDsu);
+  const std::uint32_t id = open_session(service);
   const std::string wire = trace_to_binary(generated(9));
   ASSERT_EQ(feed_bytes(service, id, wire.substr(0, wire.size() / 2)).status,
             ServiceStatus::kOk);
@@ -323,7 +408,7 @@ TEST(Snapshot, EveryTruncationPrefixIsRejected) {
 TEST(Snapshot, EverySingleBitFlipIsRejected) {
   // A small trace keeps the blob small enough to try literally every bit.
   DetectionService service;
-  const std::uint32_t id = open_session(service, DetectorEngine::kDepa);
+  const std::uint32_t id = open_session(service);
   const std::string wire = trace_to_binary(racy_trace());
   ASSERT_EQ(feed_bytes(service, id, wire.substr(0, wire.size() - 3)).status,
             ServiceStatus::kOk);
@@ -342,81 +427,78 @@ TEST(Snapshot, EverySingleBitFlipIsRejected) {
 
 TEST(Snapshot, StructurallyInvalidPayloadsGetTheirOwnCodes) {
   DetectionService service;
-  const std::uint32_t id = open_session(service, DetectorEngine::kDsu);
-  ASSERT_EQ(feed_bytes(service, id, trace_to_binary(racy_trace())).status,
-            ServiceStatus::kOk);
-  std::string blob = snapshot_via_service(service, id);
-  // Corrupt the engine byte (payload offset 9 → blob offset 25) to an
-  // out-of-range value and RE-SEAL the CRC: the frame checks pass, the
-  // payload decoder must catch it as K006.
-  ASSERT_GT(blob.size(), 26u);
-  blob[25] = '\x7f';
-  reseal(blob);
-  const RestoreOutcome out = restore_session(blob);
-  ASSERT_EQ(out.session, nullptr);
-  EXPECT_EQ(out.error.substr(0, 4), "K006") << out.error;
-}
-
-// The DePa section stores two order-maintenance tags per interval, and
-// restore rebuilds both lists by sorting on them. Well-sealed blobs whose
-// tags leave the universe or repeat within a list are K007, an interval
-// count the payload cannot hold is K005 before anything is allocated, and
-// a blob of the fork-path-label layout answers K002.
-TEST(Snapshot, DepaTagMutantsAndOldLayoutsAreRejected) {
-  DetectionService service;
-  const std::uint32_t id = open_session(service, DetectorEngine::kDepa);
+  const std::uint32_t id = open_session(service);
   ASSERT_EQ(feed_bytes(service, id, trace_to_binary(racy_trace())).status,
             ServiceStatus::kOk);
   const std::string blob = snapshot_via_service(service, id);
-  ASSERT_NE(restore_session(blob).session, nullptr);
+  // Corrupt the policy byte (payload offset 8 → blob offset 24) to an
+  // out-of-range value and RE-SEAL the CRC: the frame checks pass, the
+  // payload decoder must catch it as K006.
+  ASSERT_GT(blob.size(), 25u);
+  std::string mutated = blob;
+  mutated[24] = '\x7f';
+  reseal(mutated);
+  RestoreOutcome out = restore_session(mutated);
+  ASSERT_EQ(out.session, nullptr);
+  EXPECT_EQ(out.error.substr(0, 4), "K006") << out.error;
 
-  // The same program through a bare detector yields the tags to look for.
-  DePaDetector det;
-  const TaskId root = det.on_root();
-  const TaskId child = det.on_fork(root);
-  det.on_write(child, 10);
-  det.on_halt(child);
-  det.on_read(root, 10);
-  det.on_join(root, child);
-  const std::vector<OmClock::Tags> tags = det.export_state().clock.intervals;
-  ASSERT_EQ(tags.size(), 4u);
-  std::string records = le64(tags.size());
-  for (const OmClock::Tags& t : tags) records += le64(t.e) + le64(t.h);
-  const std::size_t at = blob.find(records);
-  ASSERT_NE(at, std::string::npos);
-
-  const auto restore_mutant = [&](std::size_t offset, std::uint64_t value) {
-    std::string mutated = blob;
-    mutated.replace(at + offset, 8, le64(value));
-    reseal(mutated);
-    return restore_session(mutated);
-  };
-  const auto e_tag = [](std::size_t i) { return 8 + 16 * i; };
-  const auto h_tag = [](std::size_t i) { return 16 + 16 * i; };
-  const struct {
-    const char* what;
-    std::size_t offset;
-    std::uint64_t value;
-    const char* code;
-  } mutants[] = {
-      {"E tag at the universe", e_tag(1), OmClock::kUniverse, "K007"},
-      {"H tag past the universe", h_tag(3), ~std::uint64_t{0}, "K007"},
-      {"E tag repeated", e_tag(1), tags[2].e, "K007"},
-      {"H tag repeated", h_tag(2), tags[1].h, "K007"},
-      {"root's E tag repeated", e_tag(0), tags[3].e, "K007"},
-      {"interval count over the payload", 0, blob.size() / 16, "K005"},
-  };
-  for (const auto& m : mutants) {
-    const RestoreOutcome out = restore_mutant(m.offset, m.value);
-    EXPECT_EQ(out.session, nullptr) << m.what;
-    EXPECT_EQ(out.error.substr(0, 4), m.code) << m.what << ": " << out.error;
-  }
-
+  // A blob of the version-3 layout (engine byte, DePa section, versioned
+  // DSU cells) answers K002 before its payload is read.
   std::string old_layout = blob;
-  old_layout[7] = '\x02';
-  const RestoreOutcome out = restore_session(old_layout);
+  old_layout[7] = '\x03';
+  out = restore_session(old_layout);
   EXPECT_EQ(out.session, nullptr);
   EXPECT_EQ(out.error.substr(0, 4), "K002") << out.error;
+}
+
+// The lint gate admits a task the detector must know: a live session has
+// one lint task per DSU vertex, because both start at the root and lint
+// admits exactly the forks the detector applies. A well-sealed blob whose
+// lint task table has one task more or one fewer than the DSU is K007 — a
+// gate that knew task 2 would pass `write 2 11` to a detector without it,
+// which throws out of the service.
+TEST(Snapshot, LintTaskCountMustMatchTheDetector) {
+  const CutStream s = cut_after("fork 0 1\nwrite 1 10\nhalt 1\n"
+                                "join 0 1\nhalt 0\n", 2);
+  DetectionService a;
+  const std::uint32_t id = open_session(a);
+  ASSERT_EQ(feed_bytes(a, id, s.wire.substr(0, s.cut)).status,
+            ServiceStatus::kOk);
+  const std::string blob = snapshot_via_service(a, id);
+  // Task 0 with task 1 as its left neighbour, task 1 on top of the stack.
+  const std::string tasks = le64(2) + lint_task(1, kInvalidTask) +
+                            lint_task(kInvalidTask, 0) + le64(2) + le32(0) +
+                            le32(1);
+  const std::size_t at = blob.find(tasks);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(blob.rfind(tasks), at);
+
+  const std::string one_more = le64(3) + lint_task(1, kInvalidTask) +
+                               lint_task(2, 0) + lint_task(kInvalidTask, 1) +
+                               le64(3) + le32(0) + le32(1) + le32(2);
+  const std::string one_fewer =
+      le64(1) + lint_task(kInvalidTask, kInvalidTask) + le64(1) + le32(0);
+  for (const std::string& mutant : {one_more, one_fewer}) {
+    DetectionService b;
+    Request restore;
+    restore.verb = Verb::kRestore;
+    restore.bytes = splice(blob, at, tasks.size(), mutant);
+    const Response rsp = b.handle(restore);
+    EXPECT_EQ(rsp.status, ServiceStatus::kSnapshotReject);
+    EXPECT_EQ(rsp.message.substr(0, 4), "K007") << rsp.message;
+    EXPECT_EQ(b.live_sessions(), 0u);
+  }
+
+  // Control: the unmutated table restores and finishes the stream.
+  DetectionService b;
+  Request restore;
+  restore.verb = Verb::kRestore;
+  restore.bytes = splice(blob, at, tasks.size(), tasks);
+  const Response rsp = b.handle(restore);
+  ASSERT_EQ(rsp.status, ServiceStatus::kOk) << rsp.message;
+  const Response rest = feed_bytes(b, rsp.session, s.wire.substr(s.cut));
+  EXPECT_EQ(rest.status, ServiceStatus::kOk) << rest.message;
+  EXPECT_EQ(rest.feed.events, 3u);
 }
 
 // The lint gate's fast path serves the task on top of the lint stack
@@ -425,37 +507,19 @@ TEST(Snapshot, DepaTagMutantsAndOldLayoutsAreRejected) {
 // running task halted is either refused with K007 or restores a session
 // whose gate still rejects that task's next access with an L-code.
 TEST(Snapshot, HaltedTaskOnTheRestoredLintStackIsStillRejected) {
-  // One event per chunk, so the stream can be cut after any event.
-  BinaryWriteOptions options;
-  options.chunk_payload_bytes = 1;
-  const std::string wire = trace_to_binary(
-      parse_trace_text("fork 0 1\nwrite 1 10\nwrite 1 11\nhalt 1\n"
-                       "join 0 1\nhalt 0\n"),
-      options);
-  std::size_t cut = kBinaryHeaderBytes;
-  for (int chunk = 0; chunk < 2; ++chunk) {
-    std::uint32_t len = 0;
-    for (int i = 0; i < 4; ++i)
-      len |= static_cast<std::uint32_t>(
-                 static_cast<unsigned char>(wire[cut + 1 + i]))
-             << (8 * i);
-    cut += 9 + len;
-  }
-
+  const CutStream s = cut_after("fork 0 1\nwrite 1 10\nwrite 1 11\nhalt 1\n"
+                                "join 0 1\nhalt 0\n", 2);
   DetectionService a;
-  const std::uint32_t id = open_session(a, DetectorEngine::kDsu);
-  ASSERT_EQ(feed_bytes(a, id, wire.substr(0, cut)).status, ServiceStatus::kOk);
+  const std::uint32_t id = open_session(a);
+  ASSERT_EQ(feed_bytes(a, id, s.wire.substr(0, s.cut)).status,
+            ServiceStatus::kOk);
   const std::string blob = snapshot_via_service(a, id);
 
   // The lint section's task table and stack: task 0 with task 1 as its
   // left neighbour, task 1 running on top of the stack.
-  const auto le32 = [](std::uint32_t v) { return le64(v).substr(0, 4); };
-  const auto task = [&](TaskId left, TaskId right) {
-    return le32(left) + le32(right) + le32(0) + std::string(2, '\0');
-  };
-  const std::string lint_tasks = le64(2) + task(1, kInvalidTask) +
-                                 task(kInvalidTask, 0) + le64(2) + le32(0) +
-                                 le32(1);
+  const std::string lint_tasks = le64(2) + lint_task(1, kInvalidTask) +
+                                 lint_task(kInvalidTask, 0) + le64(2) +
+                                 le32(0) + le32(1);
   const std::size_t at = blob.find(lint_tasks);
   ASSERT_NE(at, std::string::npos);
   ASSERT_EQ(blob.rfind(lint_tasks), at);
@@ -472,7 +536,7 @@ TEST(Snapshot, HaltedTaskOnTheRestoredLintStackIsStillRejected) {
     EXPECT_EQ(restored.message.substr(0, 4), "K007") << restored.message;
     return;
   }
-  const Response next = feed_bytes(b, restored.session, wire.substr(cut));
+  const Response next = feed_bytes(b, restored.session, s.wire.substr(s.cut));
   EXPECT_EQ(next.status, ServiceStatus::kLintReject) << next.message;
   EXPECT_EQ(next.message.substr(0, 1), "L") << next.message;
   EXPECT_EQ(next.feed.events, 0u);
@@ -482,28 +546,15 @@ TEST(Snapshot, HaltedTaskOnTheRestoredLintStackIsStillRejected) {
 // section. A live gate never holds a semaphore-range id as a mutex nor
 // lists one id twice, so a resealed blob that does is refused with K007.
 TEST(Snapshot, LintMutexSectionMutantsAreRejected) {
-  // One event per chunk; cut after the two acquires, so both are held.
-  BinaryWriteOptions options;
-  options.chunk_payload_bytes = 1;
-  const std::string wire = trace_to_binary(
-      parse_trace_text("acquire 0 10\nacquire 0 20\nrelease 0 20\n"
-                       "release 0 10\nhalt 0\n"),
-      options);
-  std::size_t cut = kBinaryHeaderBytes;
-  for (int chunk = 0; chunk < 2; ++chunk) {
-    std::uint32_t len = 0;
-    for (int i = 0; i < 4; ++i)
-      len |= static_cast<std::uint32_t>(
-                 static_cast<unsigned char>(wire[cut + 1 + i]))
-             << (8 * i);
-    cut += 9 + len;
-  }
+  // Cut after the two acquires, so both are held.
+  const CutStream s = cut_after("acquire 0 10\nacquire 0 20\nrelease 0 20\n"
+                                "release 0 10\nhalt 0\n", 2);
   DetectionService a;
-  const std::uint32_t id = open_session(a, DetectorEngine::kDsu);
-  ASSERT_EQ(feed_bytes(a, id, wire.substr(0, cut)).status, ServiceStatus::kOk);
+  const std::uint32_t id = open_session(a);
+  ASSERT_EQ(feed_bytes(a, id, s.wire.substr(0, s.cut)).status,
+            ServiceStatus::kOk);
   const std::string blob = snapshot_via_service(a, id);
 
-  const auto le32 = [](std::uint32_t v) { return le64(v).substr(0, 4); };
   using Entries = std::vector<std::pair<Loc, TaskId>>;
   const auto section = [&](const Entries& entries) {
     std::string out = le64(entries.size());
@@ -521,15 +572,9 @@ TEST(Snapshot, LintMutexSectionMutantsAreRejected) {
   ASSERT_EQ(blob.rfind(held), at);
 
   const auto restore = [&](DetectionService& into, const Entries& entries) {
-    std::string mutated = blob;
-    mutated.replace(at, held.size(), section(entries));
-    // The header's payload length, then its CRC.
-    const auto len = static_cast<std::uint32_t>(mutated.size() - 16);
-    mutated.replace(8, 4, le32(len));
-    reseal(mutated);
     Request req;
     req.verb = Verb::kRestore;
-    req.bytes = mutated;
+    req.bytes = splice(blob, at, held.size(), section(entries));
     return into.handle(req);
   };
   constexpr Loc kTop = ~Loc{0};
@@ -551,14 +596,14 @@ TEST(Snapshot, LintMutexSectionMutantsAreRejected) {
   DetectionService b;
   const Response rsp = restore(b, {{0x20, 0}, {0x10, 0}});
   ASSERT_EQ(rsp.status, ServiceStatus::kOk) << rsp.message;
-  const Response rest = feed_bytes(b, rsp.session, wire.substr(cut));
+  const Response rest = feed_bytes(b, rsp.session, s.wire.substr(s.cut));
   EXPECT_EQ(rest.status, ServiceStatus::kOk) << rest.message;
   EXPECT_EQ(rest.feed.events, 3u);
 }
 
 TEST(Snapshot, PoisonedSessionsRefuseToSnapshot) {
   DetectionService service;
-  const std::uint32_t id = open_session(service, DetectorEngine::kDsu);
+  const std::uint32_t id = open_session(service);
   ASSERT_EQ(feed_bytes(service, id, "this is not R2DT data").status,
             ServiceStatus::kDecodeReject);
   Request snap;
@@ -597,7 +642,6 @@ TEST(Snapshot, PerSessionQuotaSurvivesRestore) {
   DetectionService a;
   Request open;
   open.verb = Verb::kOpen;
-  open.open.engine = DetectorEngine::kDsu;
   open.open.quota_bytes = 16384;  // far below the 64 MiB service default
   const Response opened = a.handle(open);
   ASSERT_EQ(opened.status, ServiceStatus::kOk);
@@ -637,7 +681,7 @@ TEST(Snapshot, PerSessionQuotaSurvivesRestore) {
 
 TEST(Snapshot, FedBytesPeekMatchesWithoutFullRestore) {
   DetectionService service;
-  const std::uint32_t id = open_session(service, DetectorEngine::kDsu);
+  const std::uint32_t id = open_session(service);
   const std::string wire = trace_to_binary(generated(42));
   const std::size_t cut = std::min<std::size_t>(200, wire.size());
   ASSERT_EQ(feed_bytes(service, id, wire.substr(0, cut)).status,
