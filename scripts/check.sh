@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
-# Correctness gate: the tier-1 build + test cycle, a 30-second fixed-seed
-# differential fuzz smoke (race2d_fuzz cross-checks every detector on
-# seeded random programs; any mismatch fails the gate), a 2-second
-# end-to-end perfbench run per workload (reports checked, every request
-# answered OK), an ASan+UBSan build of the FULL test suite (the verify
-# layer intentionally feeds corrupt traces to every detector; the
-# sanitizers prove the rejection paths never read past a buffer), then a
-# ThreadSanitizer build of the concurrency-bearing tests (the parallel
-# executor and the race2dd worker pool spawn real threads; TSan checks they
-# share state only through synchronized paths).
+# Correctness gate: the tier-1 build + test cycle, the opt-in soak (one
+# detection session fed 10^8 events must hold its memory flat), a
+# 30-second fixed-seed differential fuzz smoke (race2d_fuzz cross-checks
+# every detector on seeded random programs; any mismatch fails the
+# gate), a 2-second end-to-end perfbench run per workload (reports
+# checked, every request answered OK), an ASan+UBSan build of the FULL
+# test suite (the verify layer intentionally feeds corrupt traces to
+# every detector; the sanitizers prove the rejection paths never read
+# past a buffer), then a ThreadSanitizer build of the concurrency-bearing
+# tests (the parallel executor and the race2dd worker pool spawn real
+# threads; TSan checks they share state only through synchronized paths).
 # clang-tidy is a gated stage when installed: findings in the
 # WarningsAsErrors families of .clang-tidy fail the gate (scripts/tidy.sh
 # still exits 0 when the tool is absent, as in the reference container).
@@ -24,6 +25,12 @@ echo "== tier-1: configure + build + ctest"
 cmake -B build -S . >/dev/null
 cmake --build build -j "$(nproc)"
 (cd build && ctest --output-on-failure)
+
+echo "== soak: 10^8 events through one session, memory flat after 10^7"
+# The soak is registered under the Soak configuration, so a plain ctest
+# (tier-1 above, and the sanitizer stages below) never selects it; its
+# 4*10^6-event twin runs in tier-1 as soak_test.
+(cd build && ctest -C Soak -L soak --output-on-failure)
 
 echo "== smoke fuzz: 30-second differential campaign (fixed seed)"
 # Every trace runs the full detector panel (serial, DePa label backend,
@@ -225,15 +232,21 @@ else
   # service_pool_test hammers STATS against concurrent feeds (the metrics
   # counters must be atomics), and service_fuzz_test runs adversarial
   # clients, cross-shard forwarding and fd exhaustion against the live
-  # acceptor and shard loops.
+  # acceptor and shard loops. snapshot_test migrates sessions across pool
+  # workers; it, live_tasks_test and soak_test also cover the compacting
+  # task tables the sessions carry.
   cmake -B build-tsan -S . \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer -O1 -g" \
     >/dev/null
   cmake --build build-tsan -j "$(nproc)" --target \
-    parallel_executor_test service_pool_test service_fuzz_test
+    parallel_executor_test service_pool_test service_fuzz_test \
+    snapshot_test live_tasks_test soak_test
   ./build-tsan/tests/parallel_executor_test
   ./build-tsan/tests/service_pool_test
   ./build-tsan/tests/service_fuzz_test
+  ./build-tsan/tests/snapshot_test
+  ./build-tsan/tests/live_tasks_test
+  ./build-tsan/tests/soak_test
 fi
 
 if [[ "${RACE2D_SKIP_TIDY:-0}" == "1" ]]; then

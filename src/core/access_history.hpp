@@ -55,6 +55,12 @@ class AccessHistory {
   void for_each(Fn&& fn) const {
     cells_.for_each(fn);
   }
+  /// The same walk with the cells writable — the detector's compaction
+  /// pass rewrites their suprema in place.
+  template <typename Fn>
+  void for_each(Fn&& fn) {
+    cells_.for_each(fn);
+  }
 
   void clear() { cells_.clear(); }
 

@@ -14,56 +14,80 @@
 namespace race2d {
 
 TaskId OnlineRaceDetector::on_root() {
-  const TaskId root = engine_.add_vertex();
-  engine_.on_loop(root);
+  const TaskId root = tasks_.add();
+  engine_.on_loop(engine_.add_vertex());
   return root;
 }
 
 TaskId OnlineRaceDetector::on_fork(TaskId parent) {
-  R2D_REQUIRE(parent < engine_.vertex_count(), "unknown parent task");
-  const TaskId child = engine_.add_vertex();
+  R2D_REQUIRE(tasks_.row(parent) != LiveTaskIndex::kNoRow,
+              "unknown parent task");
+  const TaskId child = tasks_.add();
   // The fork arc (parent, child) is never a last-arc (the child is drawn to
   // the parent's left; the parent's continuation is the rightmost arc), so
   // Walk takes no action on it. The child's first loop follows immediately
   // in fork-first order.
-  engine_.on_loop(child);
+  engine_.on_loop(engine_.add_vertex());
   return child;
 }
 
 void OnlineRaceDetector::on_join(TaskId joiner, TaskId joined) {
-  R2D_REQUIRE(joiner < engine_.vertex_count() && joined < engine_.vertex_count(),
-              "unknown task in join");
+  const VertexId keep = slot(joiner);
   // Delayed last-arc (joined, joiner): Union(joiner, joined), i.e. the
   // joined task's last-arc tree hangs below the joiner, which keeps the label.
-  engine_.on_last_arc(joined, joiner);
-  engine_.on_loop(joiner);  // the join operation itself is a step of joiner
+  engine_.on_last_arc(slot(joined), keep);
+  engine_.on_loop(keep);  // the join operation itself is a step of joiner
+  ++joined_since_pass_;
+  const std::size_t slots = engine_.vertex_count();
+  if (slots >= LiveTaskIndex::kCompactionFloor &&
+      joined_since_pass_ >
+          history_.location_count() + (slots - joined_since_pass_))
+    compact();
 }
 
-void OnlineRaceDetector::on_halt(TaskId t) {
-  R2D_REQUIRE(t < engine_.vertex_count(), "unknown task in halt");
-  engine_.on_stop_arc(t);
+void OnlineRaceDetector::compact() {
+  const std::size_t slots = engine_.vertex_count();
+  std::vector<VertexId> label(slots);
+  for (std::size_t s = 0; s < slots; ++s)
+    label[s] = engine_.label(static_cast<VertexId>(s));
+  const std::vector<std::uint32_t> remap = tasks_.compact(
+      [&label](std::uint32_t s) { return label[s] == s; });
+  const auto relabel = [&](VertexId x) {
+    return x == kInvalidVertex ? x : remap[label[x]];
+  };
+  history_.for_each([&](Loc, ShadowCell& cell) {
+    cell.read_sup = relabel(cell.read_sup);
+    cell.write_sup = relabel(cell.write_sup);
+    if (cell.epoch_task != kInvalidVertex)
+      cell.epoch_task = remap[cell.epoch_task];  // kNoRow == kInvalidVertex
+  });
+  engine_.retain(remap, tasks_.rows());
+  joined_since_pass_ = 0;
+  ++compactions_;
 }
+
+void OnlineRaceDetector::on_halt(TaskId t) { engine_.on_stop_arc(slot(t)); }
 
 void OnlineRaceDetector::on_read(TaskId t, Loc loc) {
-  R2D_REQUIRE(t < engine_.vertex_count(), "unknown task in read");
-  engine_.on_loop(t);
+  const VertexId s = slot(t);
+  engine_.on_loop(s);
   ++access_count_;
-  detail::shadow_read(engine_, history_.cell(loc), t, loc, access_count_,
+  detail::shadow_read(engine_, history_.cell(loc), s, t, loc, access_count_,
                       reporter_);
 }
 
 void OnlineRaceDetector::on_write(TaskId t, Loc loc) {
-  R2D_REQUIRE(t < engine_.vertex_count(), "unknown task in write");
-  engine_.on_loop(t);
+  const VertexId s = slot(t);
+  engine_.on_loop(s);
   ++access_count_;
-  detail::shadow_write(engine_, history_.cell(loc), t, loc, access_count_,
+  detail::shadow_write(engine_, history_.cell(loc), s, t, loc, access_count_,
                        reporter_);
 }
 
 void OnlineRaceDetector::on_retire(TaskId t, Loc loc) {
-  R2D_REQUIRE(t < engine_.vertex_count(), "unknown task in retire");
-  engine_.on_loop(t);
-  if (detail::shadow_retire(engine_, history_, t, loc, access_count_ + 1,
+  const VertexId s = slot(t);
+  engine_.on_loop(s);
+  if (detail::shadow_retire(engine_, history_, s, t, loc, access_count_ + 1,
                             reporter_)) {
     ++access_count_;
   }
@@ -77,17 +101,19 @@ bool OnlineRaceDetector::try_apply_clean_run(const TraceEvent* events,
     if (e.op != TraceOp::kRead && e.op != TraceOp::kWrite) return false;
     const ShadowCell* cell = history_.find(e.loc);
     if (cell == nullptr) return false;
+    // The template was just fed, so its actor holds a slot.
+    const VertexId s = tasks_.row(e.actor);
     // epoch_hit alone is not enough: a write-cached epoch can coexist with a
     // read_sup still naming an OLDER task, which a slow-replay read would
     // fold to e.actor — a state change. Requiring the relevant supremum to
     // have folded already makes every repetition a provable no-op.
-    if (!detail::epoch_hit(*cell, e.actor)) return false;
+    if (!detail::epoch_hit(*cell, s)) return false;
     if (e.op == TraceOp::kRead) {
-      if (cell->read_sup != e.actor) return false;
+      if (cell->read_sup != s) return false;
     } else {
-      if (cell->write_sup != e.actor) return false;
+      if (cell->write_sup != s) return false;
     }
-    // engine_.on_loop(e.actor) is a no-op too: the actor is visited (it just
+    // engine_.on_loop(s) is a no-op too: the actor is visited (it just
     // performed this access in the materialized first repetition).
   }
   access_count_ += static_cast<std::size_t>(len) *
@@ -98,12 +124,13 @@ bool OnlineRaceDetector::try_apply_clean_run(const TraceEvent* events,
 MemoryFootprint OnlineRaceDetector::footprint() const {
   MemoryFootprint f;
   f.shadow_bytes = history_.heap_bytes();
-  f.per_task_bytes = engine_.heap_bytes();
+  f.per_task_bytes = engine_.heap_bytes() + tasks_.heap_bytes();
   return f;
 }
 
 OnlineRaceDetector::State OnlineRaceDetector::export_state() const {
   State s;
+  s.tasks = tasks_.export_state();
   s.engine = engine_.export_state();
   s.cells.reserve(history_.location_count());
   history_.for_each([&s](Loc loc, const ShadowCell& cell) {
@@ -117,20 +144,29 @@ OnlineRaceDetector::State OnlineRaceDetector::export_state() const {
 }
 
 void OnlineRaceDetector::import_state(State&& s) {
-  const std::size_t vertices = s.engine.parent.size();
+  const std::size_t slots = s.engine.parent.size();
+  tasks_.import_state(std::move(s.tasks));
+  R2D_REQUIRE(tasks_.rows() == slots, "task index and DSU disagree on slots");
   engine_.import_state(std::move(s.engine));
   history_.clear();
   history_.reserve(s.cells.size());
+  const auto in_range = [slots](VertexId v) {
+    return v == kInvalidVertex || v < slots;
+  };
   for (const auto& [loc, cell] : s.cells) {
-    R2D_REQUIRE((cell.read_sup == kInvalidVertex || cell.read_sup < vertices) &&
-                    (cell.write_sup == kInvalidVertex ||
-                     cell.write_sup < vertices),
-                "shadow cell supremum out of range");
+    R2D_REQUIRE(in_range(cell.read_sup) && in_range(cell.write_sup) &&
+                    in_range(cell.epoch_task),
+                "shadow cell names a missing slot");
     history_.cell(loc) = cell;
   }
   reporter_.import_state(std::move(s.undrained), s.first,
                          static_cast<std::size_t>(s.reports_total));
   access_count_ = static_cast<std::size_t>(s.access_count);
+  // Every slot that no longer labels its own set was joined since the last
+  // pass, so the restored detector compacts exactly when the original would.
+  joined_since_pass_ = 0;
+  for (std::size_t x = 0; x < slots; ++x)
+    if (engine_.label(static_cast<VertexId>(x)) != x) ++joined_since_pass_;
 }
 
 std::vector<RaceReport> detect_races_offline(

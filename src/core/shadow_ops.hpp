@@ -3,7 +3,11 @@
 //
 // Two detectors run this exact per-access logic — OnlineRaceDetector
 // (thread-collapsed) and StreamingLatticeDetector (vertex-level). Keeping
-// the logic in one place is what keeps the two reviewably the same.
+// the logic in one place is what keeps the two reviewably the same. Each
+// routine takes the accessing task twice: `t` is its engine slot, which the
+// cell stores and the Sup queries use, and `id` is what reports carry.
+// OnlineRaceDetector renumbers slots when it compacts; the vertex-level
+// detector passes its vertex for both.
 //
 // Owner-epoch fast path. After an access by t that reports no race, both
 // suprema of the cell are ordered before t and fold to t under the Sup
@@ -55,14 +59,15 @@ inline bool epoch_hit(const ShadowCell& cell, VertexId t) {
 /// On-Read (Figure 6 line 2–3, with the §2.3 read rule: reads race only
 /// with prior writes). `ordinal` is the access index carried by reports.
 inline void shadow_read(SupremaEngine& engine, ShadowCell& cell, VertexId t,
-                        Loc loc, std::size_t ordinal, RaceReporter& reporter) {
+                        VertexId id, Loc loc, std::size_t ordinal,
+                        RaceReporter& reporter) {
   if (epoch_hit(cell, t)) {
     cell.read_sup = t;  // Sup(R[loc], t) = t: R[loc] ⊑ t was cached
     return;
   }
   bool clean = true;
   if (cell.write_sup != kInvalidVertex && engine.sup(cell.write_sup, t) != t) {
-    reporter.report({loc, t, AccessKind::kRead, AccessKind::kWrite, ordinal});
+    reporter.report({loc, id, AccessKind::kRead, AccessKind::kWrite, ordinal});
     clean = false;
   }
   // Figure 6 line 3: R[loc] ← Sup(R[loc], t).
@@ -75,18 +80,19 @@ inline void shadow_read(SupremaEngine& engine, ShadowCell& cell, VertexId t,
 
 /// On-Write (Figure 6 line 5–8): a write races with prior reads and writes.
 inline void shadow_write(SupremaEngine& engine, ShadowCell& cell, VertexId t,
-                         Loc loc, std::size_t ordinal, RaceReporter& reporter) {
+                         VertexId id, Loc loc, std::size_t ordinal,
+                         RaceReporter& reporter) {
   if (epoch_hit(cell, t)) {
     cell.write_sup = t;  // Sup(W[loc], t) = t: W[loc] ⊑ t was cached
     return;
   }
   bool clean = true;
   if (cell.read_sup != kInvalidVertex && engine.sup(cell.read_sup, t) != t) {
-    reporter.report({loc, t, AccessKind::kWrite, AccessKind::kRead, ordinal});
+    reporter.report({loc, id, AccessKind::kWrite, AccessKind::kRead, ordinal});
     clean = false;
   } else if (cell.write_sup != kInvalidVertex &&
              engine.sup(cell.write_sup, t) != t) {
-    reporter.report({loc, t, AccessKind::kWrite, AccessKind::kWrite, ordinal});
+    reporter.report({loc, id, AccessKind::kWrite, AccessKind::kWrite, ordinal});
     clean = false;
   }
   if (!g_inject_skip_write_sup_update) {
@@ -100,19 +106,19 @@ inline void shadow_write(SupremaEngine& engine, ShadowCell& cell, VertexId t,
 /// defect), then the cell is dropped. Returns whether a cell existed — i.e.
 /// whether the retire counted as an access.
 inline bool shadow_retire(SupremaEngine& engine, AccessHistory& history,
-                          VertexId t, Loc loc, std::size_t ordinal,
-                          RaceReporter& reporter) {
+                          VertexId t, VertexId id, Loc loc,
+                          std::size_t ordinal, RaceReporter& reporter) {
   ShadowCell* cell = history.find(loc);
   if (cell == nullptr) return false;  // never accessed: nothing to retire
   if (!epoch_hit(*cell, t)) {  // cached clean verdict ⇒ no report
     if (cell->read_sup != kInvalidVertex &&
         engine.sup(cell->read_sup, t) != t) {
       reporter.report(
-          {loc, t, AccessKind::kRetire, AccessKind::kRead, ordinal});
+          {loc, id, AccessKind::kRetire, AccessKind::kRead, ordinal});
     } else if (cell->write_sup != kInvalidVertex &&
                engine.sup(cell->write_sup, t) != t) {
       reporter.report(
-          {loc, t, AccessKind::kRetire, AccessKind::kWrite, ordinal});
+          {loc, id, AccessKind::kRetire, AccessKind::kWrite, ordinal});
     }
   }
   history.retire(loc);

@@ -63,6 +63,15 @@ class SupremaEngine {
   /// The comparison the race detector makes: x ⊑ t, eq. (6).
   bool ordered_before(VertexId x, VertexId t) { return sup(x, t) == t; }
 
+  /// Label of x's set in the last-arc forest — the paper's Find(x).
+  VertexId label(VertexId x) { return dsu_.find_label(x); }
+
+  /// Keeps only the vertices `remap` selects, each as a singleton with its
+  /// visited flag (see LabeledUnionFind::retain).
+  void retain(const std::vector<VertexId>& remap, std::size_t kept) {
+    dsu_.retain(remap, kept);
+  }
+
   bool visited(VertexId v) const { return dsu_.visited(v); }
 
   /// Heap bytes — the detector's Θ(1)-per-thread state (Theorem 5).

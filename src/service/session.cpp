@@ -120,26 +120,32 @@ DetectionSession::FeedOutcome DetectionSession::feed(const std::string& bytes) {
   // totals (any/count/first) keep describing the whole session.
   std::vector<RaceReport> fresh = detector_.mutable_reporter().take();
   pending_.insert(pending_.end(), fresh.begin(), fresh.end());
-  out.pending_reports = static_cast<std::uint32_t>(pending_.size());
-  out.backpressure = pending_.size() * 2 >= max_pending_reports_;
+  out.pending_reports = static_cast<std::uint32_t>(pending_reports());
+  out.backpressure = pending_reports() * 2 >= max_pending_reports_;
   return out;
 }
 
 std::vector<RaceReport> DetectionSession::drain(std::uint32_t max_reports,
                                                 bool& more) {
-  const std::size_t n = (max_reports == 0 || max_reports >= pending_.size())
-                            ? pending_.size()
-                            : max_reports;
-  std::vector<RaceReport> out(
-      pending_.begin(), pending_.begin() + static_cast<std::ptrdiff_t>(n));
-  pending_.erase(pending_.begin(),
-                 pending_.begin() + static_cast<std::ptrdiff_t>(n));
-  if (pending_.empty()) {
+  const std::size_t left = pending_reports();
+  const std::size_t n =
+      (max_reports == 0 || max_reports >= left) ? left : max_reports;
+  const auto first =
+      pending_.begin() + static_cast<std::ptrdiff_t>(drained_);
+  std::vector<RaceReport> out(first, first + static_cast<std::ptrdiff_t>(n));
+  drained_ += n;
+  if (drained_ == pending_.size()) {
     // Actually release the backlog's buffer: draining is how a session's
     // footprint shrinks back under its quota.
+    pending_.clear();
     pending_.shrink_to_fit();
+    drained_ = 0;
+  } else if (drained_ * 2 > pending_.size()) {
+    pending_.erase(pending_.begin(),
+                   pending_.begin() + static_cast<std::ptrdiff_t>(drained_));
+    drained_ = 0;
   }
-  more = !pending_.empty();
+  more = pending_reports() != 0;
   return out;
 }
 
@@ -187,7 +193,8 @@ DetectionSession::State DetectionSession::export_state() const {
   s.decoder = decoder_.export_state();
   s.lint = lint_.export_state();
   s.detector = detector_.export_state();
-  s.pending = pending_;
+  s.pending.assign(pending_.begin() + static_cast<std::ptrdiff_t>(drained_),
+                   pending_.end());
   return s;
 }
 

@@ -75,7 +75,7 @@ class DetectionSession {
 
   std::uint64_t events_total() const { return events_total_; }
   std::uint64_t reports_total() const { return detector_.reporter().count(); }
-  std::size_t pending_reports() const { return pending_.size(); }
+  std::size_t pending_reports() const { return pending_.size() - drained_; }
   bool poisoned() const { return poison_status_ != ServiceStatus::kOk; }
 
   ReportPolicy policy() const { return detector_.reporter().policy(); }
@@ -99,7 +99,7 @@ class DetectionSession {
   State export_state() const;
   /// Builds a session that continues exactly where `s` left off. `s` must
   /// be validated first: the snapshot codec bound-checks every index and
-  /// matches the lint task table to the detector's vertices.
+  /// checks that every task on the lint line has a live detector slot.
   static std::unique_ptr<DetectionSession> restore(State&& s);
 
  private:
@@ -115,7 +115,11 @@ class DetectionSession {
   OnlineRaceDetector detector_;
   std::vector<TraceEvent> scratch_;  ///< decoded events of the current feed
   std::vector<DecodedRun> runs_;     ///< stationary runs among them
-  std::vector<RaceReport> pending_;  ///< detected, not yet drained
+  /// Detected reports; the first drained_ of them were handed over already.
+  /// A partial drain advances drained_ and erases the prefix only once it
+  /// passes half the vector, so draining a backlog in steps costs O(backlog).
+  std::vector<RaceReport> pending_;
+  std::size_t drained_ = 0;
   std::uint64_t events_total_ = 0;
   std::uint64_t fed_bytes_ = 0;  ///< wire bytes successfully decoded
   ServiceStatus poison_status_ = ServiceStatus::kOk;

@@ -1,5 +1,6 @@
 #include "service/snapshot.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -7,6 +8,7 @@
 #include "support/assert.hpp"
 #include "support/flat_hash_map.hpp"
 #include "support/ids.hpp"
+#include "support/live_tasks.hpp"
 
 namespace race2d {
 
@@ -14,12 +16,14 @@ namespace {
 
 // Version byte bumped to 2 when the decoder section grew its wire-format
 // version and compressed-chunk flag, to 3 when the DePa section traded
-// fork-path labels for order-maintenance tags, and to 4 when sessions kept
+// fork-path labels for order-maintenance tags, to 4 when sessions kept
 // one engine: the payload lost its engine byte and DePa section, and the
-// DSU section its structural version and per-cell version stamps. Older
-// blobs are refused with K002 (the service never persisted them across
-// releases).
-constexpr char kMagic[8] = {'R', '2', 'D', 'S', 'N', 'A', 'P', '\x04'};
+// DSU section its structural version and per-cell version stamps, and to 5
+// when both per-task tables kept rows for live tasks only: the lint
+// section carries its task count and the line, and the DSU section its
+// task index. Older blobs are refused with K002 (the service never
+// persisted them across releases).
+constexpr char kMagic[8] = {'R', '2', 'D', 'S', 'N', 'A', 'P', '\x05'};
 constexpr std::size_t kHeaderBytes = sizeof(kMagic) + 4 + 4;
 
 /// Restore-side rejection: the K-coded message restore_session returns.
@@ -187,13 +191,14 @@ void put_lint(Writer& w, const TraceLintStream::Snapshot& l) {
   w.u8(l.finished ? 1 : 0);
   w.u64(l.warnings_emitted);
   w.u64(l.errors_emitted);
-  w.u64(l.tasks.size());
-  for (const TraceLintStream::TaskState& t : l.tasks) {
+  w.u64(l.task_count);
+  w.u64(l.line.size());
+  for (const TraceLintStream::LineTask& t : l.line) {
+    w.u32(t.id);
     w.u32(t.left);
     w.u32(t.right);
     w.u32(t.finish_depth);
     w.u8(t.halted ? 1 : 0);
-    w.u8(t.joined ? 1 : 0);
   }
   w.u64(l.stack.size());
   for (TaskId t : l.stack) w.u32(t);
@@ -214,31 +219,47 @@ void put_lint(Writer& w, const TraceLintStream::Snapshot& l) {
   }
 }
 
+/// Whether `t` is an id of the ascending `line`.
+bool on_line(const std::vector<TraceLintStream::LineTask>& line, TaskId t) {
+  const auto it = std::lower_bound(
+      line.begin(), line.end(), t,
+      [](const TraceLintStream::LineTask& a, TaskId id) { return a.id < id; });
+  return it != line.end() && it->id == t;
+}
+
 TraceLintStream::Snapshot get_lint(Reader& r) {
   TraceLintStream::Snapshot l;
   l.index = r.u64();
   l.finished = r.u8() != 0;
   l.warnings_emitted = r.u64();
   l.errors_emitted = r.u64();
-  const std::size_t tasks = r.count(14);
-  l.tasks.resize(tasks);
-  const auto valid_task = [tasks](TaskId t) {
-    return t == kInvalidTask || t < tasks;
-  };
-  for (TraceLintStream::TaskState& t : l.tasks) {
+  l.task_count = r.u64();
+  if (l.task_count > kInvalidTask)
+    reject("K006", "lint task count out of range");
+  const std::size_t line = r.count(17);
+  l.line.resize(line);
+  for (std::size_t i = 0; i < line; ++i) {
+    TraceLintStream::LineTask& t = l.line[i];
+    t.id = r.u32();
     t.left = r.u32();
     t.right = r.u32();
     t.finish_depth = r.u32();
     t.halted = r.u8() != 0;
-    t.joined = r.u8() != 0;
-    if (!valid_task(t.left) || !valid_task(t.right))
-      reject("K007", "lint task neighbor names a missing task");
+    if (t.id >= l.task_count || (i != 0 && l.line[i - 1].id >= t.id))
+      reject("K007", "lint line ids must ascend below the task count");
   }
+  const auto linked = [&l](TaskId t) {
+    return t == kInvalidTask || on_line(l.line, t);
+  };
+  for (const TraceLintStream::LineTask& t : l.line)
+    if (!linked(t.left) || !linked(t.right))
+      reject("K007", "lint line neighbor is not on the line");
   const std::size_t stack = r.count(4);
   l.stack.reserve(stack);
   for (std::size_t i = 0; i < stack; ++i) {
     const TaskId t = r.u32();
-    if (t >= tasks) reject("K007", "lint stack names a missing task");
+    if (!on_line(l.line, t))
+      reject("K007", "lint stack names a task off the line");
     l.stack.push_back(t);
   }
   const std::size_t locs = r.count(9);
@@ -254,7 +275,7 @@ TraceLintStream::Snapshot get_lint(Reader& r) {
   for (std::size_t i = 0; i < mutexes; ++i) {
     const Loc id = r.u64();
     const TaskId holder = r.u32();
-    if (holder != kInvalidTask && holder >= tasks)
+    if (holder != kInvalidTask && holder >= l.task_count)
       reject("K007", "lint mutex holder names a missing task");
     if (is_semaphore_id(id))
       reject("K007", "lint mutex section names a semaphore");
@@ -275,6 +296,10 @@ TraceLintStream::Snapshot get_lint(Reader& r) {
 // ----------------------------------------------------- DSU engine section --
 
 void put_dsu(Writer& w, const OnlineRaceDetector::State& s) {
+  w.u64(s.tasks.task_count);
+  w.u64(s.tasks.base);
+  w.u64(s.tasks.carried.size());
+  for (TaskId t : s.tasks.carried) w.u32(t);
   const std::size_t n = s.engine.parent.size();
   w.u64(n);
   for (std::uint32_t v : s.engine.parent) w.u32(v);
@@ -294,16 +319,39 @@ void put_dsu(Writer& w, const OnlineRaceDetector::State& s) {
   w.u64(s.access_count);
 }
 
+/// Root of x's tree in a forest whose ranks rise toward the root, so the
+/// walk ends within 256 steps.
+std::uint32_t dsu_root(const SupremaEngine::State& e, std::uint32_t x) {
+  while (e.parent[x] != x) x = e.parent[x];
+  return x;
+}
+
 OnlineRaceDetector::State get_dsu(Reader& r) {
   OnlineRaceDetector::State s;
-  const std::size_t n = r.count(10);  // 4+1+4+1 bytes per vertex
-  const auto valid_vertex = [n](std::uint32_t v) {
+  s.tasks.task_count = r.u64();
+  s.tasks.base = r.u64();
+  if (s.tasks.task_count > kInvalidTask)
+    reject("K006", "DSU task count out of range");
+  if (s.tasks.base > s.tasks.task_count)
+    reject("K007", "DSU task base beyond its task count");
+  const std::size_t carried = r.count(4);
+  s.tasks.carried.reserve(carried);
+  for (std::size_t i = 0; i < carried; ++i) {
+    const TaskId t = r.u32();
+    if (t >= s.tasks.base || (i != 0 && s.tasks.carried.back() >= t))
+      reject("K007", "DSU carried task ids must ascend below the base");
+    s.tasks.carried.push_back(t);
+  }
+  const std::size_t n = r.count(10);  // 4+1+4+1 bytes per slot
+  if (n != carried + (s.tasks.task_count - s.tasks.base))
+    reject("K007", "DSU slot count disagrees with its task index");
+  const auto valid_slot = [n](std::uint32_t v) {
     return v == kInvalidVertex || v < n;
   };
   s.engine.parent.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint32_t v = r.u32();
-    if (v >= n) reject("K007", "DSU parent names a missing vertex");
+    if (v >= n) reject("K007", "DSU parent names a missing slot");
     s.engine.parent.push_back(v);
   }
   r.need(n);
@@ -312,12 +360,22 @@ OnlineRaceDetector::State get_dsu(Reader& r) {
   s.engine.label.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint32_t v = r.u32();
-    if (v >= n) reject("K007", "DSU label names a missing vertex");
+    if (v >= n) reject("K007", "DSU label names a missing slot");
     s.engine.label.push_back(v);
   }
   r.need(n);
   s.engine.visited.assign(r.p + r.pos, r.p + r.pos + n);
   r.pos += n;
+  // Union by rank keeps every parent's rank above its child's; a forest
+  // that breaks this can hold a cycle, on which a find never returns.
+  for (std::size_t x = 0; x < n; ++x)
+    if (s.engine.parent[x] != x &&
+        s.engine.rank[s.engine.parent[x]] <= s.engine.rank[x])
+      reject("K007", "DSU rank does not rise toward the root");
+  // A set's label is one of its members (a join keeps the joiner's label).
+  for (std::uint32_t x = 0; x < n; ++x)
+    if (s.engine.parent[x] == x && dsu_root(s.engine, s.engine.label[x]) != x)
+      reject("K007", "DSU label lies outside its set");
   const std::size_t cells = r.count(20);  // loc + three ids
   s.cells.reserve(cells);
   for (std::size_t i = 0; i < cells; ++i) {
@@ -326,9 +384,9 @@ OnlineRaceDetector::State get_dsu(Reader& r) {
     cell.read_sup = r.u32();
     cell.write_sup = r.u32();
     cell.epoch_task = r.u32();
-    if (!valid_vertex(cell.read_sup) || !valid_vertex(cell.write_sup) ||
-        !valid_vertex(cell.epoch_task))
-      reject("K007", "shadow cell names a missing vertex");
+    if (!valid_slot(cell.read_sup) || !valid_slot(cell.write_sup) ||
+        !valid_slot(cell.epoch_task))
+      reject("K007", "shadow cell names a missing slot");
     s.cells.emplace_back(loc, cell);
   }
   s.undrained = get_reports(r);
@@ -336,6 +394,26 @@ OnlineRaceDetector::State get_dsu(Reader& r) {
   s.reports_total = r.u64();
   s.access_count = r.u64();
   return s;
+}
+
+/// The lint gate passes the detector events by tasks on its line, so each
+/// must hold a DSU slot that labels its own set: a slot below the base
+/// must be carried, and a slot the DSU counts as joined is dropped by the
+/// next compaction pass. Either would make the detector throw on the next
+/// event by that task.
+void check_line_has_slots(const TraceLintStream::Snapshot& lint,
+                          const OnlineRaceDetector::State& dsu) {
+  if (lint.task_count != dsu.tasks.task_count)
+    reject("K007", "lint and DSU task counts disagree");
+  LiveTaskIndex slots;  // get_dsu validated the image
+  slots.import_state(LiveTaskIndex::State(dsu.tasks));
+  for (const TraceLintStream::LineTask& t : lint.line) {
+    const std::uint32_t slot = slots.row(t.id);
+    if (slot == LiveTaskIndex::kNoRow)
+      reject("K007", "lint line names a task the DSU dropped");
+    if (dsu.engine.label[dsu_root(dsu.engine, slot)] != slot)
+      reject("K007", "lint line names a task the DSU counts as joined");
+  }
 }
 
 // ----------------------------------------------------------- whole blobs --
@@ -375,11 +453,7 @@ DetectionSession::State decode_payload(Reader& r, std::uint64_t& quota_bytes) {
   s.decoder = get_decoder(r);
   s.lint = get_lint(r);
   s.detector = get_dsu(r);
-  // Both start at the root and lint admits exactly the forks the detector
-  // applies, so a live session has one lint task per DSU vertex. A gate
-  // that knew a task the detector does not would pass it an unknown id.
-  if (s.lint.tasks.size() != s.detector.engine.parent.size())
-    reject("K007", "lint task table and DSU vertex count disagree");
+  check_line_has_slots(s.lint, s.detector);
   s.pending = get_reports(r);
   if (r.remaining() != 0)
     reject("K005", "trailing bytes after the session state");

@@ -2,13 +2,13 @@
 //
 // A snapshot captures the WHOLE ingest pipeline mid-stream — decoder state
 // machine (including the partial frame's bytes), lint gate state, detector
-// internals (the labeled DSU and the shadow cells), the undrained report
-// backlog and the reporter's totals — so that a restored session continues
-// bit-identically: feeding the remainder of the original stream yields
-// exactly the reports the unsnapshotted session would have produced. The
-// blob is self-framed and self-checking:
+// internals (the task index, the labeled DSU and the shadow cells), the
+// undrained report backlog and the reporter's totals — so that a restored
+// session continues bit-identically: feeding the remainder of the original
+// stream yields exactly the reports the unsnapshotted session would have
+// produced. The blob is self-framed and self-checking:
 //
-//   blob    := magic[8] ("R2DSNAP\x04")  payload_len:u32le
+//   blob    := magic[8] ("R2DSNAP\x05")  payload_len:u32le
 //              payload_crc:u32le (CRC32C)  payload[payload_len]
 //   payload := fed_bytes:u64le  policy:u8  quota_bytes:u64le
 //              <session state, see snapshot.cpp and docs/API.md>
@@ -30,7 +30,8 @@
 //   K005  payload structure truncated or carries trailing bytes
 //   K006  a field holds an out-of-range value
 //   K007  cross-field validation failed (an index names a missing object,
-//         or the lint task table and the DSU disagree on the task count)
+//         the lint gate and the DSU disagree on the task count, or a task
+//         on the lint line has no live DSU slot)
 //   K008  session not snapshotable (poisoned, or the blob would exceed the
 //         protocol frame cap)
 //

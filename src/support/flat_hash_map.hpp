@@ -130,6 +130,12 @@ class FlatHashMap {
     for (const auto& s : slots_)
       if (s.occupied) fn(s.key, s.value);
   }
+  /// The same walk with the values writable (keys stay const).
+  template <typename Fn>
+  void for_each(Fn&& fn) {
+    for (auto& s : slots_)
+      if (s.occupied) fn(static_cast<const K&>(s.key), s.value);
+  }
 
   /// Heap bytes held by the table (for E2 space accounting).
   std::size_t heap_bytes() const { return slots_.capacity() * sizeof(Slot); }

@@ -26,6 +26,22 @@ std::uint32_t LabeledUnionFind::add() {
   return id;
 }
 
+void LabeledUnionFind::retain(const std::vector<std::uint32_t>& remap,
+                              std::size_t kept) {
+  R2D_REQUIRE(remap.size() == parent_.size(),
+              "retain map must cover every element");
+  for (std::size_t x = 0; x < remap.size(); ++x)
+    if (remap[x] != kInvalidVertex) visited_[remap[x]] = visited_[x];
+  parent_.resize(kept);
+  rank_.assign(kept, 0);
+  label_.resize(kept);
+  visited_.resize(kept);
+  for (std::size_t i = 0; i < kept; ++i) {
+    parent_[i] = static_cast<std::uint32_t>(i);
+    label_[i] = static_cast<std::uint32_t>(i);
+  }
+}
+
 void LabeledUnionFind::import_state(State&& s) {
   const std::size_t n = s.parent.size();
   R2D_REQUIRE(s.rank.size() == n && s.label.size() == n &&

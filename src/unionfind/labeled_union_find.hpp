@@ -67,6 +67,12 @@ class LabeledUnionFind {
 
   std::size_t element_count() const { return parent_.size(); }
 
+  /// Rebuilds the structure as singletons of the elements `remap` keeps:
+  /// old element x becomes remap[x] (kept elements in ascending order, so
+  /// remap[x] <= x; a dropped one maps to kInvalidVertex), labeled by
+  /// itself, with its visited flag. Shrinks to `kept` elements.
+  void retain(const std::vector<std::uint32_t>& remap, std::size_t kept);
+
   /// Plain-data image of the whole structure — what a session snapshot
   /// serializes. The four vectors are index-parallel.
   struct State {

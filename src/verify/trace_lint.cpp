@@ -33,8 +33,8 @@ enum : std::uint8_t { kLocTracked = 1, kLocRetired = 2 };
 TraceLintStream::TraceLintStream(TraceLintOptions options)
     : options_(options) {
   // The initial line {root | program}: task 0 running, alone.
+  stack_.push_back({task_index_.add(), 0});
   tasks_.push_back({});
-  stack_.push_back(0);
 }
 
 template <typename Fn>
@@ -61,11 +61,11 @@ void TraceLintStream::emit(LintCode code, std::size_t index, Fn&& compose,
 bool TraceLintStream::feed(const TraceEvent& e) {
   R2D_REQUIRE(!finished_, "TraceLintStream::feed() after finish()");
   const std::size_t i = index_++;
-  // Fast path: the running task (the stack holds known ids only) passes
-  // every check admit() makes, unless it halted — which the stream itself
-  // never leaves on the stack, but a restored snapshot can.
-  const bool running = !stack_.empty() && stack_.back() == e.actor &&
-                       !tasks_[e.actor].halted;
+  // Fast path: the running task (the stack holds tasks on the line only)
+  // passes every check admit() makes, unless it halted — which the stream
+  // itself never leaves on the stack, but a restored snapshot can.
+  const bool running =
+      !stack_.empty() && stack_.back().id == e.actor && !top_halted_;
   if (!running && !admit(i, e)) return ok_so_far();
 
   switch (e.op) {
@@ -84,18 +84,20 @@ bool TraceLintStream::feed(const TraceEvent& e) {
       if (options_.warnings) on_retire(i, e);
       break;
     case TraceOp::kFinishBegin:
-      ++tasks_[e.actor].finish_depth;
+      ++tasks_[actor_row(e.actor)].finish_depth;
       break;
-    case TraceOp::kFinishEnd:
-      if (tasks_[e.actor].finish_depth == 0) {
+    case TraceOp::kFinishEnd: {
+      TaskState& actor = tasks_[actor_row(e.actor)];
+      if (actor.finish_depth == 0) {
         emit(LintCode::kFinishEndUnbalanced, i, [&](std::ostream& os) {
           os << "finish_end by task " << e.actor
              << " without an open finish region";
         }, "balance finish_begin/finish_end per task");
       } else {
-        --tasks_[e.actor].finish_depth;
+        --actor.finish_depth;
       }
       break;
+    }
   }
   return ok_so_far();
 }
@@ -117,11 +119,13 @@ bool TraceLintStream::admit(std::size_t i, const TraceEvent& e) {
   if (!known(e.actor)) {
     emit(LintCode::kUnknownActor, i, [&](std::ostream& os) {
       os << op << " by unknown task " << e.actor << " (only "
-         << tasks_.size() << " task(s) introduced so far)";
+         << task_index_.task_count() << " task(s) introduced so far)";
     }, "every task id must first appear as a fork's child");
     return false;
   }
-  if (tasks_[e.actor].halted) {
+  // A task with no row was joined, so it halted.
+  const TaskState* actor = find(e.actor);
+  if (actor == nullptr || actor->halted) {
     if (e.op == TraceOp::kHalt) {
       emit(LintCode::kDoubleHalt, i, [&](std::ostream& os) {
         os << "task " << e.actor << " halts twice";
@@ -133,8 +137,8 @@ bool TraceLintStream::admit(std::size_t i, const TraceEvent& e) {
     }
     return false;
   }
-  if (stack_.back() != e.actor) {
-    const TaskId expected = stack_.back();
+  if (stack_.back().id != e.actor) {
+    const TaskId expected = stack_.back().id;
     emit(LintCode::kOutOfSerialOrder, i, [&](std::ostream& os) {
       os << op << " by task " << e.actor
          << " while the serial fork-first order has task " << expected
@@ -160,22 +164,25 @@ void TraceLintStream::on_fork(std::size_t i, const TraceEvent& e) {
     }, "each task id may be forked exactly once");
     return;
   }
-  if (e.other != tasks_.size()) {
+  if (e.other != task_index_.task_count()) {
     emit(LintCode::kForkChildNotDense, i, [&](std::ostream& os) {
       os << "fork by task " << e.actor << " introduces child " << e.other
-         << " but the next dense id is " << tasks_.size();
+         << " but the next dense id is " << task_index_.task_count();
     }, "task ids are dense in fork order (root is 0)");
     return;
   }
   // Insert the child immediately LEFT of its parent (Figure 9).
-  const TaskId child = static_cast<TaskId>(tasks_.size());
-  TaskState child_state;
-  child_state.left = tasks_[e.actor].left;
-  child_state.right = e.actor;
-  if (child_state.left != kInvalidTask) tasks_[child_state.left].right = child;
-  tasks_[e.actor].left = child;
-  tasks_.push_back(child_state);
-  stack_.push_back(child);  // fork-first: the child runs next
+  const std::uint32_t parent = actor_row(e.actor);
+  const auto row = static_cast<std::uint32_t>(tasks_.size());
+  TaskState child;
+  child.left = tasks_[parent].left;
+  child.right = parent;
+  tasks_[parent].left = row;
+  if (child.left != kNoRow) tasks_[child.left].right = row;
+  tasks_.push_back(child);
+  // Fork-first: the child runs next.
+  stack_.push_back({task_index_.add(), row});
+  top_halted_ = false;
 }
 
 void TraceLintStream::on_join(std::size_t i, const TraceEvent& e) {
@@ -198,36 +205,74 @@ void TraceLintStream::on_join(std::size_t i, const TraceEvent& e) {
     }, "only the immediate left neighbor is joinable");
     return;
   }
-  if (tasks_[e.other].joined) {
+  // The target is normally the actor's left neighbor, whose row the line
+  // gives; any other target is looked up to name the error. A task with no
+  // row was joined.
+  const std::uint32_t actor = actor_row(e.actor);
+  const std::uint32_t left = tasks_[actor].left;
+  const bool neighbor = left != kNoRow && task_index_.id_at(left) == e.other;
+  TaskState* target = neighbor ? &tasks_[left] : find(e.other);
+  if (target == nullptr || target->joined) {
     emit(LintCode::kJoinTargetJoined, i, [&](std::ostream& os) {
       os << "task " << e.actor << " joins task " << e.other
          << ", which was already joined";
     }, "each task is joined exactly once");
     return;
   }
-  if (!tasks_[e.other].halted) {
+  if (!target->halted) {
     emit(LintCode::kJoinTargetNotHalted, i, [&](std::ostream& os) {
       os << "task " << e.actor << " joins task " << e.other
          << ", which has not halted";
     }, "a join consumes a halted task (the delayed last-arc)");
     return;
   }
-  if (tasks_[e.actor].left != e.other) {
+  if (!neighbor) {
     emit(LintCode::kJoinNotLeftNeighbor, i, [&](std::ostream& os) {
       os << "task " << e.actor << " joins task " << e.other
          << " but its immediate left neighbor is ";
-      if (tasks_[e.actor].left == kInvalidTask)
+      if (left == kNoRow)
         os << "nothing";
       else
-        os << "task " << tasks_[e.actor].left;
+        os << "task " << task_index_.id_at(left);
     }, "Figure 9 allows joining only the immediate left neighbor");
     return;
   }
   // Remove the joined task from the line.
-  TaskState& joined = tasks_[e.other];
-  joined.joined = true;
-  tasks_[e.actor].left = joined.left;
-  if (joined.left != kInvalidTask) tasks_[joined.left].right = e.actor;
+  target->joined = true;
+  tasks_[actor].left = target->left;
+  if (target->left != kNoRow) tasks_[target->left].right = actor;
+  ++joined_rows_;
+  if (joined_rows_ > tasks_.size() - joined_rows_ &&
+      tasks_.size() >= LiveTaskIndex::kCompactionFloor)
+    drop_joined_rows();
+}
+
+void TraceLintStream::drop_joined_rows() {
+  const std::vector<std::uint32_t> remap = task_index_.compact(
+      [this](std::uint32_t row) { return !tasks_[row].joined; });
+  // Links name tasks on the line, which are all kept. Kept rows move down,
+  // never up, so the rows can move in place.
+  const auto moved = [&remap](std::uint32_t row) {
+    return row == kNoRow ? kNoRow : remap[row];
+  };
+  for (std::size_t row = 0; row < remap.size(); ++row) {
+    if (remap[row] == kNoRow) continue;
+    TaskState t = tasks_[row];
+    t.left = moved(t.left);
+    t.right = moved(t.right);
+    tasks_[remap[row]] = t;
+  }
+  tasks_.resize(task_index_.rows());
+  for (Running& r : stack_) r.row = moved(r.row);
+  joined_rows_ = 0;
+}
+
+void TraceLintStream::refresh_top() {
+  if (stack_.empty()) return;
+  // A restored stack can hold a halted task, and a join can then drop its
+  // row; without one it reads as halted.
+  const std::uint32_t row = stack_.back().row;
+  top_halted_ = row == kNoRow || tasks_[row].halted;
 }
 
 void TraceLintStream::on_acquire(std::size_t i, const TraceEvent& e) {
@@ -294,25 +339,27 @@ void TraceLintStream::on_halt(std::size_t i, const TraceEvent& e) {
       mutexes_.erase(id);  // repair: avoid cascading L017 downstream
     }
   }
-  if (tasks_[e.actor].finish_depth > 0) {
+  TaskState& actor = tasks_[actor_row(e.actor)];
+  if (actor.finish_depth > 0) {
     emit(LintCode::kFinishUnclosed, i, [&](std::ostream& os) {
-      os << "task " << e.actor << " halts with "
-         << tasks_[e.actor].finish_depth << " open finish region(s)";
+      os << "task " << e.actor << " halts with " << actor.finish_depth
+         << " open finish region(s)";
     }, "emit finish_end before the task halts");
   }
-  tasks_[e.actor].halted = true;
-  if (stack_.back() == e.actor) {
+  actor.halted = true;
+  if (stack_.back().id == e.actor) {
     stack_.pop_back();
   } else {
     // Out-of-order halt (already reported): drop it from the run stack so
     // later events by its ancestors are judged on their own merits.
     for (std::size_t s = stack_.size(); s-- > 0;) {
-      if (stack_[s] == e.actor) {
+      if (stack_[s].id == e.actor) {
         stack_.erase(stack_.begin() + static_cast<std::ptrdiff_t>(s));
         break;
       }
     }
   }
+  refresh_top();
 }
 
 void TraceLintStream::on_access(std::size_t i, const TraceEvent& e) {
@@ -349,13 +396,15 @@ void TraceLintStream::finish() {
         return;
       }
       os << "trace ends with " << stack_.size()
-         << " task(s) still running (innermost: task " << stack_.back()
+         << " task(s) still running (innermost: task " << stack_.back().id
          << "); the root never halted";
     }, "a complete trace ends with the root's halt");
     return;  // unjoined-task findings would only restate the truncation
   }
-  for (TaskId t = 1; t < tasks_.size(); ++t) {
-    if (!tasks_[t].joined) {
+  // Rows are in ascending id order; a task without one was joined.
+  for (std::uint32_t row = 0; row < tasks_.size(); ++row) {
+    const TaskId t = task_index_.id_at(row);
+    if (t != 0 && !tasks_[row].joined) {
       emit(LintCode::kUnjoinedTask, end, [&](std::ostream& os) {
         os << "task " << t << " was never joined; the task graph has "
            << "multiple sinks (Theorem 6 needs the root to join all)";
@@ -370,8 +419,17 @@ TraceLintStream::Snapshot TraceLintStream::export_state() const {
   s.finished = finished_;
   s.warnings_emitted = warnings_emitted_;
   s.errors_emitted = errors_emitted_;
-  s.tasks = tasks_;
-  s.stack = stack_;
+  s.task_count = task_index_.task_count();
+  const auto id_of = [this](std::uint32_t row) {
+    return row == kNoRow ? kInvalidTask : task_index_.id_at(row);
+  };
+  for (std::uint32_t row = 0; row < tasks_.size(); ++row) {
+    const TaskState& t = tasks_[row];
+    if (!t.joined)
+      s.line.push_back({id_of(row), id_of(t.left), id_of(t.right),
+                        t.finish_depth, t.halted});
+  }
+  for (const Running& r : stack_) s.stack.push_back(r.id);
   s.locs.reserve(locs_.size());
   locs_.for_each([&s](Loc loc, std::uint8_t state) {
     s.locs.emplace_back(loc, state);
@@ -388,15 +446,36 @@ TraceLintStream::Snapshot TraceLintStream::export_state() const {
 }
 
 void TraceLintStream::import_state(Snapshot&& s) {
-  // feed() serves the stack's top without checking that it is known.
-  for (const TaskId t : s.stack)
-    R2D_REQUIRE(t < s.tasks.size(), "snapshot stack names a missing task");
+  // The line becomes the rows, every one carried, and its links and the
+  // stack become rows. feed() serves the stack's top, and a fork or join
+  // follows the links, without checking that they are on the line.
+  std::vector<TaskId> ids;
+  ids.reserve(s.line.size());
+  for (const LineTask& t : s.line) ids.push_back(t.id);
+  task_index_.import_state({s.task_count, s.task_count, std::move(ids)});
+  const auto row_on_line = [this](TaskId t) {
+    if (t == kInvalidTask) return kNoRow;
+    const std::uint32_t row = task_index_.row(t);
+    R2D_REQUIRE(row != kNoRow, "snapshot names a task off the line");
+    return row;
+  };
+  tasks_.clear();
+  tasks_.reserve(s.line.size());
+  for (const LineTask& t : s.line)
+    tasks_.push_back({row_on_line(t.left), row_on_line(t.right),
+                      t.finish_depth, t.halted, false});
+  stack_.clear();
+  stack_.reserve(s.stack.size());
+  for (const TaskId t : s.stack) {
+    R2D_REQUIRE(t != kInvalidTask, "snapshot names a task off the line");
+    stack_.push_back({t, row_on_line(t)});
+  }
+  joined_rows_ = 0;
   index_ = static_cast<std::size_t>(s.index);
   finished_ = s.finished;
   warnings_emitted_ = static_cast<std::size_t>(s.warnings_emitted);
   errors_emitted_ = static_cast<std::size_t>(s.errors_emitted);
-  tasks_ = std::move(s.tasks);
-  stack_ = std::move(s.stack);
+  refresh_top();
   locs_.clear();
   if (options_.warnings) {
     locs_.reserve(s.locs.size());
@@ -418,8 +497,8 @@ void TraceLintStream::import_state(Snapshot&& s) {
 }
 
 std::size_t TraceLintStream::memory_bytes() const {
-  return tasks_.capacity() * sizeof(TaskState) +
-         stack_.capacity() * sizeof(TaskId) + locs_.heap_bytes() +
+  return tasks_.capacity() * sizeof(TaskState) + task_index_.heap_bytes() +
+         stack_.capacity() * sizeof(Running) + locs_.heap_bytes() +
          mutexes_.heap_bytes() + held_counts_.heap_bytes() +
          semaphores_.heap_bytes();
 }

@@ -30,15 +30,25 @@
 //
 // Cost. An event by the running task that has not halted passes every
 // actor and order check at once, so it skips them; with warnings off a
-// read, write, retire or sync then does no further work. Only the retire
-// hygiene warnings need per-location state, so an errors-only linter (the
-// gates) keeps none: its state is Θ(tasks + held mutexes + semaphores).
+// read, write, retire or sync then does no further work. Whether the
+// running task halted is cached with the stack, and the stack and the line
+// links hold rows, so a fork, halt or join by the running task looks up no
+// id. Only the retire hygiene warnings need per-location state, so an
+// errors-only linter (the gates) keeps none: its state is Θ(line + held
+// mutexes + semaphores).
 // A release erases its mutex and a count per holding task says how many
 // each still holds, so a halt by a task that holds none is O(1). Only a
 // halt that still holds a mutex, which is an L019 error, scans the held
 // mutexes: a pass is O(n) on traces whose tasks release before halting,
 // and the service gate, which stops a session at its first error, scans
 // at most once.
+//
+// Per-task state is Θ(line). Rows exist only for the unjoined tasks and
+// for tasks joined since the last drop, behind a LiveTaskIndex. A known
+// task with no row was joined, so it reads as halted and joined, as its
+// row did. Joined rows are dropped in place once they outnumber the live
+// ones and the table holds at least LiveTaskIndex::kCompactionFloor rows,
+// which costs O(1) amortized per join.
 #pragma once
 
 #include <cstddef>
@@ -48,6 +58,7 @@
 
 #include "runtime/trace.hpp"
 #include "support/flat_hash_map.hpp"
+#include "support/live_tasks.hpp"
 #include "verify/diagnostics.hpp"
 
 namespace race2d {
@@ -68,7 +79,7 @@ struct TraceLintOptions {
 /// long-running ingest front (the DetectionService) gates on — an
 /// error-level finding is known at the offending event, BEFORE that event
 /// ever reaches a detector, with no trace materialization. State is
-/// Θ(tasks + locations) with warnings on and Θ(tasks) plus the held sync
+/// Θ(line + locations) with warnings on and Θ(line) plus the held sync
 /// objects with warnings off. TraceLinter::run() is the batch driver over
 /// it.
 class TraceLintStream {
@@ -104,24 +115,27 @@ class TraceLintStream {
   /// vector capacities and hash-table slot arrays, empty tables included.
   std::size_t memory_bytes() const;
 
-  struct TaskState {
-    TaskId left = kInvalidTask;  ///< immediate left neighbor in the task line
+  /// One unjoined task of a snapshot's line.
+  struct LineTask {
+    TaskId id = kInvalidTask;
+    TaskId left = kInvalidTask;  ///< immediate left neighbor on the line
     TaskId right = kInvalidTask;
     std::uint32_t finish_depth = 0;
     bool halted = false;
-    bool joined = false;  ///< removed from the line by a join
   };
 
   /// Snapshot image of a CLEAN mid-stream linter (the service only
   /// snapshots unpoisoned sessions, whose gate carries no diagnostics —
-  /// the diagnostic list is deliberately not part of the state).
+  /// the diagnostic list is deliberately not part of the state). Only the
+  /// line is kept: every other task below task_count was joined.
   struct Snapshot {
     std::uint64_t index = 0;
     bool finished = false;
     std::uint64_t warnings_emitted = 0;
     std::uint64_t errors_emitted = 0;
-    std::vector<TaskState> tasks;
-    std::vector<TaskId> stack;
+    std::uint64_t task_count = 0;  ///< tasks introduced, the root included
+    std::vector<LineTask> line;    ///< ascending ids, all below task_count
+    std::vector<TaskId> stack;     ///< ids on the line
     /// Location states; empty from a linter with warnings off, and dropped
     /// on import into one.
     std::vector<std::pair<Loc, std::uint8_t>> locs;
@@ -138,10 +152,42 @@ class TraceLintStream {
   /// Tables start at the smallest size: most streams leave them empty.
   static constexpr std::size_t kMinSlots = 4;
 
+  static constexpr std::uint32_t kNoRow = LiveTaskIndex::kNoRow;
+
+  /// A row of the task table: a task on the line, or one joined since the
+  /// last drop (task_index_.id_at names it). The line links hold rows, so
+  /// walking the line and serving the running task look up no id.
+  struct TaskState {
+    std::uint32_t left = kNoRow;  ///< row of the immediate left neighbor
+    std::uint32_t right = kNoRow;
+    std::uint32_t finish_depth = 0;
+    bool halted = false;
+    bool joined = false;  ///< removed from the line by a join
+  };
+  /// A running task with its row.
+  struct Running {
+    TaskId id = kInvalidTask;
+    std::uint32_t row = kNoRow;
+  };
+
   template <typename Fn>
   void emit(LintCode code, std::size_t index, Fn&& compose,
             const char* hint = "");
-  bool known(TaskId t) const { return t < tasks_.size(); }
+  bool known(TaskId t) const { return t < task_index_.task_count(); }
+  /// The row of an admitted actor: the running task's comes with the stack
+  /// (which admit() guarantees is not empty).
+  std::uint32_t actor_row(TaskId t) const {
+    return stack_.back().id == t ? stack_.back().row : task_index_.row(t);
+  }
+  /// The row of a known task, or nullptr once its row was dropped.
+  TaskState* find(TaskId t) {
+    const std::uint32_t row = task_index_.row(t);
+    return row == kNoRow ? nullptr : &tasks_[row];
+  }
+  void drop_joined_rows();
+  /// Re-reads whether the task on top of the stack halted, after the stack
+  /// changed.
+  void refresh_top();
   /// The actor and order checks; false when they reject the event.
   bool admit(std::size_t i, const TraceEvent& e);
   void on_fork(std::size_t i, const TraceEvent& e);
@@ -158,8 +204,11 @@ class TraceLintStream {
   bool finished_ = false;
   std::size_t warnings_emitted_ = 0;
   std::size_t errors_emitted_ = 0;
-  std::vector<TaskState> tasks_;
-  std::vector<TaskId> stack_;  ///< running tasks, innermost (current) last
+  LiveTaskIndex task_index_;
+  std::vector<TaskState> tasks_;  ///< rows, in ascending id order
+  std::size_t joined_rows_ = 0;
+  std::vector<Running> stack_;  ///< running tasks, innermost (current) last
+  bool top_halted_ = false;    ///< the task on top of stack_ halted
   /// Per-location retire state; filled only with warnings on.
   FlatHashMap<Loc, std::uint8_t> locs_{kMinSlots};
   /// Held mutexes only (a release erases its entry) with their holders,

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "runtime/trace_io.hpp"
 #include "service/server.hpp"
 #include "service/service.hpp"
+#include "service/session.hpp"
 
 namespace race2d {
 namespace {
@@ -329,6 +331,40 @@ TEST(Service, BackpressureRefusesWithoutConsuming) {
   EXPECT_EQ(retried.status, ServiceStatus::kDecodeReject)
       << "a second full stream is trailing bytes after the first trailer";
   (void)more_pending;
+}
+
+// A partial drain hands over the head of the backlog without moving the
+// rest of it, so draining 2^16 reports one at a time costs O(backlog).
+// Erasing the drained prefix on every call made it quadratic: over a
+// second here, against a few milliseconds.
+TEST(Service, DrainingABacklogOneReportAtATimeIsLinear) {
+  constexpr Loc kReports = Loc{1} << 16;
+  Trace trace = {{TraceOp::kFork, 0, 1, 0}};
+  for (Loc loc = 0; loc < kReports; ++loc)
+    trace.push_back({TraceOp::kWrite, 1, kInvalidTask, loc});
+  trace.push_back({TraceOp::kHalt, 1, kInvalidTask, 0});
+  for (Loc loc = 0; loc < kReports; ++loc)
+    trace.push_back({TraceOp::kRead, 0, kInvalidTask, loc});  // each races
+  trace.push_back({TraceOp::kJoin, 0, 1, 0});
+  trace.push_back({TraceOp::kHalt, 0, kInvalidTask, 0});
+  DetectionSession session(ReportPolicy::kAll, 2 * kReports);
+  ASSERT_EQ(session.feed(trace_to_binary(trace)).status, ServiceStatus::kOk);
+  ASSERT_EQ(session.pending_reports(), kReports);
+
+  std::vector<RaceReport> drained;
+  bool more = true;
+  const auto start = std::chrono::steady_clock::now();
+  while (more) {
+    const std::vector<RaceReport> one = session.drain(1, more);
+    ASSERT_EQ(one.size(), 1u);
+    drained.push_back(one.front());
+    ASSERT_EQ(session.pending_reports(), kReports - drained.size());
+  }
+  const auto took = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(drained, detect_races_trace(trace));
+  EXPECT_LT(took, std::chrono::milliseconds(250))
+      << std::chrono::duration_cast<std::chrono::milliseconds>(took).count()
+      << " ms to drain " << kReports << " reports one at a time";
 }
 
 TEST(Service, MetricsJsonTracksTraffic) {

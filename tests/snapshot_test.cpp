@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cctype>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -136,9 +137,10 @@ CutStream cut_after(const std::string& text, int events) {
   return out;
 }
 
-/// One lint task record: left and right neighbours, no finish scope, live.
-std::string lint_task(TaskId left, TaskId right) {
-  return le32(left) + le32(right) + le32(0) + std::string(2, '\0');
+/// One lint line entry: the task, its left and right neighbours, no finish
+/// scope, not halted.
+std::string lint_task(TaskId id, TaskId left, TaskId right) {
+  return le32(id) + le32(left) + le32(right) + le32(0) + std::string(1, '\0');
 }
 
 /// Has the blob's error-code prefix: "Kxxx: ...".
@@ -451,12 +453,12 @@ TEST(Snapshot, StructurallyInvalidPayloadsGetTheirOwnCodes) {
   EXPECT_EQ(out.error.substr(0, 4), "K002") << out.error;
 }
 
-// The lint gate admits a task the detector must know: a live session has
-// one lint task per DSU vertex, because both start at the root and lint
-// admits exactly the forks the detector applies. A well-sealed blob whose
-// lint task table has one task more or one fewer than the DSU is K007 — a
-// gate that knew task 2 would pass `write 2 11` to a detector without it,
-// which throws out of the service.
+// The lint gate admits a task the detector must know: both start at the
+// root and lint admits exactly the forks the detector applies, so their
+// task counts are equal. A well-sealed blob whose lint section counts one
+// task more or one fewer than the DSU is K007 — a gate that knew task 2
+// would pass `write 2 11` to a detector without it, which throws out of
+// the service.
 TEST(Snapshot, LintTaskCountMustMatchTheDetector) {
   const CutStream s = cut_after("fork 0 1\nwrite 1 10\nhalt 1\n"
                                 "join 0 1\nhalt 0\n", 2);
@@ -465,19 +467,20 @@ TEST(Snapshot, LintTaskCountMustMatchTheDetector) {
   ASSERT_EQ(feed_bytes(a, id, s.wire.substr(0, s.cut)).status,
             ServiceStatus::kOk);
   const std::string blob = snapshot_via_service(a, id);
-  // Task 0 with task 1 as its left neighbour, task 1 on top of the stack.
-  const std::string tasks = le64(2) + lint_task(1, kInvalidTask) +
-                            lint_task(kInvalidTask, 0) + le64(2) + le32(0) +
+  // Two tasks on the line: task 1 left of task 0 and on top of the stack.
+  const std::string tasks = le64(2) + le64(2) + lint_task(0, 1, kInvalidTask) +
+                            lint_task(1, kInvalidTask, 0) + le64(2) + le32(0) +
                             le32(1);
   const std::size_t at = blob.find(tasks);
   ASSERT_NE(at, std::string::npos);
   ASSERT_EQ(blob.rfind(tasks), at);
 
-  const std::string one_more = le64(3) + lint_task(1, kInvalidTask) +
-                               lint_task(2, 0) + lint_task(kInvalidTask, 1) +
-                               le64(3) + le32(0) + le32(1) + le32(2);
-  const std::string one_fewer =
-      le64(1) + lint_task(kInvalidTask, kInvalidTask) + le64(1) + le32(0);
+  const std::string one_more =
+      le64(3) + le64(3) + lint_task(0, 1, kInvalidTask) + lint_task(1, 2, 0) +
+      lint_task(2, kInvalidTask, 1) + le64(3) + le32(0) + le32(1) + le32(2);
+  const std::string one_fewer = le64(1) + le64(1) +
+                                lint_task(0, kInvalidTask, kInvalidTask) +
+                                le64(1) + le32(0);
   for (const std::string& mutant : {one_more, one_fewer}) {
     DetectionService b;
     Request restore;
@@ -489,7 +492,7 @@ TEST(Snapshot, LintTaskCountMustMatchTheDetector) {
     EXPECT_EQ(b.live_sessions(), 0u);
   }
 
-  // Control: the unmutated table restores and finishes the stream.
+  // Control: the unmutated section restores and finishes the stream.
   DetectionService b;
   Request restore;
   restore.verb = Verb::kRestore;
@@ -515,16 +518,17 @@ TEST(Snapshot, HaltedTaskOnTheRestoredLintStackIsStillRejected) {
             ServiceStatus::kOk);
   const std::string blob = snapshot_via_service(a, id);
 
-  // The lint section's task table and stack: task 0 with task 1 as its
-  // left neighbour, task 1 running on top of the stack.
-  const std::string lint_tasks = le64(2) + lint_task(1, kInvalidTask) +
-                                 lint_task(kInvalidTask, 0) + le64(2) +
+  // The lint section's line and stack: task 1 left of task 0, running on
+  // top of the stack.
+  const std::string lint_tasks = le64(2) + le64(2) +
+                                 lint_task(0, 1, kInvalidTask) +
+                                 lint_task(1, kInvalidTask, 0) + le64(2) +
                                  le32(0) + le32(1);
   const std::size_t at = blob.find(lint_tasks);
   ASSERT_NE(at, std::string::npos);
   ASSERT_EQ(blob.rfind(lint_tasks), at);
   std::string mutated = blob;
-  mutated[at + 8 + 14 + 12] = '\x01';  // task 1's `halted`
+  mutated[at + 8 + 8 + 17 + 16] = '\x01';  // task 1's `halted`
   reseal(mutated);
 
   DetectionService b;
@@ -540,6 +544,133 @@ TEST(Snapshot, HaltedTaskOnTheRestoredLintStackIsStillRejected) {
   EXPECT_EQ(next.status, ServiceStatus::kLintReject) << next.message;
   EXPECT_EQ(next.message.substr(0, 1), "L") << next.message;
   EXPECT_EQ(next.feed.events, 0u);
+}
+
+/// 5 000 children of the root, one after another, then child 5 001 forked
+/// and running, with the stream cut there. The detector compacted once,
+/// after the join of child 4 095: it carries the root and holds slots for
+/// tasks 4 096 to 5 001 by offset, 907 in all.
+constexpr TaskId kChildren = 5000;
+constexpr TaskId kRunning = kChildren + 1;
+CutStream children_then_running() {
+  std::ostringstream text;
+  for (TaskId c = 1; c <= kChildren; ++c)
+    text << "fork 0 " << c << "\nwrite " << c << " 10\nhalt " << c
+         << "\njoin 0 " << c << '\n';
+  text << "fork 0 " << kRunning << "\nwrite " << kRunning << " 11\nhalt "
+       << kRunning << "\njoin 0 " << kRunning << "\nhalt 0\n";
+  return cut_after(text.str(), 4 * kChildren + 1);
+}
+
+// The gate passes the detector events by tasks on its line, so every such
+// task needs a detector slot. A resealed blob whose lint line names task 7,
+// which the detector dropped in a compaction pass long ago, is K007 — at
+// restore, not as a ContractViolation out of the next FEED.
+TEST(Snapshot, LintLineNamingADroppedTaskIsRejected) {
+  const CutStream s = children_then_running();
+  DetectionService a;
+  const std::uint32_t id = open_session(a);
+  ASSERT_EQ(feed_bytes(a, id, s.wire.substr(0, s.cut)).status,
+            ServiceStatus::kOk);
+  const std::string blob = snapshot_via_service(a, id);
+
+  // The line is the root and its running child, on top of the stack.
+  const std::string line =
+      le64(kRunning + 1) + le64(2) + lint_task(0, kRunning, kInvalidTask) +
+      lint_task(kRunning, kInvalidTask, 0) + le64(2) + le32(0) +
+      le32(kRunning);
+  const std::size_t at = blob.find(line);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(blob.rfind(line), at);
+
+  // Task 7 back on the line, left of the running child and on top of the
+  // stack, as if it had been forked and never joined.
+  const std::string revived =
+      le64(kRunning + 1) + le64(3) + lint_task(0, kRunning, kInvalidTask) +
+      lint_task(7, kInvalidTask, kRunning) + lint_task(kRunning, 7, 0) +
+      le64(3) + le32(0) + le32(kRunning) + le32(7);
+  DetectionService b;
+  Request restore;
+  restore.verb = Verb::kRestore;
+  restore.bytes = splice(blob, at, line.size(), revived);
+  const Response rsp = b.handle(restore);
+  EXPECT_EQ(rsp.status, ServiceStatus::kSnapshotReject);
+  EXPECT_EQ(rsp.message, "K007: lint line names a task the DSU dropped");
+  EXPECT_EQ(b.live_sessions(), 0u);
+
+  // Control: the unmutated blob restores, and the stream finishes.
+  restore.bytes = splice(blob, at, line.size(), line);
+  const Response ok = b.handle(restore);
+  ASSERT_EQ(ok.status, ServiceStatus::kOk) << ok.message;
+  const Response rest = feed_bytes(b, ok.session, s.wire.substr(s.cut));
+  EXPECT_EQ(rest.status, ServiceStatus::kOk) << rest.message;
+  EXPECT_EQ(rest.feed.events, 4u);
+}
+
+// The DSU section's task index and forest are cross-checked too: every
+// mutant below would hand the detector a slot it cannot serve (an id with
+// no slot, a find that never returns, or a line task that the next pass
+// drops), and each is K007 at restore.
+TEST(Snapshot, DsuTaskIndexMutantsAreRejected) {
+  const CutStream s = children_then_running();
+  DetectionService a;
+  const std::uint32_t id = open_session(a);
+  ASSERT_EQ(feed_bytes(a, id, s.wire.substr(0, s.cut)).status,
+            ServiceStatus::kOk);
+  const std::string blob = snapshot_via_service(a, id);
+
+  constexpr std::size_t kSlots = kRunning + 1 - 4096 + 1;  // 907
+  const std::string index =
+      le64(kRunning + 1) + le64(4096) + le64(1) + le32(0) + le64(kSlots);
+  const std::size_t at = blob.find(index);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(blob.rfind(index), at);
+  const std::size_t parent = at + index.size();
+  const std::size_t label = parent + 5 * kSlots;  // past parent and rank
+
+  struct Mutant {
+    const char* what;
+    std::string blob;
+    const char* message;
+  };
+  const auto edit = [&](std::size_t off, const std::string& with) {
+    std::string out = blob;
+    out.replace(off, with.size(), with);
+    reseal(out);
+    return out;
+  };
+  const char* const kCarried =
+      "DSU carried task ids must ascend below the base";
+  const char* const kRank = "DSU rank does not rise toward the root";
+  const Mutant mutants[] = {
+      {"carried id at the base", edit(at, le64(kRunning + 1) + le64(0)),
+       kCarried},
+      {"carried ids not ascending",
+       splice(blob, at, index.size(),
+              le64(kRunning + 1) + le64(4096) + le64(2) + le32(0) + le32(0) +
+                  le64(kSlots + 1)),
+       kCarried},
+      {"one slot too few for the index", edit(at, le64(kRunning + 2)),
+       "DSU slot count disagrees with its task index"},
+      {"parent cycle", edit(parent, le32(1) + le32(0)), kRank},
+      {"running task under a joined task of equal rank",
+       edit(parent + 4 * (kSlots - 1), le32(5)), kRank},
+      {"root labeled by the running task", edit(label, le32(kSlots - 1)),
+       "DSU label lies outside its set"},
+      {"running task absorbed by the root",
+       edit(parent + 4 * (kSlots - 1), le32(0)),
+       "lint line names a task the DSU counts as joined"},
+  };
+  for (const Mutant& m : mutants) {
+    DetectionService b;
+    Request restore;
+    restore.verb = Verb::kRestore;
+    restore.bytes = m.blob;
+    const Response rsp = b.handle(restore);
+    EXPECT_EQ(rsp.status, ServiceStatus::kSnapshotReject) << m.what;
+    EXPECT_EQ(rsp.message, std::string("K007: ") + m.message) << m.what;
+    EXPECT_EQ(b.live_sessions(), 0u);
+  }
 }
 
 // The lint gate counts each task's held mutexes from the restored mutex
