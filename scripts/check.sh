@@ -45,20 +45,26 @@ echo "== service smoke: race2dd pipe mode vs offline detector"
 # Stream every corpus trace (text AND its binary twin) through a spawned
 # race2dd daemon with race2d_client; the incremental report stream the
 # service drains must be bit-identical to the offline serial detector's.
+# Each stream goes twice: in the default 64 KiB FEEDs, and in 7-byte FEEDs,
+# so every chunk is reassembled from many FEEDs before the session (the
+# decoder's event sink) sees its events.
 service_smoke=0
 for trace in tests/corpus/*.trace tests/corpus/*.btrace; do
   ./build/examples/example_trace_analyzer --reports "$trace" \
     > /tmp/race2d_offline.txt
-  ./build/examples/race2d_client \
-    --spawn ./build/examples/race2dd detect "$trace" \
-    > /tmp/race2d_service.txt 2>/dev/null
-  if ! diff -u /tmp/race2d_offline.txt /tmp/race2d_service.txt; then
-    echo "check.sh: service reports diverge from offline detector: $trace"
-    service_smoke=1
-  fi
+  for frame in 65536 7; do
+    ./build/examples/race2d_client --frame="$frame" \
+      --spawn ./build/examples/race2dd detect "$trace" \
+      > /tmp/race2d_service.txt 2>/dev/null
+    if ! diff -u /tmp/race2d_offline.txt /tmp/race2d_service.txt; then
+      echo "check.sh: service reports diverge from offline detector:" \
+        "$trace (--frame=$frame)"
+      service_smoke=1
+    fi
+  done
 done
 [[ "$service_smoke" == "0" ]] || exit 1
-echo "service smoke: reports bit-identical across $(ls tests/corpus/*.trace tests/corpus/*.btrace | wc -l) corpus streams"
+echo "service smoke: reports bit-identical across $(ls tests/corpus/*.trace tests/corpus/*.btrace | wc -l) corpus streams, in 64 KiB and 7-byte FEEDs"
 
 echo "== service smoke: race2dd socket mode, 4 workers"
 # The same corpus through the OTHER transport and the multi-worker pool: an

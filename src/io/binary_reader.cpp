@@ -52,18 +52,36 @@ inline bool shift_task(TaskId prev, std::uint64_t delta, TaskId& out) {
   return true;
 }
 
-/// The unchecked form of BinaryTraceDecoder::decode_event, looped: appends
+/// Formats an error message from its parts. The decode loops' error paths
+/// call it rather than formatting inline, so their two instantiations
+/// share one copy of the formatting code.
+template <class... Parts>
+[[gnu::noinline]] std::string message(Parts... parts) {
+  std::ostringstream os;
+  (os << ... << parts);
+  return os.str();
+}
+
+std::string run_overflow(std::uint64_t reps, std::uint64_t m,
+                         std::uint64_t count) {
+  return message("run of ", reps, " x ", m, " event(s) expands past ",
+                 "the chunk's declared count of ", count);
+}
+
+/// The unchecked form of BinaryTraceDecoder::decode_event, looped: passes
 /// up to `n` events from p[pos] to `out` while each starts at least
-/// kMaxEventBytes before `size`, and returns how many it appended. It
-/// takes only 1–2-byte varints and formats no errors: it stops before an
-/// event with a longer varint, an unknown opcode or an out-of-range task
-/// id, leaving `pos` and `regs` at that event, so the checked path decodes
-/// or rejects it with the same code and offset as always.
+/// kMaxEventBytes before `size`, and returns how many it passed. It takes
+/// only 1–2-byte varints and formats no errors: it stops before an event
+/// with a longer varint, an unknown opcode or an out-of-range task id,
+/// leaving `pos` and `regs` at that event, so the checked path decodes or
+/// rejects it with the same code and offset as always. It also stops,
+/// clearing `go`, right after an event `out` refused.
+template <class Out>
 std::uint64_t decode_fast(const unsigned char* p, std::size_t size,
                           std::size_t& pos, std::uint64_t n,
-                          EventDeltaState& regs, std::vector<TraceEvent>& out) {
+                          EventDeltaState& regs, Out& out, bool& go) {
   std::uint64_t done = 0;
-  for (; done < n && size - pos >= kMaxEventBytes; ++done) {
+  while (done < n && size - pos >= kMaxEventBytes) {
     const unsigned char* q = p + pos;
     TraceEvent e{};
     e.op = static_cast<TraceOp>(*q++);
@@ -105,21 +123,55 @@ std::uint64_t decode_fast(const unsigned char* p, std::size_t size,
     }
     regs.prev_actor = e.actor;
     pos = static_cast<std::size_t>(q - p);
-    out.push_back(e);
+    ++done;
+    if (!out.accept(e)) {
+      go = false;
+      break;
+    }
   }
   return done;
 }
 
+/// The vector overload's output: appends every event to `out`, and turns a
+/// stationary run into a DecodedRun record when `runs` is given, or into
+/// `extra` copies of its template otherwise. It never stops decoding, and
+/// its calls inline into the decode loops.
+struct VectorSink {
+  std::vector<TraceEvent>& out;
+  std::vector<DecodedRun>* runs;
+
+  bool accept(const TraceEvent& e) {
+    out.push_back(e);
+    return true;
+  }
+
+  bool accept_run(const TraceEvent* tmpl, std::size_t len,
+                  std::uint64_t extra) {
+    if (runs != nullptr) {
+      runs->push_back(DecodedRun{out.size() - len,
+                                 static_cast<std::uint32_t>(len), extra});
+    } else {
+      for (std::uint64_t r = 0; r < extra; ++r)
+        out.insert(out.end(), tmpl, tmpl + len);
+    }
+    return true;
+  }
+};
+
 /// Reserves room for a chunk's declared events (at least two bytes each,
 /// so the payload caps what a forged count can claim), growing
 /// geometrically so a frame of many chunks does not reallocate per chunk.
-void reserve_events(std::vector<TraceEvent>& out, std::uint64_t count,
+void reserve_events(VectorSink& sink, std::uint64_t count,
                     std::size_t payload_bytes) {
+  std::vector<TraceEvent>& out = sink.out;
   const std::size_t want =
       out.size() + static_cast<std::size_t>(
                        std::min<std::uint64_t>(count, payload_bytes / 2));
   if (want > out.capacity()) out.reserve(std::max(want, 2 * out.capacity()));
 }
+
+/// An EventSink takes its events one at a time: nothing to reserve.
+void reserve_events(EventSink&, std::uint64_t, std::size_t) {}
 
 }  // namespace
 
@@ -270,78 +322,75 @@ TraceEvent BinaryTraceDecoder::decode_event(const unsigned char* p,
   return e;
 }
 
-void BinaryTraceDecoder::decode_chunk(const unsigned char* p, std::size_t size,
-                                      std::vector<TraceEvent>& out) {
+std::uint64_t BinaryTraceDecoder::chunk_varint(const unsigned char* p,
+                                               std::size_t size,
+                                               std::size_t& at) {
+  std::uint64_t v = 0;
+  const VarintStatus status = decode_varint(p, size, at, v);
+  if (status != VarintStatus::kOk)
+    fail(DecodeCode::kMalformedVarint, offset_ + at,
+         status == VarintStatus::kTruncated
+             ? "varint cut off by the end of the chunk payload"
+             : "overlong (non-canonical) varint");
+  return v;
+}
+
+bool BinaryTraceDecoder::stop() {
+  state_ = State::kStopped;
+  return false;
+}
+
+template <class Out>
+bool BinaryTraceDecoder::decode_chunk(const unsigned char* p, std::size_t size,
+                                      Out& out) {
   if (crc32c(p, size) != payload_crc_)
     fail(DecodeCode::kChunkCrcMismatch, offset_,
          "chunk payload fails its CRC32C (corrupt or bit-flipped chunk)");
 
   std::size_t pos = 0;
-  std::uint64_t count = 0;
-  {
-    const VarintStatus status = decode_varint(p, size, pos, count);
-    if (status != VarintStatus::kOk)
-      fail(DecodeCode::kMalformedVarint, offset_ + pos,
-           status == VarintStatus::kTruncated
-               ? "varint cut off by the end of the chunk payload"
-               : "overlong (non-canonical) varint");
-  }
+  const std::uint64_t count = chunk_varint(p, size, pos);
 
   // Per-chunk delta state (the writer resets it at every chunk boundary so
   // chunks decode independently).
   EventDeltaState regs;
   reserve_events(out, count, size);
+  bool go = true;
   for (std::uint64_t i = 0; i < count; ++i) {
-    i += decode_fast(p, size, pos, count - i, regs, out);
+    i += decode_fast(p, size, pos, count - i, regs, out, go);
+    if (!go) return stop();
     if (i == count) break;
-    if (pos >= size) {
-      std::ostringstream os;
-      os << "chunk declares " << count
-         << " event(s) but its payload ends after " << i;
-      fail(DecodeCode::kEventCountMismatch, offset_ + pos, os.str());
-    }
-    out.push_back(decode_event(p, size, pos, regs, offset_));
+    if (pos >= size)
+      fail(DecodeCode::kEventCountMismatch, offset_ + pos,
+           message("chunk declares ", count,
+                   " event(s) but its payload ends after ", i));
+    if (!out.accept(decode_event(p, size, pos, regs, offset_))) return stop();
   }
-  if (pos != size) {
-    std::ostringstream os;
-    os << "chunk declares " << count << " event(s) but " << (size - pos)
-       << " payload byte(s) remain";
-    fail(DecodeCode::kEventCountMismatch, offset_ + pos, os.str());
-  }
+  if (pos != size)
+    fail(DecodeCode::kEventCountMismatch, offset_ + pos,
+         message("chunk declares ", count, " event(s) but ", size - pos,
+                 " payload byte(s) remain"));
   events_decoded_ += count;
   state_ = State::kMarker;
   need_ = 1;
+  return true;
 }
 
-void BinaryTraceDecoder::decode_compressed_chunk(const unsigned char* p,
-                                                 std::size_t size,
-                                                 std::vector<TraceEvent>& out,
-                                                 std::vector<DecodedRun>* runs) {
+template <class Out>
+bool BinaryTraceDecoder::decode_compressed_chunk(const unsigned char* p,
+                                                 std::size_t size, Out& out) {
   if (crc32c(p, size) != payload_crc_)
     fail(DecodeCode::kChunkCrcMismatch, offset_,
          "chunk payload fails its CRC32C (corrupt or bit-flipped chunk)");
 
-  const auto varint_or_fail = [&](std::size_t& at) -> std::uint64_t {
-    std::uint64_t v = 0;
-    const VarintStatus status = decode_varint(p, size, at, v);
-    if (status == VarintStatus::kOk) return v;
-    fail(DecodeCode::kMalformedVarint, offset_ + at,
-         status == VarintStatus::kTruncated
-             ? "varint cut off by the end of the chunk payload"
-             : "overlong (non-canonical) varint");
-  };
-
   std::size_t pos = 0;
-  const std::uint64_t count = varint_or_fail(pos);
+  const std::uint64_t count = chunk_varint(p, size, pos);
   if (count == 0)
     fail(DecodeCode::kEventCountMismatch, offset_,
          "compressed chunk declares zero events");
-  if (count > kMaxCompressedChunkEvents) {
-    std::ostringstream os;
-    os << "compressed chunk declares " << count << " event(s), above the "
-       << kMaxCompressedChunkEvents << "-event expansion cap";
-    fail(DecodeCode::kChunkTooManyEvents, offset_, os.str());
-  }
+  if (count > kMaxCompressedChunkEvents)
+    fail(DecodeCode::kChunkTooManyEvents, offset_,
+         message("compressed chunk declares ", count, " event(s), above the ",
+                 kMaxCompressedChunkEvents, "-event expansion cap"));
 
   // The per-chunk template dictionary: byte spans into this payload, in
   // definition order. `stationary` caches whether one replay leaves the
@@ -362,56 +411,54 @@ void BinaryTraceDecoder::decode_compressed_chunk(const unsigned char* p,
     const std::uint64_t item_at = offset_ + pos;
     const unsigned char tag = p[pos++];
     if (tag == kItemLiteral) {
-      const std::uint64_t n = varint_or_fail(pos);
+      const std::uint64_t n = chunk_varint(p, size, pos);
       if (n == 0)
         fail(DecodeCode::kBadCompressedItem, item_at,
              "literal item carries zero events");
-      if (n > count - expanded) {
-        std::ostringstream os;
-        os << "literal item of " << n << " event(s) expands past the "
-           << "chunk's declared count of " << count;
-        fail(DecodeCode::kBadRunCount, item_at, os.str());
-      }
+      if (n > count - expanded)
+        fail(DecodeCode::kBadRunCount, item_at,
+             message("literal item of ", n, " event(s) expands past the ",
+                     "chunk's declared count of ", count));
+      bool go = true;
       for (std::uint64_t i = 0; i < n; ++i) {
-        i += decode_fast(p, size, pos, n - i, regs, out);
+        i += decode_fast(p, size, pos, n - i, regs, out, go);
+        if (!go) return stop();
         if (i == n) break;
         if (pos >= size)
           fail(DecodeCode::kEventCountMismatch, offset_ + pos,
                "compressed chunk payload ends inside a literal item");
-        out.push_back(decode_event(p, size, pos, regs, offset_));
+        if (!out.accept(decode_event(p, size, pos, regs, offset_)))
+          return stop();
       }
       expanded += n;
       continue;
     }
-    if (tag != kItemDefineRun && tag != kItemDictRun) {
-      std::ostringstream os;
-      os << "unknown compressed item tag " << static_cast<unsigned>(tag);
-      fail(DecodeCode::kBadCompressedItem, item_at, os.str());
-    }
+    if (tag != kItemDefineRun && tag != kItemDictRun)
+      fail(DecodeCode::kBadCompressedItem, item_at,
+           message("unknown compressed item tag ",
+                   static_cast<unsigned>(tag)));
 
     std::uint64_t reps = 0;
     std::size_t tstart = 0;
     std::size_t tbytes = 0;
     std::uint64_t m = 0;
     bool stationary = false;
+    run_template_.clear();
     if (tag == kItemDefineRun) {
-      reps = varint_or_fail(pos);
+      reps = chunk_varint(p, size, pos);
       if (reps < 2)
         fail(DecodeCode::kBadRunCount, item_at,
              "define-run repeats its template fewer than twice");
-      m = varint_or_fail(pos);
+      m = chunk_varint(p, size, pos);
       if (m == 0)
         fail(DecodeCode::kBadCompressedItem, item_at,
              "define-run template carries zero events");
       if (dict.size() >= kMaxChunkTemplates)
         fail(DecodeCode::kBadCompressedItem, item_at,
              "template defined past the per-chunk dictionary cap");
-      if (reps > (count - expanded) / m) {
-        std::ostringstream os;
-        os << "run of " << reps << " x " << m << " event(s) expands past "
-           << "the chunk's declared count of " << count;
-        fail(DecodeCode::kBadRunCount, item_at, os.str());
-      }
+      if (reps > (count - expanded) / m)
+        fail(DecodeCode::kBadRunCount, item_at,
+             run_overflow(reps, m, count));
       // First repetition decodes straight out of the payload, measuring the
       // template's byte span and whether it is stationary.
       tstart = pos;
@@ -420,7 +467,8 @@ void BinaryTraceDecoder::decode_compressed_chunk(const unsigned char* p,
         if (pos >= size)
           fail(DecodeCode::kEventCountMismatch, offset_ + pos,
                "compressed chunk payload ends inside a run template");
-        out.push_back(decode_event(p, size, pos, regs, offset_));
+        run_template_.push_back(decode_event(p, size, pos, regs, offset_));
+        if (!out.accept(run_template_.back())) return stop();
       }
       tbytes = pos - tstart;
       stationary = regs.prev_actor == before.prev_actor &&
@@ -430,61 +478,59 @@ void BinaryTraceDecoder::decode_compressed_chunk(const unsigned char* p,
       dict.push_back({tstart, tbytes, static_cast<std::uint32_t>(m),
                       stationary});
     } else {
-      const std::uint64_t id = varint_or_fail(pos);
-      reps = varint_or_fail(pos);
+      const std::uint64_t id = chunk_varint(p, size, pos);
+      reps = chunk_varint(p, size, pos);
       if (reps == 0)
         fail(DecodeCode::kBadRunCount, item_at,
              "dictionary run repeats its template zero times");
-      if (id >= dict.size()) {
-        std::ostringstream os;
-        os << "run names template " << id << " but only " << dict.size()
-           << " are defined";
-        fail(DecodeCode::kBadTemplateRef, item_at, os.str());
-      }
+      if (id >= dict.size())
+        fail(DecodeCode::kBadTemplateRef, item_at,
+             message("run names template ", id, " but only ", dict.size(),
+                     " are defined"));
       const DictEntry& entry = dict[id];
       tstart = entry.start;
       tbytes = entry.bytes;
       m = entry.events;
       stationary = entry.stationary;
-      if (reps > (count - expanded) / m) {
-        std::ostringstream os;
-        os << "run of " << reps << " x " << m << " event(s) expands past "
-           << "the chunk's declared count of " << count;
-        fail(DecodeCode::kBadRunCount, item_at, os.str());
-      }
+      if (reps > (count - expanded) / m)
+        fail(DecodeCode::kBadRunCount, item_at,
+             run_overflow(reps, m, count));
       // First repetition replays the template span against the live
       // registers. Varint lengths are structural, so the replay consumes
       // exactly the validated span; only B008 range checks can still fire.
       std::size_t tp = tstart;
-      for (std::uint64_t i = 0; i < m; ++i)
-        out.push_back(decode_event(p, tstart + tbytes, tp, regs, offset_));
+      for (std::uint64_t i = 0; i < m; ++i) {
+        run_template_.push_back(
+            decode_event(p, tstart + tbytes, tp, regs, offset_));
+        if (!out.accept(run_template_.back())) return stop();
+      }
     }
 
+    // A stationary run's repetitions all decode to its first one; any
+    // other run is replayed from its bytes against the moving registers.
     const std::uint64_t extra = reps - 1;
-    if (extra > 0) {
-      if (stationary && runs != nullptr) {
-        runs->push_back(DecodedRun{out.size() - static_cast<std::size_t>(m),
-                                   static_cast<std::uint32_t>(m), extra});
-      } else {
-        for (std::uint64_t r = 0; r < extra; ++r) {
-          std::size_t tp = tstart;
-          for (std::uint64_t i = 0; i < m; ++i)
-            out.push_back(decode_event(p, tstart + tbytes, tp, regs, offset_));
-        }
+    if (extra > 0 && stationary) {
+      if (!out.accept_run(run_template_.data(), run_template_.size(), extra))
+        return stop();
+    } else {
+      for (std::uint64_t r = 0; r < extra; ++r) {
+        std::size_t tp = tstart;
+        for (std::uint64_t i = 0; i < m; ++i)
+          if (!out.accept(decode_event(p, tstart + tbytes, tp, regs, offset_)))
+            return stop();
       }
     }
     expanded += reps * m;
   }
-  if (expanded != count) {
-    std::ostringstream os;
-    os << "compressed chunk declares " << count
-       << " event(s) but its items expand to " << expanded;
-    fail(DecodeCode::kEventCountMismatch, offset_ + pos, os.str());
-  }
+  if (expanded != count)
+    fail(DecodeCode::kEventCountMismatch, offset_ + pos,
+         message("compressed chunk declares ", count,
+                 " event(s) but its items expand to ", expanded));
   events_decoded_ += count;
   compressed_chunk_ = false;
   state_ = State::kMarker;
   need_ = 1;
+  return true;
 }
 
 void BinaryTraceDecoder::decode_trailer(const unsigned char* p) {
@@ -502,32 +548,35 @@ void BinaryTraceDecoder::decode_trailer(const unsigned char* p) {
   need_ = 0;
 }
 
-void BinaryTraceDecoder::process(const unsigned char* piece, std::size_t len,
-                                 std::vector<TraceEvent>& out,
-                                 std::vector<DecodedRun>* runs) {
+template <class Out>
+bool BinaryTraceDecoder::process(const unsigned char* piece, std::size_t len,
+                                 Out& out) {
   switch (state_) {
     case State::kHeader:       decode_header(piece); break;
     case State::kMarker:       decode_marker(piece); break;
     case State::kChunkHeader:  decode_chunk_header(piece); break;
     case State::kChunkPayload:
-      if (compressed_chunk_)
-        decode_compressed_chunk(piece, len, out, runs);
-      else
-        decode_chunk(piece, len, out);
+      if (!(compressed_chunk_ ? decode_compressed_chunk(piece, len, out)
+                              : decode_chunk(piece, len, out)))
+        return false;
       break;
     case State::kTrailer:      decode_trailer(piece); break;
     case State::kDone:
     case State::kPoisoned:
+    case State::kStopped:
       break;  // unreachable: feed() never dispatches these states
   }
   offset_ += len;
+  return true;
 }
 
-void BinaryTraceDecoder::feed(const void* data, std::size_t size,
-                              std::vector<TraceEvent>& out,
-                              std::vector<DecodedRun>* runs) {
+template <class Out>
+bool BinaryTraceDecoder::feed_into(const void* data, std::size_t size,
+                                   Out& out) {
   if (state_ == State::kPoisoned)
     throw TraceDecodeError(poison_code_, poison_offset_, poison_what_);
+  R2D_REQUIRE(state_ != State::kStopped,
+              "feed: the sink stopped this decoder");
   const auto* p = static_cast<const unsigned char*>(data);
   std::size_t n = size;
 
@@ -545,7 +594,7 @@ void BinaryTraceDecoder::feed(const void* data, std::size_t size,
       const std::size_t len = need_;
       p += len;
       n -= len;
-      process(piece, len, out, runs);
+      if (!process(piece, len, out)) return false;
       continue;
     }
     if (n == 0) break;
@@ -562,14 +611,27 @@ void BinaryTraceDecoder::feed(const void* data, std::size_t size,
       buffer_.shrink_to_fit();
       std::vector<unsigned char> piece;
       piece.swap(buffer_);
-      process(piece.data(), piece.size(), out, runs);
+      if (!process(piece.data(), piece.size(), out)) return false;
     }
   }
+  return true;
+}
+
+bool BinaryTraceDecoder::feed(const void* data, std::size_t size,
+                              EventSink& sink) {
+  return feed_into(data, size, sink);
+}
+
+void BinaryTraceDecoder::feed(const void* data, std::size_t size,
+                              std::vector<TraceEvent>& out,
+                              std::vector<DecodedRun>* runs) {
+  VectorSink sink{out, runs};
+  (void)feed_into(data, size, sink);  // a VectorSink never stops
 }
 
 BinaryTraceDecoder::Snapshot BinaryTraceDecoder::export_state() const {
-  R2D_REQUIRE(state_ != State::kPoisoned,
-              "a poisoned decoder has no snapshottable state");
+  R2D_REQUIRE(state_ != State::kPoisoned && state_ != State::kStopped,
+              "a poisoned or stopped decoder has no snapshottable state");
   Snapshot s;
   s.state = static_cast<std::uint8_t>(state_);
   s.buffer = buffer_;
@@ -607,6 +669,8 @@ void BinaryTraceDecoder::import_state(Snapshot&& s) {
 void BinaryTraceDecoder::finish() {
   if (state_ == State::kPoisoned)
     throw TraceDecodeError(poison_code_, poison_offset_, poison_what_);
+  R2D_REQUIRE(state_ != State::kStopped,
+              "finish: the sink stopped this decoder");
   if (state_ == State::kDone) return;
   const std::uint64_t at = offset_ + buffer_.size();
   if (state_ == State::kMarker && buffer_.empty())
@@ -630,6 +694,7 @@ void BinaryTraceDecoder::finish() {
     case State::kMarker:
     case State::kDone:
     case State::kPoisoned:
+    case State::kStopped:
       break;
   }
   fail(DecodeCode::kTruncatedInput, at, where);

@@ -3,10 +3,13 @@
 // Two layers, matching the two ingest shapes the system has:
 //
 //  * BinaryTraceDecoder — PUSH: feed() arbitrary byte slices as they arrive
-//    (a socket read, a service FEED frame), decoded events are appended to a
-//    caller-owned vector. Only the current partial frame is buffered, so a
-//    session's resident decode state is O(chunk) no matter how long the
-//    stream runs. This is the DetectionService's ingest core.
+//    (a socket read, a service FEED frame). Decoded events go to an
+//    EventSink one at a time, in stream order, as each is decoded, and the
+//    sink may stop decoding on the spot; a second overload appends them to
+//    a caller-owned vector instead. Only the current partial frame (and a
+//    run template, below) is buffered, so a session's resident decode state
+//    is O(chunk) no matter how long the stream runs. This is the
+//    DetectionService's ingest core.
 //
 //  * BinaryTraceReader — PULL: a TraceEventSource over an std::istream,
 //    built on the push decoder with a fixed block buffer. This is what the
@@ -15,7 +18,9 @@
 // Both reject every malformed input with TraceDecodeError: a stable code
 // (B001–B018) plus the absolute byte offset. A chunk whose CRC32C fails is
 // rejected before any of its bytes are interpreted, so corruption cannot
-// leak half-decoded events into a detector.
+// leak half-decoded events into a detector. Past the CRC, a chunk's events
+// are emitted as they decode, so a sink sees every event that precedes a
+// malformed one in the same chunk.
 //
 // Events are decoded on one of two paths. An event in a 'C' chunk or a
 // 'Z' literal item that starts at least 21 bytes (an opcode and two
@@ -31,11 +36,15 @@
 // cost (EXPERIMENTS.md E21, BM_WideDeltaDecode). A frame that arrives in
 // pieces is assembled in an exactly sized buffer before it is decoded.
 //
-// Version-2 'Z' chunks decode natively. By default every run is expanded so
-// trace_from_binary and friends see the exact event sequence; a feed() with
-// a DecodedRun sink instead materializes only the FIRST repetition of each
-// stationary run and reports the rest as (first, len, extra) records — the
-// detectors' O(1)-per-repetition replay path.
+// Version-2 'Z' chunks decode natively. A stationary run (one whose
+// template leaves the delta registers unchanged, so every repetition
+// decodes to the same events) is emitted as its first repetition, event by
+// event, then one EventSink::accept_run call for the rest; the decoder
+// keeps that repetition in a template buffer for the call. The vector
+// overload expands every run by default, so trace_from_binary and friends
+// see the exact event sequence; given a DecodedRun sink it instead records
+// each stationary run as a (first, len, extra) record — the detectors'
+// O(1)-per-repetition replay path.
 #pragma once
 
 #include <cstddef>
@@ -51,18 +60,41 @@
 
 namespace race2d {
 
+/// Where BinaryTraceDecoder::feed sends decoded events. Either call returns
+/// false to stop decoding on the spot: the decoder then emits nothing more
+/// and refuses further use, as a poisoned one does.
+class EventSink {
+ public:
+  /// One decoded event.
+  virtual bool accept(const TraceEvent& e) = 0;
+  /// A stationary run: `tmpl[0..len)` was just passed to accept(), event by
+  /// event, and the run repeats it `extra` (>= 1) more times. The array is
+  /// the decoder's and valid only for the call.
+  virtual bool accept_run(const TraceEvent* tmpl, std::size_t len,
+                          std::uint64_t extra) = 0;
+
+ protected:
+  ~EventSink() = default;
+};
+
 class BinaryTraceDecoder {
  public:
   BinaryTraceDecoder() = default;
 
-  /// Consumes `size` bytes, appending every event completed by them to
-  /// `out`. Throws TraceDecodeError on malformed input; the decoder is then
-  /// poisoned (further feeds rethrow a fresh error at the same offset).
-  ///
-  /// With a non-null `runs` sink, stationary compressed runs append only
-  /// their first repetition to `out` plus a DecodedRun describing the
-  /// `extra` unmaterialized repetitions (events_decoded() still counts
-  /// them). Null sink — the default — expands everything.
+  /// Consumes `size` bytes, passing every event completed by them to `sink`
+  /// as it decodes. Returns false if the sink stopped decoding; the decoder
+  /// is then stopped, and further feeds, finish() and export_state() are
+  /// contract violations. Throws TraceDecodeError on malformed input; the
+  /// decoder is then poisoned (further feeds rethrow a fresh error at the
+  /// same offset).
+  [[nodiscard]] bool feed(const void* data, std::size_t size,
+                          EventSink& sink);
+
+  /// The same decode loop, appending every event to `out`. With a non-null
+  /// `runs` sink, stationary compressed runs append only their first
+  /// repetition to `out` plus a DecodedRun describing the `extra`
+  /// unmaterialized repetitions (events_decoded() still counts them). Null
+  /// sink — the default — expands everything.
   void feed(const void* data, std::size_t size, std::vector<TraceEvent>& out,
             std::vector<DecodedRun>* runs = nullptr);
 
@@ -75,14 +107,17 @@ class BinaryTraceDecoder {
 
   std::uint64_t events_decoded() const { return events_decoded_; }
   std::uint64_t bytes_consumed() const { return offset_; }
-  /// Bytes of the current partial frame held resident (<= header + largest
-  /// frame; the quota accounting of a detection session charges these).
-  std::size_t buffered_bytes() const { return buffer_.size(); }
+  /// Bytes held resident: the current partial frame (<= header + largest
+  /// frame) and the run template buffer. The quota accounting of a
+  /// detection session charges these.
+  std::size_t buffered_bytes() const {
+    return buffer_.size() + run_template_.capacity() * sizeof(TraceEvent);
+  }
 
   /// Snapshot image of the push state machine: the phase, the partial
-  /// frame's bytes, and the running totals. Poisoned decoders are not
-  /// snapshottable (the owning session was poisoned first and a snapshot
-  /// of it is refused).
+  /// frame's bytes, and the running totals. Poisoned and stopped decoders
+  /// are not snapshottable (the owning session was poisoned first and a
+  /// snapshot of it is refused).
   struct Snapshot {
     std::uint8_t state = 0;  ///< State enumerator value; kPoisoned rejected
     std::vector<unsigned char> buffer;
@@ -106,20 +141,30 @@ class BinaryTraceDecoder {
     kTrailer,       ///< expecting count + crc (12 bytes)
     kDone,          ///< trailer seen; any further byte is trailing garbage
     kPoisoned,      ///< a previous feed threw
+    kStopped,       ///< the sink stopped a previous feed
   };
 
   [[noreturn]] void fail(DecodeCode code, std::uint64_t offset,
                          const std::string& what);
-  void process(const unsigned char* piece, std::size_t len,
-               std::vector<TraceEvent>& out, std::vector<DecodedRun>* runs);
+  /// The loops below are templates over their output (EventSink, or the
+  /// vector overload's inline sink); each returns false once it stops.
+  template <class Out>
+  bool feed_into(const void* data, std::size_t size, Out& out);
+  template <class Out>
+  bool process(const unsigned char* piece, std::size_t len, Out& out);
+  template <class Out>
+  bool decode_chunk(const unsigned char* p, std::size_t size, Out& out);
+  template <class Out>
+  bool decode_compressed_chunk(const unsigned char* p, std::size_t size,
+                               Out& out);
+  bool stop();
+  /// Reads a varint of the chunk payload p[0..size) at `at`; errors point
+  /// at offset_ + at.
+  std::uint64_t chunk_varint(const unsigned char* p, std::size_t size,
+                             std::size_t& at);
   void decode_header(const unsigned char* p);
   void decode_marker(const unsigned char* p);
   void decode_chunk_header(const unsigned char* p);
-  void decode_chunk(const unsigned char* p, std::size_t size,
-                    std::vector<TraceEvent>& out);
-  void decode_compressed_chunk(const unsigned char* p, std::size_t size,
-                               std::vector<TraceEvent>& out,
-                               std::vector<DecodedRun>* runs);
   /// Decodes one v1-delta event at p[pos]; errors point at err_base + pos.
   TraceEvent decode_event(const unsigned char* p, std::size_t size,
                           std::size_t& pos, EventDeltaState& regs,
@@ -128,6 +173,8 @@ class BinaryTraceDecoder {
 
   State state_ = State::kHeader;
   std::vector<unsigned char> buffer_;  ///< bytes of the current frame piece
+  /// First repetition of the run being decoded, for EventSink::accept_run.
+  std::vector<TraceEvent> run_template_;
   std::size_t need_ = kBinaryHeaderBytes;
   std::uint32_t payload_len_ = 0;
   std::uint32_t payload_crc_ = 0;

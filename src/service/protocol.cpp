@@ -24,6 +24,17 @@ void put_u64(std::string& out, std::uint64_t v) {
     out.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
 }
 
+/// Stores `v` little-endian into `bytes` bytes at `p`.
+void store_le(char* p, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i)
+    p[i] = static_cast<char>((v >> (8 * i)) & 0xffu);
+}
+
+/// A DRAIN response: the 6-byte response header, `more` and the count,
+/// then one fixed-size record per report.
+constexpr std::size_t kDrainHeaderBytes = 11;
+constexpr std::size_t kReportRecordBytes = 22;
+
 /// Bounds-checked little-endian reader over a payload. Every get_* reports
 /// failure by return value; decode shapes test `ok` once per field group.
 struct Cursor {
@@ -184,14 +195,18 @@ std::string encode_response(const Response& response) {
       put_u8(out, response.feed.backpressure ? 1 : 0);
       break;
     case Verb::kDrain: {
+      const std::vector<RaceReport>& reports = response.drain.reports;
+      out.reserve(kDrainHeaderBytes + kReportRecordBytes * reports.size());
       put_u8(out, response.drain.more ? 1 : 0);
-      put_u32(out, static_cast<std::uint32_t>(response.drain.reports.size()));
-      for (const RaceReport& r : response.drain.reports) {
-        put_u64(out, r.loc);
-        put_u32(out, r.current_task);
-        put_u8(out, static_cast<std::uint8_t>(r.current_kind));
-        put_u8(out, static_cast<std::uint8_t>(r.prior_kind));
-        put_u64(out, static_cast<std::uint64_t>(r.access_index));
+      put_u32(out, static_cast<std::uint32_t>(reports.size()));
+      for (const RaceReport& r : reports) {
+        char record[kReportRecordBytes];
+        store_le(record, r.loc, 8);
+        store_le(record + 8, r.current_task, 4);
+        store_le(record + 12, static_cast<std::uint8_t>(r.current_kind), 1);
+        store_le(record + 13, static_cast<std::uint8_t>(r.prior_kind), 1);
+        store_le(record + 14, static_cast<std::uint64_t>(r.access_index), 8);
+        out.append(record, sizeof(record));
       }
       break;
     }
@@ -250,9 +265,9 @@ bool decode_response(const std::string& payload, Response& out,
         return fail(error, "drain result header truncated");
       if (more > 1) return fail(error, "drain more flag out of range");
       out.drain.more = more != 0;
-      // 22 bytes per report; bound before reserving so a hostile count
+      // Fixed-size records; bound before reserving so a hostile count
       // cannot force a huge allocation.
-      if (c.remaining() != static_cast<std::size_t>(count) * 22)
+      if (c.remaining() != static_cast<std::size_t>(count) * kReportRecordBytes)
         return fail(error, "drain body size disagrees with its report count");
       out.drain.reports.reserve(count);
       for (std::uint32_t i = 0; i < count; ++i) {

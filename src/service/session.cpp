@@ -38,6 +38,44 @@ DetectionSession::FeedOutcome DetectionSession::poison(ServiceStatus status,
   return out;
 }
 
+bool DetectionSession::accept(const TraceEvent& e) {
+  // The offending event never reaches the detector; every event before it
+  // was already checked and detected.
+  if (!lint_.feed(e)) return false;
+  // Lint enforced dense fork-order numbering, so the detector's fresh id
+  // equals e.other by construction.
+  apply_event(detector_, e);
+  ++events_total_;
+  return true;
+}
+
+bool DetectionSession::accept_run(const TraceEvent* tmpl, std::size_t len,
+                                  std::uint64_t extra) {
+  // Clean same-task access runs are full no-ops on the detector's state
+  // except the access ordinal, so they apply in one step. Otherwise the
+  // template is re-accepted per event — bit-identical, just slower.
+  if (detector_.try_apply_clean_run(tmpl, len, extra)) {
+    const std::uint64_t folded = static_cast<std::uint64_t>(len) * extra;
+    lint_.note_replayed(folded);
+    events_total_ += folded;
+    return true;
+  }
+  for (std::uint64_t r = 0; r < extra; ++r)
+    for (std::size_t j = 0; j < len; ++j)
+      if (!accept(tmpl[j])) return false;
+  return true;
+}
+
+void DetectionSession::queue_reports() {
+  // The reporter's totals (any/count/first) keep describing the whole
+  // session; only its undrained tail moves.
+  std::vector<RaceReport> fresh = detector_.mutable_reporter().take();
+  if (pending_.empty())
+    pending_.swap(fresh);
+  else
+    pending_.insert(pending_.end(), fresh.begin(), fresh.end());
+}
+
 DetectionSession::FeedOutcome DetectionSession::feed(const std::string& bytes) {
   if (poisoned()) {
     FeedOutcome out;
@@ -59,67 +97,22 @@ DetectionSession::FeedOutcome DetectionSession::feed(const std::string& bytes) {
     return out;
   }
 
-  scratch_.clear();
-  runs_.clear();
-  try {
-    decoder_.feed(bytes.data(), bytes.size(), scratch_, &runs_);
-  } catch (const TraceDecodeError& e) {
-    return poison(ServiceStatus::kDecodeReject, e.what());
-  }
-  fed_bytes_ += bytes.size();
-
+  const std::uint64_t events_before = events_total_;
   FeedOutcome out;
-  bool rejected = false;
-  const auto feed_one = [&](const TraceEvent& e) {
-    if (!lint_.feed(e)) {
-      // The offending event never reaches the detector; everything decoded
-      // before it was already checked and detected.
-      rejected = true;
-      return;
-    }
-    // Lint enforced dense fork-order numbering, so the detector's fresh id
-    // equals e.other by construction.
-    apply_event(detector_, e);
-    ++events_total_;
-    ++out.events;
-  };
-  std::size_t run_idx = 0;
-  for (std::size_t i = 0; i < scratch_.size() && !rejected;) {
-    if (run_idx < runs_.size() && runs_[run_idx].first == i) {
-      // A stationary compressed run: feed the materialized first repetition
-      // per-event, then try to apply the `extra` unmaterialized repetitions
-      // in one step (clean same-task access runs are full no-ops on the
-      // detector's state except the access ordinal). Fallback re-feeds the
-      // template slice per-event — bit-identical, just slower.
-      const DecodedRun run = runs_[run_idx++];
-      for (std::size_t j = 0; j < run.len && !rejected; ++j)
-        feed_one(scratch_[i + j]);
-      if (rejected) break;
-      const TraceEvent* tmpl = scratch_.data() + i;
-      if (detector_.try_apply_clean_run(tmpl, run.len, run.extra)) {
-        const std::uint64_t folded =
-            static_cast<std::uint64_t>(run.len) * run.extra;
-        lint_.note_replayed(folded);
-        events_total_ += folded;
-        out.events += folded;
-      } else {
-        for (std::uint64_t r = 0; r < run.extra && !rejected; ++r)
-          for (std::size_t j = 0; j < run.len && !rejected; ++j)
-            feed_one(tmpl[j]);
-      }
-      i += run.len;
+  try {
+    if (decoder_.feed(bytes.data(), bytes.size(), *this)) {
+      fed_bytes_ += bytes.size();
     } else {
-      feed_one(scratch_[i]);
-      ++i;
+      out = poison(ServiceStatus::kLintReject,
+                   to_string(lint_.result().first_error()));
     }
+  } catch (const TraceDecodeError& e) {
+    out = poison(ServiceStatus::kDecodeReject, e.what());
   }
-  if (rejected)
-    return poison(ServiceStatus::kLintReject,
-                  to_string(lint_.result().first_error()));
-  // Move this feed's fresh reports into the drain queue; the reporter's
-  // totals (any/count/first) keep describing the whole session.
-  std::vector<RaceReport> fresh = detector_.mutable_reporter().take();
-  pending_.insert(pending_.end(), fresh.begin(), fresh.end());
+  // A rejecting feed still hands over the reports of the events it
+  // accepted, so the drained stream is the same however the bytes split.
+  queue_reports();
+  out.events = events_total_ - events_before;
   out.pending_reports = static_cast<std::uint32_t>(pending_reports());
   out.backpressure = pending_reports() * 2 >= max_pending_reports_;
   return out;
@@ -130,9 +123,16 @@ std::vector<RaceReport> DetectionSession::drain(std::uint32_t max_reports,
   const std::size_t left = pending_reports();
   const std::size_t n =
       (max_reports == 0 || max_reports >= left) ? left : max_reports;
+  std::vector<RaceReport> out;
+  if (drained_ == 0 && n == pending_.size()) {
+    // The whole backlog: hand its buffer over instead of copying it.
+    out.swap(pending_);
+    more = false;
+    return out;
+  }
   const auto first =
       pending_.begin() + static_cast<std::ptrdiff_t>(drained_);
-  std::vector<RaceReport> out(first, first + static_cast<std::ptrdiff_t>(n));
+  out.assign(first, first + static_cast<std::ptrdiff_t>(n));
   drained_ += n;
   if (drained_ == pending_.size()) {
     // Actually release the backlog's buffer: draining is how a session's
@@ -213,9 +213,7 @@ std::unique_ptr<DetectionSession> DetectionSession::restore(State&& s) {
 std::size_t DetectionSession::memory_bytes() const {
   return decoder_.buffered_bytes() + lint_.memory_bytes() +
          detector_.footprint().total() +
-         pending_.capacity() * sizeof(RaceReport) +
-         scratch_.capacity() * sizeof(TraceEvent) +
-         runs_.capacity() * sizeof(DecodedRun);
+         pending_.capacity() * sizeof(RaceReport);
 }
 
 }  // namespace race2d

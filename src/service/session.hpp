@@ -6,11 +6,19 @@
 //                                          reaches the          reports drained
 //                                          detector)            incrementally)
 //
-// The pipeline is fail-fast and sticky: the first decode or lint error
-// poisons the session (status + message are retained and every later
-// operation answers with them), because events past a malformed point would
-// produce garbage verdicts — the same contract require_lint_clean() gives
-// batch callers, enforced event-at-a-time so it holds mid-stream.
+// The session is the decoder's EventSink: each event goes from wire bytes
+// through the lint gate into the detector as soon as it is decoded, with no
+// per-frame event buffer, and a stationary 'Z' run arrives as one
+// accept_run call that the detector may apply in one step.
+//
+// The pipeline is fail-fast and sticky: the first decode or lint error in
+// stream order poisons the session (status + message are retained and every
+// later operation answers with them), because events past a malformed point
+// would produce garbage verdicts — the same contract require_lint_clean()
+// gives batch callers, enforced event-at-a-time so it holds mid-stream.
+// Since every event is checked where it lies in the stream, the verdict,
+// the totals and the reports do not depend on how the client splits its
+// bytes into FEEDs.
 //
 // All state is byte-accounted (memory_bytes) so the service can enforce
 // per-session quotas and evict gracefully instead of growing without bound.
@@ -29,7 +37,7 @@
 
 namespace race2d {
 
-class DetectionSession {
+class DetectionSession final : private EventSink {
  public:
   /// Every session runs the labeled-DSU detector. The third parameter is
   /// the engine an OPEN named; it is ignored, because DePa's report stream
@@ -40,15 +48,16 @@ class DetectionSession {
 
   struct FeedOutcome {
     ServiceStatus status = ServiceStatus::kOk;
-    std::uint64_t events = 0;  ///< events decoded and checked by this feed
+    std::uint64_t events = 0;  ///< events this feed accepted (even if it fails)
     std::uint32_t pending_reports = 0;
     bool backpressure = false;  ///< pending reports at/over half the cap
     std::string message;        ///< non-kOk: leads with the stable code
   };
   /// Ingests one FEED frame's bytes. Refuses (kBackpressure, nothing
   /// consumed) when pending reports are at the cap; otherwise decodes, lints
-  /// and detects. A decode/lint failure consumes the frame and poisons the
-  /// session.
+  /// and detects, event by event. A decode/lint failure consumes the frame
+  /// and poisons the session; the events before it stay detected, and their
+  /// reports join the drain queue.
   FeedOutcome feed(const std::string& bytes);
 
   /// Hands over up to `max_reports` pending reports (0 = all); `more` tells
@@ -68,9 +77,9 @@ class DetectionSession {
   /// the session afterwards regardless of the outcome.
   CloseOutcome close();
 
-  /// Resident bytes: decoder buffer + lint state + detector (DSU + shadow)
-  /// + undrained reports + the current feed's decoded events and run
-  /// records. The service's quota checks read this after every feed.
+  /// Resident bytes: decoder buffers (partial frame + run template) + lint
+  /// state + detector (DSU + shadow) + undrained reports. The service's
+  /// quota checks read this after every feed.
   std::size_t memory_bytes() const;
 
   std::uint64_t events_total() const { return events_total_; }
@@ -107,14 +116,19 @@ class DetectionSession {
   DetectionSession(RestoreTag, ReportPolicy policy,
                    std::size_t max_pending_reports);
 
+  /// EventSink: lint gate, then the detector. False once lint rejects.
+  bool accept(const TraceEvent& e) override;
+  bool accept_run(const TraceEvent* tmpl, std::size_t len,
+                  std::uint64_t extra) override;
+
+  /// Moves the detector's fresh reports into the drain queue.
+  void queue_reports();
   [[nodiscard]] FeedOutcome poison(ServiceStatus status, std::string message);
 
   std::size_t max_pending_reports_;
   BinaryTraceDecoder decoder_;
   TraceLintStream lint_;
   OnlineRaceDetector detector_;
-  std::vector<TraceEvent> scratch_;  ///< decoded events of the current feed
-  std::vector<DecodedRun> runs_;     ///< stationary runs among them
   /// Detected reports; the first drained_ of them were handed over already.
   /// A partial drain advances drained_ and erases the prefix only once it
   /// passes half the vector, so draining a backlog in steps costs O(backlog).

@@ -159,7 +159,7 @@ void put_decoder(Writer& w, const BinaryTraceDecoder::Snapshot& d) {
 BinaryTraceDecoder::Snapshot get_decoder(Reader& r) {
   BinaryTraceDecoder::Snapshot d;
   d.state = r.u8();
-  // 5 == State::kDone; 6 == kPoisoned, which never snapshots.
+  // 5 == State::kDone; 6 (kPoisoned) and 7 (kStopped) never snapshot.
   if (d.state > 5) reject("K006", "decoder phase out of range");
   d.version = r.u8();
   if (d.version != kBinaryTraceVersion &&

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "io/varint.hpp"
 #include "runtime/trace.hpp"
 #include "runtime/trace_io.hpp"
+#include "support/assert.hpp"
 #include "support/ids.hpp"
 #include "verify/trace_lint.hpp"
 
@@ -250,6 +252,125 @@ TEST(PushDecoder, PoisonedDecoderKeepsRethrowing) {
                TraceDecodeError);
   EXPECT_THROW(decoder.feed("x", 1, out), TraceDecodeError);
   EXPECT_THROW(decoder.finish(), TraceDecodeError);
+}
+
+/// Records what BinaryTraceDecoder::feed hands an EventSink, expanding runs,
+/// and stops decoding after `stop_after` events.
+class RecordingSink : public EventSink {
+ public:
+  explicit RecordingSink(std::size_t stop_after = ~std::size_t{0})
+      : stop_after_(stop_after) {}
+
+  bool accept(const TraceEvent& e) override {
+    events.push_back(e);
+    return events.size() < stop_after_;
+  }
+
+  bool accept_run(const TraceEvent* tmpl, std::size_t len,
+                  std::uint64_t extra) override {
+    // The template is the repetition accept() has just seen.
+    EXPECT_GE(events.size(), len);
+    EXPECT_TRUE(std::equal(tmpl, tmpl + len, events.end() - len));
+    ++runs;
+    for (std::uint64_t r = 0; r < extra; ++r)
+      events.insert(events.end(), tmpl, tmpl + len);
+    return true;
+  }
+
+  std::vector<TraceEvent> events;
+  std::size_t runs = 0;
+
+ private:
+  std::size_t stop_after_;
+};
+
+/// One task writing one location over and over: a stationary run.
+Trace stationary_trace(std::size_t writes) {
+  Trace t = {{TraceOp::kFork, 0, 1, 0}};
+  for (std::size_t i = 0; i < writes; ++i)
+    t.push_back({TraceOp::kWrite, 1, kInvalidTask, 0x40});
+  t.push_back({TraceOp::kHalt, 1, kInvalidTask, 0});
+  t.push_back({TraceOp::kJoin, 0, 1, 0});
+  t.push_back({TraceOp::kHalt, 0, kInvalidTask, 0});
+  return t;
+}
+
+TEST(PushDecoder, EventSinkSeesWhatTheVectorOverloadDecodes) {
+  for (const CompressionMode mode :
+       {CompressionMode::kNone, CompressionMode::kRuns}) {
+    for (const Trace& trace :
+         {sample_trace(), generated_trace(5), stationary_trace(500)}) {
+      BinaryWriteOptions options;
+      options.chunk_payload_bytes = 48;
+      options.compression = mode;
+      const std::string bytes = trace_to_binary(trace, options);
+      BinaryTraceDecoder decoder;
+      RecordingSink sink;
+      ASSERT_TRUE(decoder.feed(bytes.data(), bytes.size(), sink));
+      decoder.finish();
+      EXPECT_EQ(sink.events, trace);
+      EXPECT_EQ(decoder.events_decoded(), trace.size());
+    }
+  }
+  // The stationary run arrives as accept_run calls, and the decoder charges
+  // the template it keeps for them.
+  BinaryWriteOptions options;
+  options.compression = CompressionMode::kRuns;
+  const std::string z = trace_to_binary(stationary_trace(500), options);
+  BinaryTraceDecoder decoder;
+  RecordingSink sink;
+  ASSERT_TRUE(decoder.feed(z.data(), z.size(), sink));
+  EXPECT_GE(sink.runs, 1u);
+  EXPECT_GE(decoder.buffered_bytes(), sizeof(TraceEvent));
+}
+
+TEST(PushDecoder, SinkStopsDecodingOnTheSpot) {
+  const Trace trace = generated_trace(5);
+  ASSERT_GT(trace.size(), 10u);
+  BinaryWriteOptions options;
+  options.chunk_payload_bytes = 48;
+  const std::string bytes = trace_to_binary(trace, options);
+  BinaryTraceDecoder decoder;
+  RecordingSink sink(/*stop_after=*/7);
+  EXPECT_FALSE(decoder.feed(bytes.data(), bytes.size(), sink));
+  EXPECT_EQ(sink.events, Trace(trace.begin(), trace.begin() + 7));
+  // Stopped like a poisoned decoder: no further feeds, finish or export.
+  EXPECT_THROW((void)decoder.feed("x", 1, sink), ContractViolation);
+  EXPECT_THROW(decoder.finish(), ContractViolation);
+  EXPECT_THROW((void)decoder.export_state(), ContractViolation);
+  EXPECT_EQ(sink.events.size(), 7u);
+}
+
+// The SSE4.2 path must give the table's value for every length and
+// alignment, on long buffers and when chained through a running crc.
+TEST(Crc32c, HardwarePathMatchesTheTable) {
+  EXPECT_EQ(crc32c("123456789", 9), 0xE3069283u);  // the standard check
+  EXPECT_EQ(crc32c_portable("123456789", 9), 0xE3069283u);
+  std::mt19937_64 rng(11);
+  std::vector<unsigned char> buf(64 * 1024 + 8);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng());
+  for (std::size_t offset = 0; offset < 8; ++offset)
+    for (std::size_t len = 0; len <= 256; ++len)
+      ASSERT_EQ(crc32c(buf.data() + offset, len),
+                crc32c_portable(buf.data() + offset, len))
+          << "offset " << offset << " length " << len;
+  for (int round = 0; round < 4; ++round) {
+    for (unsigned char& b : buf) b = static_cast<unsigned char>(rng());
+    const std::uint32_t seed = static_cast<std::uint32_t>(rng());
+    EXPECT_EQ(crc32c(buf.data(), 64 * 1024),
+              crc32c_portable(buf.data(), 64 * 1024));
+    EXPECT_EQ(crc32c(buf.data() + 3, 64 * 1024, seed),
+              crc32c_portable(buf.data() + 3, 64 * 1024, seed));
+    // Chaining two pieces equals one pass over both.
+    const std::uint32_t head = crc32c(buf.data(), 1000);
+    EXPECT_EQ(crc32c(buf.data() + 1000, 5000, head),
+              crc32c_portable(buf.data(), 6000));
+  }
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("sse4.2")) {
+    EXPECT_TRUE(crc32c_uses_hardware());
+  }
+#endif
 }
 
 TEST(DecodeRejection, EveryTruncationPrefixThrows) {

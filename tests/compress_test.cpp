@@ -43,6 +43,7 @@
 #include "runtime/trace.hpp"
 #include "service/session.hpp"
 #include "support/ids.hpp"
+#include "verify/trace_lint.hpp"
 
 namespace race2d {
 namespace {
@@ -237,14 +238,16 @@ TEST(RunReplay, DepaRunFoldingIsBitIdentical) {
   EXPECT_GT(folded, 0u);
 }
 
-// A frame of many short stationary runs keeps one DecodedRun per run until
-// the next feed. The quota reads memory_bytes(), so it must count them next
-// to the decoded events and the detector: rebuilding those pieces outside
-// the session (same decoder, same replay) bounds memory_bytes() from below.
-TEST(RunReplay, SessionChargesItsRunRecords) {
+// A session holds no per-frame event buffer: its footprint is exactly the
+// decoder's buffers, the lint gate, the detector and the pending reports.
+// Rebuilding those pieces outside the session (same decoder, same replay)
+// gives memory_bytes() to the byte on a frame of many short stationary
+// runs, which reach the session as accept_run calls.
+TEST(RunReplay, SessionMemoryIsTheSumOfItsParts) {
   // Scattered locations, each written four times: a literal write, then a
   // stationary run of three. The scattered deltas keep the encoder from
-  // folding whole groups into one longer template.
+  // folding whole groups into one longer template. No task races another,
+  // so no report is pending.
   Trace t;
   std::mt19937_64 rng(7);
   t.push_back({TraceOp::kFork, 0, 1});
@@ -263,17 +266,51 @@ TEST(RunReplay, SessionChargesItsRunRecords) {
   std::vector<DecodedRun> runs;
   decoder.feed(v2.data(), v2.size(), events, &runs);
   ASSERT_GE(runs.size(), 1000u);
+  TraceLintOptions gate;
+  gate.warnings = false;
+  gate.max_diagnostics = 8;
+  TraceLintStream lint(gate);
   OnlineRaceDetector detector;
   detector.on_root();
-  for (const TraceEvent& e : events) apply_event(detector, e);
+  for (const TraceEvent& e : trace_from_binary(v2)) {
+    ASSERT_TRUE(lint.feed(e));
+    apply_event(detector, e);
+  }
 
   DetectionSession session(ReportPolicy::kAll, 1u << 20);
   ASSERT_EQ(session.feed(v2).status, ServiceStatus::kOk);
   EXPECT_EQ(session.events_total(), t.size());
-  EXPECT_GE(session.memory_bytes(),
-            detector.footprint().total() +
-                events.capacity() * sizeof(TraceEvent) +
-                runs.capacity() * sizeof(DecodedRun));
+  ASSERT_EQ(session.pending_reports(), 0u);
+  EXPECT_EQ(session.memory_bytes(), decoder.buffered_bytes() +
+                                        lint.memory_bytes() +
+                                        detector.footprint().total());
+}
+
+// A 1 MiB chunk of accesses to a few locations decodes to about 350 000
+// events. Streaming them straight into the detector, the session grows by
+// far less than one TraceEvent per event.
+TEST(RunReplay, SessionBuffersNoDecodedFrame) {
+  Trace t = {{TraceOp::kFork, 0, 1}};
+  for (std::size_t i = 0; i < (std::size_t{1} << 20) / 3; ++i)
+    t.push_back({TraceOp::kWrite, 1, kInvalidTask, i % 16});
+  t.push_back({TraceOp::kHalt, 1});
+  t.push_back({TraceOp::kJoin, 0, 1});
+  t.push_back({TraceOp::kHalt, 0});
+  BinaryWriteOptions options;
+  options.chunk_payload_bytes = std::size_t{2} << 20;
+  const std::string v1 = trace_to_binary(t, options);
+  // Header, one chunk frame of at least 1 MiB, trailer.
+  std::size_t payload = 0;
+  for (std::size_t i = 0; i < 4; ++i)
+    payload |= std::size_t{static_cast<unsigned char>(v1[9 + i])} << (8 * i);
+  ASSERT_GE(payload, std::size_t{1} << 20);
+  ASSERT_EQ(kBinaryHeaderBytes + 9 + payload + 13, v1.size());
+
+  DetectionSession session(ReportPolicy::kAll, 1u << 20);
+  const std::size_t before = session.memory_bytes();
+  ASSERT_EQ(session.feed(v1).status, ServiceStatus::kOk);
+  EXPECT_EQ(session.events_total(), t.size());
+  EXPECT_LT(session.memory_bytes() - before, t.size() * sizeof(TraceEvent));
 }
 
 // ---- rejection taxonomy ---------------------------------------------------

@@ -5,14 +5,19 @@
 
 #include <algorithm>
 #include <chrono>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/replay.hpp"
 #include "fuzz/fuzz_plan.hpp"
+#include "fuzz/mutate.hpp"
 #include "fuzz/trace_gen.hpp"
+#include "io/binary_format.hpp"
 #include "io/binary_writer.hpp"
+#include "io/crc32c.hpp"
 #include "runtime/trace_io.hpp"
 #include "service/server.hpp"
 #include "service/service.hpp"
@@ -20,6 +25,10 @@
 
 namespace race2d {
 namespace {
+
+#ifndef RACE2D_CORPUS_DIR
+#error "tests/CMakeLists.txt must define RACE2D_CORPUS_DIR"
+#endif
 
 Trace racy_trace() {
   // 0 forks 1; 1 writes L and halts; 0 reads L BEFORE joining 1 — the read
@@ -131,6 +140,32 @@ TEST(Protocol, ResponseCodecsRoundTrip) {
   ASSERT_TRUE(decode_response(encode_response(err), back, error)) << error;
   EXPECT_EQ(back.status, ServiceStatus::kLintReject);
   EXPECT_EQ(back.message, err.message);
+}
+
+// The DRAIN layout, byte for byte: the response header (verb, status,
+// session), `more`, the count, then a 22-byte record per report (loc u64,
+// task u32, kind u8, prior kind u8, ordinal u64), all little-endian.
+TEST(Protocol, DrainResponseBytesAreFixed) {
+  Response rsp;
+  rsp.verb = Verb::kDrain;
+  rsp.session = 3;
+  rsp.drain.more = true;
+  rsp.drain.reports.push_back(
+      {0xabcdef, 7, AccessKind::kWrite, AccessKind::kRead, 42});
+  rsp.drain.reports.push_back(
+      {0x10, 2, AccessKind::kRetire, AccessKind::kWrite, 99});
+  const unsigned char golden[] = {
+      0x03, 0x00, 0x03, 0x00, 0x00, 0x00,              // DRAIN, ok, session 3
+      0x01, 0x02, 0x00, 0x00, 0x00,                    // more, 2 reports
+      0xef, 0xcd, 0xab, 0x00, 0x00, 0x00, 0x00, 0x00,  // loc 0xabcdef
+      0x07, 0x00, 0x00, 0x00, 0x01, 0x00,              // task 7, write/read
+      0x2a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // ordinal 42
+      0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // loc 0x10
+      0x02, 0x00, 0x00, 0x00, 0x02, 0x01,              // task 2, retire/write
+      0x63, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // ordinal 99
+  };
+  EXPECT_EQ(encode_response(rsp),
+            std::string(reinterpret_cast<const char*>(golden), sizeof(golden)));
 }
 
 TEST(Protocol, MalformedPayloadsAreRejectedNotCrashes) {
@@ -384,6 +419,226 @@ TEST(Service, MetricsJsonTracksTraffic) {
   EXPECT_NE(json.find("\"sessions_opened\":1"), std::string::npos) << json;
   EXPECT_NE(json.find("\"sessions_closed\":1"), std::string::npos) << json;
   EXPECT_NE(json.find("\"live_sessions\":0"), std::string::npos) << json;
+}
+
+// ---- split invariance ------------------------------------------------------
+//
+// The protocol lets a client split its stream into FEEDs anywhere. Every
+// event is checked where it lies in the stream, so a session's answers must
+// not depend on the split: the last FEED's status and message, every
+// report drained, and CLOSE's outcome and totals.
+
+struct SessionView {
+  ServiceStatus feed_status = ServiceStatus::kOk;
+  std::string feed_message;
+  std::vector<RaceReport> reports;
+  ServiceStatus close_status = ServiceStatus::kOk;
+  std::string close_message;
+  std::uint64_t close_events = 0;
+  std::uint64_t close_reports = 0;
+};
+
+/// Feeds `wire` cut at `cuts` (ascending offsets) into one session,
+/// draining after every FEED, then closes it.
+SessionView feed_split(const std::string& wire,
+                       const std::vector<std::size_t>& cuts) {
+  DetectionSession session(ReportPolicy::kAll, 1u << 20);
+  SessionView view;
+  std::size_t from = 0;
+  for (std::size_t i = 0; i <= cuts.size(); ++i) {
+    const std::size_t to = i < cuts.size() ? cuts[i] : wire.size();
+    const DetectionSession::FeedOutcome fed =
+        session.feed(wire.substr(from, to - from));
+    from = to;
+    view.feed_status = fed.status;
+    view.feed_message = fed.message;
+    bool more = false;
+    const std::vector<RaceReport> drained = session.drain(0, more);
+    view.reports.insert(view.reports.end(), drained.begin(), drained.end());
+  }
+  const DetectionSession::CloseOutcome closed = session.close();
+  view.close_status = closed.status;
+  view.close_message = closed.message;
+  view.close_events = closed.events;
+  view.close_reports = closed.reports;
+  return view;
+}
+
+std::uint32_t read_u32le_at(const std::string& s, std::size_t at) {
+  std::uint32_t v = 0;
+  for (std::size_t i = 4; i-- > 0;)
+    v = v << 8 | static_cast<unsigned char>(s[at + i]);
+  return v;
+}
+
+/// Offsets of the frames after the header, as far as their lengths parse.
+std::vector<std::size_t> frame_starts(const std::string& wire) {
+  std::vector<std::size_t> starts;
+  std::size_t at = kBinaryHeaderBytes;
+  while (at < wire.size()) {
+    starts.push_back(at);
+    if (static_cast<unsigned char>(wire[at]) == kTrailerMarker) {
+      at += 13;
+    } else if (at + 9 <= wire.size()) {
+      at += 9 + static_cast<std::size_t>(read_u32le_at(wire, at + 1));
+    } else {
+      break;
+    }
+  }
+  return starts;
+}
+
+std::vector<std::size_t> every(std::size_t step, std::size_t size) {
+  std::vector<std::size_t> cuts;
+  for (std::size_t at = step; at < size; at += step) cuts.push_back(at);
+  return cuts;
+}
+
+/// Feeds `wire` whole, one frame per FEED, in 7-byte FEEDs and a byte at a
+/// time, and requires the same answers every way. Returns the whole-feed
+/// view.
+SessionView expect_split_invariant(const std::string& wire,
+                                   const std::string& name) {
+  SCOPED_TRACE(name);
+  const SessionView whole = feed_split(wire, {});
+  const std::pair<const char*, std::vector<std::size_t>> splits[] = {
+      {"one frame per FEED", frame_starts(wire)},
+      {"7-byte FEEDs", every(7, wire.size())},
+      {"byte at a time", every(1, wire.size())},
+  };
+  for (const auto& [how, cuts] : splits) {
+    SCOPED_TRACE(how);
+    const SessionView split = feed_split(wire, cuts);
+    EXPECT_EQ(split.feed_status, whole.feed_status);
+    EXPECT_EQ(split.feed_message, whole.feed_message);
+    EXPECT_EQ(split.reports, whole.reports);
+    EXPECT_EQ(split.close_status, whole.close_status);
+    EXPECT_EQ(split.close_message, whole.close_message);
+    EXPECT_EQ(split.close_events, whole.close_events);
+    EXPECT_EQ(split.close_reports, whole.close_reports);
+  }
+  return whole;
+}
+
+std::string encode(const Trace& trace, std::size_t chunk_bytes,
+                   CompressionMode mode = CompressionMode::kNone) {
+  BinaryWriteOptions options;
+  options.chunk_payload_bytes = chunk_bytes;
+  options.compression = mode;
+  return trace_to_binary(trace, options);
+}
+
+/// Flips one payload byte of the frame at `at`; with `reseal` the frame's
+/// CRC is recomputed, so the damage reaches the event decoder and the lint
+/// gate instead of the CRC check.
+std::string damage_frame(std::string wire, std::size_t at, std::size_t nth,
+                         bool reseal) {
+  const std::size_t len = read_u32le_at(wire, at + 1);
+  wire[at + 9 + nth % len] ^= 0x5a;
+  if (reseal) {
+    const std::uint32_t crc = crc32c(wire.data() + at + 9, len);
+    for (int i = 0; i < 4; ++i)
+      wire[at + 5 + static_cast<std::size_t>(i)] =
+          static_cast<char>(crc >> (8 * i));
+  }
+  return wire;
+}
+
+/// The frame start of the last chunk of a well-formed stream that has one.
+std::size_t last_chunk(const std::string& wire) {
+  const std::vector<std::size_t> starts = frame_starts(wire);
+  EXPECT_GE(starts.size(), 2u) << "no chunk before the trailer";
+  return starts.size() >= 2 ? starts[starts.size() - 2] : 0;
+}
+
+// A lint fault in an early chunk and a corrupt last chunk: the first fault
+// in stream order is the lint fault, whichever FEED carries the corrupt
+// chunk, and the reports found before it are drained every way.
+TEST(SplitInvariance, EarlyLintFaultBeatsALaterCorruptChunk) {
+  Trace trace = {{TraceOp::kFork, 0, 1, 0}};
+  for (Loc loc = 0; loc < 20; ++loc)
+    trace.push_back({TraceOp::kWrite, 1, kInvalidTask, 16 * loc});
+  trace.push_back({TraceOp::kHalt, 1, kInvalidTask, 0});
+  for (Loc loc = 0; loc < 5; ++loc)  // each races with task 1's write
+    trace.push_back({TraceOp::kRead, 0, kInvalidTask, 16 * loc});
+  trace.push_back({TraceOp::kWrite, 1, kInvalidTask, 0x999});  // L002
+  for (Loc loc = 0; loc < 60; ++loc)
+    trace.push_back({TraceOp::kRead, 0, kInvalidTask, 16 * loc});
+  trace.push_back({TraceOp::kJoin, 0, 1, 0});
+  trace.push_back({TraceOp::kHalt, 0, kInvalidTask, 0});
+  const std::string clean = encode(trace, 64);
+  ASSERT_GE(frame_starts(clean).size(), 4u);
+  const std::string wire =
+      damage_frame(clean, last_chunk(clean), 3, /*reseal=*/false);
+
+  const SessionView view = expect_split_invariant(wire, "L002 then B005");
+  EXPECT_EQ(view.feed_status, ServiceStatus::kLintReject);
+  EXPECT_EQ(view.feed_message.rfind("L002", 0), 0u) << view.feed_message;
+  EXPECT_EQ(view.close_events, 27u);  // every event before the halted write
+  EXPECT_EQ(view.reports.size(), 5u);
+  EXPECT_EQ(view.close_reports, 5u);
+}
+
+TEST(SplitInvariance, CorpusStreamsAndTheirMutants) {
+  namespace fs = std::filesystem;
+  std::vector<fs::path> files;
+  for (const auto& entry : fs::directory_iterator(RACE2D_CORPUS_DIR))
+    if (entry.path().extension() == ".trace") files.push_back(entry.path());
+  std::sort(files.begin(), files.end());
+  ASSERT_GE(files.size(), 10u) << "corpus shrank below its floor";
+
+  Xoshiro256 rng(20261017);
+  for (const fs::path& path : files) {
+    const std::string name = path.filename().string();
+    std::ifstream text(path);
+    const Trace trace = parse_trace_text(text);
+    fs::path twin = path;
+    twin.replace_extension(".btrace");
+    std::ifstream binary(twin, std::ios::binary);
+    std::ostringstream twin_bytes;
+    twin_bytes << binary.rdbuf();
+
+    const SessionView clean = expect_split_invariant(twin_bytes.str(), name);
+    EXPECT_EQ(clean.close_status, ServiceStatus::kOk) << name;
+    EXPECT_EQ(clean.reports, detect_races_trace(trace)) << name;
+    const std::string v1 = encode(trace, 16);
+    expect_split_invariant(v1, name + " v1/16");
+    expect_split_invariant(encode(trace, 16, CompressionMode::kRuns),
+                           name + " v2/16");
+    expect_split_invariant(v1.substr(0, v1.size() - 3), name + " truncated");
+    expect_split_invariant(v1 + "x", name + " trailing byte");
+    const std::vector<std::size_t> frames = frame_starts(v1);
+    for (int k = 0; k < 4; ++k) {
+      // A damaged chunk other than the last, resealed or not.
+      const std::size_t at = frames[rng.below(frames.size() - 1)];
+      expect_split_invariant(damage_frame(v1, at, rng(), k % 2 == 0),
+                             name + " damaged chunk " + std::to_string(k));
+    }
+  }
+}
+
+TEST(SplitInvariance, StructureBreakingMutantsWithACorruptTail) {
+  Xoshiro256 rng(7);
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const Trace base = generate_trace(FuzzPlan::from_seed(seed)).trace;
+    for (const MutationKind kind :
+         {MutationKind::kDropJoin, MutationKind::kDuplicateJoin,
+          MutationKind::kDropHalt, MutationKind::kDropFork,
+          MutationKind::kRetargetJoin}) {
+      const Mutation m = mutate_trace(base, kind, rng);
+      if (!m.applied || m.trace.empty()) continue;
+      const std::string name =
+          "seed " + std::to_string(seed) + " " + to_string(kind);
+      for (const CompressionMode mode :
+           {CompressionMode::kNone, CompressionMode::kRuns}) {
+        const std::string wire = encode(m.trace, 48, mode);
+        expect_split_invariant(wire, name);
+        expect_split_invariant(
+            damage_frame(wire, last_chunk(wire), rng(), false),
+            name + " + corrupt last chunk");
+      }
+    }
+  }
 }
 
 TEST(PipeServer, FrameLoopAnswersEveryRequestAndRecovers) {
