@@ -4,10 +4,10 @@
 # 30-second fixed-seed differential fuzz smoke (race2d_fuzz cross-checks
 # every detector on seeded random programs; any mismatch fails the
 # gate), a 2-second end-to-end perfbench run per workload (reports
-# checked, every request answered OK), an ASan+UBSan build of the FULL
-# test suite (the verify layer intentionally feeds corrupt traces to
-# every detector; the sanitizers prove the rejection paths never read
-# past a buffer), then a ThreadSanitizer build of the concurrency-bearing
+# checked, every request answered OK), an ASan+UBSan Debug build of the
+# FULL test suite with R2D_ASSERT and libstdc++ assertions live (the
+# verify layer intentionally feeds corrupt traces to every detector; the
+# sanitizers prove the rejection paths never read past a buffer), then a ThreadSanitizer build of the concurrency-bearing
 # tests (the parallel executor and the race2dd worker pool spawn real
 # threads; TSan checks they share state only through synchronized paths).
 # clang-tidy is a gated stage when installed: findings in the
@@ -223,9 +223,12 @@ done
 if [[ "${RACE2D_SKIP_ASAN:-0}" == "1" ]]; then
   echo "== ASan/UBSan skipped (RACE2D_SKIP_ASAN=1)"
 else
-  echo "== AddressSanitizer + UBSan build (full test suite)"
-  cmake -B build-asan -S . \
-    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer -O1 -g" \
+  echo "== AddressSanitizer + UBSan build (full test suite, invariants live)"
+  # Debug, so no -DNDEBUG: every R2D_ASSERT runs, and -O1 is not overridden
+  # by the RelWithDebInfo flags that would otherwise follow it.
+  # _GLIBCXX_ASSERTIONS adds libstdc++'s bounds and precondition checks.
+  cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
+    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer -O1 -g -D_GLIBCXX_ASSERTIONS" \
     >/dev/null
   cmake --build build-asan -j "$(nproc)"
   (cd build-asan && ctest --output-on-failure)

@@ -629,13 +629,27 @@ void BinaryTraceDecoder::feed(const void* data, std::size_t size,
   (void)feed_into(data, size, sink);  // a VectorSink never stops
 }
 
+std::size_t BinaryTraceDecoder::Snapshot::need() const {
+  switch (static_cast<State>(state)) {
+    case State::kHeader:       return kBinaryHeaderBytes;
+    case State::kMarker:       return 1;
+    case State::kChunkHeader:  return 8;
+    case State::kChunkPayload: return payload_len;
+    case State::kTrailer:      return 12;
+    case State::kDone:
+    case State::kPoisoned:
+    case State::kStopped:
+      break;
+  }
+  return 0;
+}
+
 BinaryTraceDecoder::Snapshot BinaryTraceDecoder::export_state() const {
   R2D_REQUIRE(state_ != State::kPoisoned && state_ != State::kStopped,
               "a poisoned or stopped decoder has no snapshottable state");
   Snapshot s;
   s.state = static_cast<std::uint8_t>(state_);
   s.buffer = buffer_;
-  s.need = need_;
   s.payload_len = payload_len_;
   s.payload_crc = payload_crc_;
   s.offset = offset_;
@@ -648,8 +662,11 @@ BinaryTraceDecoder::Snapshot BinaryTraceDecoder::export_state() const {
 void BinaryTraceDecoder::import_state(Snapshot&& s) {
   R2D_REQUIRE(s.state < static_cast<std::uint8_t>(State::kPoisoned),
               "snapshot names an invalid decoder state");
-  R2D_REQUIRE(s.buffer.size() <= s.need || s.need == 0,
-              "snapshot buffer exceeds the frame it is accumulating");
+  R2D_REQUIRE(static_cast<State>(s.state) != State::kChunkPayload ||
+                  (s.payload_len != 0 && s.payload_len <= kMaxChunkPayload),
+              "snapshot names an invalid chunk payload length");
+  R2D_REQUIRE(s.buffer.empty() || s.buffer.size() < s.need(),
+              "snapshot buffer does not fit the frame it is accumulating");
   R2D_REQUIRE(s.version == kBinaryTraceVersion ||
                   s.version == kBinaryTraceVersionCompressed,
               "snapshot names an unknown wire format version");
@@ -657,7 +674,7 @@ void BinaryTraceDecoder::import_state(Snapshot&& s) {
               "snapshot marks a compressed chunk in a version-1 stream");
   state_ = static_cast<State>(s.state);
   buffer_ = std::move(s.buffer);
-  need_ = static_cast<std::size_t>(s.need);
+  need_ = s.need();
   payload_len_ = s.payload_len;
   payload_crc_ = s.payload_crc;
   offset_ = s.offset;

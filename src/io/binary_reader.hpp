@@ -117,17 +117,21 @@ class BinaryTraceDecoder {
   /// Snapshot image of the push state machine: the phase, the partial
   /// frame's bytes, and the running totals. Poisoned and stopped decoders
   /// are not snapshottable (the owning session was poisoned first and a
-  /// snapshot of it is refused).
+  /// snapshot of it is refused). The size of the frame being collected is
+  /// not stored: it follows from the phase (need()).
   struct Snapshot {
     std::uint8_t state = 0;  ///< State enumerator value; kPoisoned rejected
-    std::vector<unsigned char> buffer;
-    std::uint64_t need = 0;
-    std::uint32_t payload_len = 0;
+    std::vector<unsigned char> buffer;  ///< shorter than need(), empty if done
+    std::uint32_t payload_len = 0;  ///< in the payload phase: 1..the cap
     std::uint32_t payload_crc = 0;
     std::uint64_t offset = 0;
     std::uint64_t events_decoded = 0;
     std::uint8_t version = kBinaryTraceVersion;  ///< header version (1|2)
     bool compressed = false;  ///< current frame is a 'Z' chunk (v2 only)
+
+    /// Bytes the phase reads at once: the header, a marker, a chunk header,
+    /// payload_len payload bytes, the trailer; 0 once done.
+    std::size_t need() const;
   };
   Snapshot export_state() const;
   void import_state(Snapshot&& s);

@@ -1,6 +1,7 @@
 #include "io/text_reader.hpp"
 
 #include <istream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -45,36 +46,18 @@ bool TextTraceReader::next(TraceEvent& out) {
       return v;
     };
 
-    TraceEvent e{};
-    if (op == "fork") {
-      e = {TraceOp::kFork, read_task(), read_task(), 0};
-    } else if (op == "join") {
-      e = {TraceOp::kJoin, read_task(), read_task(), 0};
-    } else if (op == "halt") {
-      e = {TraceOp::kHalt, read_task(), kInvalidTask, 0};
-    } else if (op == "sync") {
-      e = {TraceOp::kSync, read_task(), kInvalidTask, 0};
-    } else if (op == "read") {
-      const TaskId t = read_task();
-      e = {TraceOp::kRead, t, kInvalidTask, read_loc()};
-    } else if (op == "write") {
-      const TaskId t = read_task();
-      e = {TraceOp::kWrite, t, kInvalidTask, read_loc()};
-    } else if (op == "retire") {
-      const TaskId t = read_task();
-      e = {TraceOp::kRetire, t, kInvalidTask, read_loc()};
-    } else if (op == "acquire") {
-      const TaskId t = read_task();
-      e = {TraceOp::kAcquire, t, kInvalidTask, read_loc()};
-    } else if (op == "release") {
-      const TaskId t = read_task();
-      e = {TraceOp::kRelease, t, kInvalidTask, read_loc()};
-    } else if (op == "finish_begin") {
-      e = {TraceOp::kFinishBegin, read_task(), kInvalidTask, 0};
-    } else if (op == "finish_end") {
-      e = {TraceOp::kFinishEnd, read_task(), kInvalidTask, 0};
-    } else {
-      fail_at(line_no_, "unknown event '" + op + "'");
+    const std::optional<TraceOp> parsed = op_from_name(op);
+    if (!parsed) fail_at(line_no_, "unknown event '" + op + "'");
+    TraceEvent e{*parsed, read_task()};
+    switch (op_operand(e.op)) {
+      case OpOperand::kTask:
+        e.other = read_task();
+        break;
+      case OpOperand::kLoc:
+        e.loc = read_loc();
+        break;
+      case OpOperand::kNone:
+        break;
     }
     std::string excess;
     if (fields >> excess) fail_at(line_no_, "trailing tokens");

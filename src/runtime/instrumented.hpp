@@ -10,12 +10,13 @@
 #include "runtime/listener.hpp"
 #include "runtime/program.hpp"
 #include "runtime/serial_executor.hpp"
+#include "runtime/trace.hpp"
 
 namespace race2d {
 
-/// Forwards execution events to an OnlineRaceDetector. Task ids are assigned
-/// densely by both the executor and the detector in fork order, so they
-/// coincide; this is asserted.
+/// Forwards execution events to an OnlineRaceDetector through apply_event.
+/// Task ids are assigned densely by both the executor and the detector in
+/// fork order, so they coincide; this is asserted.
 class DetectorListener : public ExecutionListener {
  public:
   explicit DetectorListener(ReportPolicy policy = ReportPolicy::kAll)
@@ -25,19 +26,11 @@ class DetectorListener : public ExecutionListener {
     (void)root;
   }
 
-  void on_fork(TaskId parent, TaskId child) override {
-    const TaskId assigned = detector_.on_fork(parent);
-    R2D_ASSERT(assigned == child);
-    (void)assigned;
-    (void)child;
+  void on_event(const TraceEvent& e) override {
+    const bool dense = apply_event(detector_, e);
+    R2D_ASSERT(dense);
+    (void)dense;
   }
-  void on_join(TaskId joiner, TaskId joined) override {
-    detector_.on_join(joiner, joined);
-  }
-  void on_halt(TaskId t) override { detector_.on_halt(t); }
-  void on_read(TaskId t, Loc loc) override { detector_.on_read(t, loc); }
-  void on_write(TaskId t, Loc loc) override { detector_.on_write(t, loc); }
-  void on_retire(TaskId t, Loc loc) override { detector_.on_retire(t, loc); }
 
   OnlineRaceDetector& detector() { return detector_; }
   const OnlineRaceDetector& detector() const { return detector_; }

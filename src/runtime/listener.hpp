@@ -1,55 +1,22 @@
 // Execution listeners: the instrumentation hook between the runtime and any
 // detector. The serial executor emits exactly the event alphabet of §5's
-// delayed-traversal construction (fork / join / halt / read / write, plus a
-// sync annotation used by the SP-bags baseline).
+// delayed-traversal construction — fork / join / halt / read / write, plus
+// the annotations (sync, finish markers, lock acquire/release) — as the same
+// TraceEvents a recorded trace holds (runtime/trace.hpp), so a live run and
+// a replayed trace drive a listener identically.
 #pragma once
 
 #include <vector>
 
-#include "support/ids.hpp"
-
 namespace race2d {
+
+struct TraceEvent;
 
 class ExecutionListener {
  public:
   virtual ~ExecutionListener() = default;
 
-  virtual void on_fork(TaskId parent, TaskId child) {
-    (void)parent;
-    (void)child;
-  }
-  virtual void on_join(TaskId joiner, TaskId joined) {
-    (void)joiner;
-    (void)joined;
-  }
-  virtual void on_halt(TaskId task) { (void)task; }
-  virtual void on_sync(TaskId task) { (void)task; }
-  virtual void on_read(TaskId task, Loc loc) {
-    (void)task;
-    (void)loc;
-  }
-  virtual void on_write(TaskId task, Loc loc) {
-    (void)task;
-    (void)loc;
-  }
-  virtual void on_retire(TaskId task, Loc loc) {
-    (void)task;
-    (void)loc;
-  }
-  /// Finish-scope markers (X10 semantics; consumed by the ESP-bags
-  /// baseline). Structural joins still appear as on_join events.
-  virtual void on_finish_begin(TaskId task) { (void)task; }
-  virtual void on_finish_end(TaskId task) { (void)task; }
-  /// Sync-object annotations (mutex / counting-semaphore acquire and
-  /// release). Vertex-less like on_sync; only lockset-aware consumers care.
-  virtual void on_acquire(TaskId task, Loc sync_id) {
-    (void)task;
-    (void)sync_id;
-  }
-  virtual void on_release(TaskId task, Loc sync_id) {
-    (void)task;
-    (void)sync_id;
-  }
+  virtual void on_event(const TraceEvent& e) = 0;
 };
 
 /// Fans events out to several listeners (e.g. record a trace while detecting).
@@ -57,38 +24,8 @@ class MultiListener : public ExecutionListener {
  public:
   void add(ExecutionListener* listener) { listeners_.push_back(listener); }
 
-  void on_fork(TaskId p, TaskId c) override {
-    for (auto* l : listeners_) l->on_fork(p, c);
-  }
-  void on_join(TaskId jr, TaskId jd) override {
-    for (auto* l : listeners_) l->on_join(jr, jd);
-  }
-  void on_halt(TaskId t) override {
-    for (auto* l : listeners_) l->on_halt(t);
-  }
-  void on_sync(TaskId t) override {
-    for (auto* l : listeners_) l->on_sync(t);
-  }
-  void on_read(TaskId t, Loc loc) override {
-    for (auto* l : listeners_) l->on_read(t, loc);
-  }
-  void on_write(TaskId t, Loc loc) override {
-    for (auto* l : listeners_) l->on_write(t, loc);
-  }
-  void on_retire(TaskId t, Loc loc) override {
-    for (auto* l : listeners_) l->on_retire(t, loc);
-  }
-  void on_finish_begin(TaskId t) override {
-    for (auto* l : listeners_) l->on_finish_begin(t);
-  }
-  void on_finish_end(TaskId t) override {
-    for (auto* l : listeners_) l->on_finish_end(t);
-  }
-  void on_acquire(TaskId t, Loc sync_id) override {
-    for (auto* l : listeners_) l->on_acquire(t, sync_id);
-  }
-  void on_release(TaskId t, Loc sync_id) override {
-    for (auto* l : listeners_) l->on_release(t, sync_id);
+  void on_event(const TraceEvent& e) override {
+    for (auto* l : listeners_) l->on_event(e);
   }
 
  private:

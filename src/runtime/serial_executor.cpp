@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "runtime/trace.hpp"
 #include "support/assert.hpp"
 
 namespace race2d {
@@ -22,7 +23,7 @@ class SerialContext final : public TaskContext {
   TaskHandle fork(TaskBody body) override {
     R2D_REQUIRE(depth_ < state_.max_fork_depth, "fork depth limit exceeded");
     const TaskId child = state_.line.fork(self_);
-    if (state_.listener) state_.listener->on_fork(self_, child);
+    emit(TraceOp::kFork, child);
     // Fork-first: run the child to completion before continuing the parent.
     run_task(child, std::move(body));
     return TaskHandle{child};
@@ -31,14 +32,14 @@ class SerialContext final : public TaskContext {
   void join(TaskHandle h) override {
     R2D_REQUIRE(h.valid(), "join of an invalid handle");
     state_.line.join(self_, h.id);  // validates the left-neighbor discipline
-    if (state_.listener) state_.listener->on_join(self_, h.id);
+    emit(TraceOp::kJoin, h.id);
   }
 
   bool join_left() override {
     const TaskId left = state_.line.left_of(self_);
     if (left == kInvalidTask) return false;
     state_.line.join(self_, left);
-    if (state_.listener) state_.listener->on_join(self_, left);
+    emit(TraceOp::kJoin, left);
     return true;
   }
 
@@ -46,36 +47,17 @@ class SerialContext final : public TaskContext {
     return state_.line.left_of(self_) != kInvalidTask;
   }
 
-  void read(Loc loc) override {
-    if (state_.listener) state_.listener->on_read(self_, loc);
-  }
-
-  void write(Loc loc) override {
-    if (state_.listener) state_.listener->on_write(self_, loc);
-  }
-
-  void retire(Loc loc) override {
-    if (state_.listener) state_.listener->on_retire(self_, loc);
-  }
-
-  void sync_marker() override {
-    if (state_.listener) state_.listener->on_sync(self_);
-  }
-
-  void finish_begin_marker() override {
-    if (state_.listener) state_.listener->on_finish_begin(self_);
-  }
-
-  void finish_end_marker() override {
-    if (state_.listener) state_.listener->on_finish_end(self_);
-  }
-
+  void read(Loc loc) override { emit(TraceOp::kRead, kInvalidTask, loc); }
+  void write(Loc loc) override { emit(TraceOp::kWrite, kInvalidTask, loc); }
+  void retire(Loc loc) override { emit(TraceOp::kRetire, kInvalidTask, loc); }
+  void sync_marker() override { emit(TraceOp::kSync); }
+  void finish_begin_marker() override { emit(TraceOp::kFinishBegin); }
+  void finish_end_marker() override { emit(TraceOp::kFinishEnd); }
   void acquire_marker(Loc sync_id) override {
-    if (state_.listener) state_.listener->on_acquire(self_, sync_id);
+    emit(TraceOp::kAcquire, kInvalidTask, sync_id);
   }
-
   void release_marker(Loc sync_id) override {
-    if (state_.listener) state_.listener->on_release(self_, sync_id);
+    emit(TraceOp::kRelease, kInvalidTask, sync_id);
   }
 
   std::size_t live_tasks() const override { return state_.line.live_count(); }
@@ -88,10 +70,15 @@ class SerialContext final : public TaskContext {
     SerialContext ctx(state_, task, depth_ + 1);
     body(ctx);
     state_.line.halt(task);
-    if (state_.listener) state_.listener->on_halt(task);
+    ctx.emit(TraceOp::kHalt);
   }
 
  private:
+  /// Hands the listener one event by this task.
+  void emit(TraceOp op, TaskId other = kInvalidTask, Loc loc = 0) {
+    if (state_.listener) state_.listener->on_event({op, self_, other, loc});
+  }
+
   SerialState& state_;
   TaskId self_;
   std::size_t depth_;

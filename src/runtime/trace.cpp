@@ -4,46 +4,6 @@
 
 namespace race2d {
 
-void replay_trace(const Trace& trace, ExecutionListener& listener) {
-  for (const TraceEvent& e : trace) {
-    switch (e.op) {
-      case TraceOp::kFork:
-        listener.on_fork(e.actor, e.other);
-        break;
-      case TraceOp::kJoin:
-        listener.on_join(e.actor, e.other);
-        break;
-      case TraceOp::kHalt:
-        listener.on_halt(e.actor);
-        break;
-      case TraceOp::kSync:
-        listener.on_sync(e.actor);
-        break;
-      case TraceOp::kRead:
-        listener.on_read(e.actor, e.loc);
-        break;
-      case TraceOp::kWrite:
-        listener.on_write(e.actor, e.loc);
-        break;
-      case TraceOp::kRetire:
-        listener.on_retire(e.actor, e.loc);
-        break;
-      case TraceOp::kFinishBegin:
-        listener.on_finish_begin(e.actor);
-        break;
-      case TraceOp::kFinishEnd:
-        listener.on_finish_end(e.actor);
-        break;
-      case TraceOp::kAcquire:
-        listener.on_acquire(e.actor, e.loc);
-        break;
-      case TraceOp::kRelease:
-        listener.on_release(e.actor, e.loc);
-        break;
-    }
-  }
-}
-
 TaskGraph build_task_graph(const Trace& trace) {
   TaskGraph tg;
 

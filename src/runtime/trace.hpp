@@ -1,6 +1,7 @@
-// Execution traces: record a serial fork-first run, replay it into any
-// listener, and materialize the vertex-level task graph (§5, Theorem 6's
-// construction) as a monotone planar diagram.
+// Execution traces: the event alphabet and its one name table; record a
+// serial fork-first run, apply its events to any detector, and materialize
+// the vertex-level task graph (§5, Theorem 6's construction) as a monotone
+// planar diagram.
 //
 // The task graph is where everything meets: the naive/oracle baselines
 // answer reachability on it, Theorem 6 tests check it is a 2D lattice, and
@@ -8,7 +9,11 @@
 // online one.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "core/detector.hpp"
@@ -43,49 +48,60 @@ struct TraceEvent {
   TraceOp op;
   TaskId actor = kInvalidTask;
   TaskId other = kInvalidTask;  ///< forked child / joined task
-  Loc loc = 0;                  ///< for reads and writes
+  Loc loc = 0;  ///< accessed location / sync-object id
 
   bool operator==(const TraceEvent&) const = default;
 };
 
 using Trace = std::vector<TraceEvent>;
 
+/// What a TraceOp names after its actor: another task (fork's child, the
+/// joined task) in `other`, a location or sync-object id in `loc`, or
+/// nothing.
+enum class OpOperand : std::uint8_t { kNone, kTask, kLoc };
+
+struct OpInfo {
+  const char* name;  ///< the text format's keyword; lint messages use it too
+  OpOperand operand;
+};
+
+/// The one table of the event alphabet, indexed by TraceOp. The text writer
+/// and reader and the lint messages read names and operands from here; the
+/// binary codec and the per-op switches (apply_event, the lint gate,
+/// build_task_graph) do per-op work of their own.
+inline constexpr OpInfo kOpTable[] = {
+    {"fork", OpOperand::kTask},        {"join", OpOperand::kTask},
+    {"halt", OpOperand::kNone},        {"sync", OpOperand::kNone},
+    {"read", OpOperand::kLoc},         {"write", OpOperand::kLoc},
+    {"retire", OpOperand::kLoc},       {"finish_begin", OpOperand::kNone},
+    {"finish_end", OpOperand::kNone},  {"acquire", OpOperand::kLoc},
+    {"release", OpOperand::kLoc},
+};
+static_assert(std::size(kOpTable) ==
+                  static_cast<std::size_t>(TraceOp::kRelease) + 1,
+              "one kOpTable row per TraceOp");
+
+constexpr const char* op_name(TraceOp op) {
+  const auto i = static_cast<std::size_t>(op);
+  return i < std::size(kOpTable) ? kOpTable[i].name : "?";
+}
+
+constexpr OpOperand op_operand(TraceOp op) {
+  const auto i = static_cast<std::size_t>(op);
+  return i < std::size(kOpTable) ? kOpTable[i].operand : OpOperand::kNone;
+}
+
+/// The op whose name is `name`, or nullopt.
+constexpr std::optional<TraceOp> op_from_name(std::string_view name) {
+  for (std::size_t i = 0; i < std::size(kOpTable); ++i)
+    if (name == kOpTable[i].name) return static_cast<TraceOp>(i);
+  return std::nullopt;
+}
+
 /// Records every event of a serial run.
 class TraceRecorder : public ExecutionListener {
  public:
-  void on_fork(TaskId parent, TaskId child) override {
-    events_.push_back({TraceOp::kFork, parent, child, 0});
-  }
-  void on_join(TaskId joiner, TaskId joined) override {
-    events_.push_back({TraceOp::kJoin, joiner, joined, 0});
-  }
-  void on_halt(TaskId t) override {
-    events_.push_back({TraceOp::kHalt, t, kInvalidTask, 0});
-  }
-  void on_sync(TaskId t) override {
-    events_.push_back({TraceOp::kSync, t, kInvalidTask, 0});
-  }
-  void on_read(TaskId t, Loc loc) override {
-    events_.push_back({TraceOp::kRead, t, kInvalidTask, loc});
-  }
-  void on_write(TaskId t, Loc loc) override {
-    events_.push_back({TraceOp::kWrite, t, kInvalidTask, loc});
-  }
-  void on_retire(TaskId t, Loc loc) override {
-    events_.push_back({TraceOp::kRetire, t, kInvalidTask, loc});
-  }
-  void on_finish_begin(TaskId t) override {
-    events_.push_back({TraceOp::kFinishBegin, t, kInvalidTask, 0});
-  }
-  void on_finish_end(TaskId t) override {
-    events_.push_back({TraceOp::kFinishEnd, t, kInvalidTask, 0});
-  }
-  void on_acquire(TaskId t, Loc sync_id) override {
-    events_.push_back({TraceOp::kAcquire, t, kInvalidTask, sync_id});
-  }
-  void on_release(TaskId t, Loc sync_id) override {
-    events_.push_back({TraceOp::kRelease, t, kInvalidTask, sync_id});
-  }
+  void on_event(const TraceEvent& e) override { events_.push_back(e); }
 
   const Trace& trace() const { return events_; }
   Trace take() { return std::move(events_); }
@@ -94,10 +110,6 @@ class TraceRecorder : public ExecutionListener {
   Trace events_;
 };
 
-/// Replays a recorded trace into `listener` (e.g. to drive a baseline
-/// detector from the identical event stream the online detector saw).
-void replay_trace(const Trace& trace, ExecutionListener& listener);
-
 /// Applies one trace event to a detector with the thread-level event API:
 /// on_fork(parent) returning the child's id, on_join, on_halt, on_read and
 /// on_write. The hooks only some detectors have — on_retire, on_sync,
@@ -105,8 +117,10 @@ void replay_trace(const Trace& trace, ExecutionListener& listener);
 /// otherwise. Lock annotations reach no detector: lockset semantics live in
 /// verify/lockset_filter. Returns false iff the event is a fork whose
 /// assigned child id differs from e.other (task ids not dense in fork
-/// order). The offline drivers, the session feed, the differential panel
-/// and the benches all replay through here, so they cannot drift apart.
+/// order). This is the one dispatch from a TraceOp to a detector: offline
+/// replay (core/replay.hpp), the session feed, DetectorListener, the
+/// differential panel and the benches all go through here, so they cannot
+/// drift apart.
 template <typename Detector>
 bool apply_event(Detector& det, const TraceEvent& e) {
   switch (e.op) {

@@ -10,38 +10,6 @@
 
 namespace race2d {
 
-namespace {
-
-const char* op_name(TraceOp op) {
-  switch (op) {
-    case TraceOp::kFork:
-      return "fork";
-    case TraceOp::kJoin:
-      return "join";
-    case TraceOp::kHalt:
-      return "halt";
-    case TraceOp::kSync:
-      return "sync";
-    case TraceOp::kRead:
-      return "read";
-    case TraceOp::kWrite:
-      return "write";
-    case TraceOp::kRetire:
-      return "retire";
-    case TraceOp::kFinishBegin:
-      return "finish_begin";
-    case TraceOp::kFinishEnd:
-      return "finish_end";
-    case TraceOp::kAcquire:
-      return "acquire";
-    case TraceOp::kRelease:
-      return "release";
-  }
-  return "?";
-}
-
-}  // namespace
-
 TraceParseError::TraceParseError(std::size_t line_number,
                                  const std::string& what)
     : ContractViolation([&] {
@@ -53,24 +21,15 @@ TraceParseError::TraceParseError(std::size_t line_number,
 
 void write_trace_text(std::ostream& os, const Trace& trace) {
   for (const TraceEvent& e : trace) {
-    os << op_name(e.op);
-    switch (e.op) {
-      case TraceOp::kFork:
-      case TraceOp::kJoin:
-        os << ' ' << e.actor << ' ' << e.other;
+    os << op_name(e.op) << ' ' << e.actor;
+    switch (op_operand(e.op)) {
+      case OpOperand::kTask:
+        os << ' ' << e.other;
         break;
-      case TraceOp::kHalt:
-      case TraceOp::kSync:
-      case TraceOp::kFinishBegin:
-      case TraceOp::kFinishEnd:
-        os << ' ' << e.actor;
+      case OpOperand::kLoc:
+        os << ' ' << std::hex << e.loc << std::dec;
         break;
-      case TraceOp::kRead:
-      case TraceOp::kWrite:
-      case TraceOp::kRetire:
-      case TraceOp::kAcquire:
-      case TraceOp::kRelease:
-        os << ' ' << e.actor << ' ' << std::hex << e.loc << std::dec;
+      case OpOperand::kNone:
         break;
     }
     os << '\n';

@@ -1,13 +1,14 @@
 // Text serialization of execution traces.
 //
-// One event per line:
-//   fork <parent> <child>
-//   join <joiner> <joined>
-//   halt <task>
-//   sync <task>
-//   read <task> <loc-hex>
-//   write <task> <loc-hex>
+// One event per line: the op's name, its actor, then its operand as
+// kOpTable (runtime/trace.hpp) gives it — a task, a hex location or sync
+// id, or none:
+//   fork <parent> <child>          join <joiner> <joined>
+//   halt <task>                    sync <task>
+//   read <task> <loc-hex>          write <task> <loc-hex>
 //   retire <task> <loc-hex>
+//   finish_begin <task>            finish_end <task>
+//   acquire <task> <sync-hex>      release <task> <sync-hex>
 // '#' starts a comment; blank lines are skipped. This is the interchange
 // format of the trace-analyzer tool: record once (any instrumentation
 // front-end), analyze offline with any of the detectors.

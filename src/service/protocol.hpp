@@ -105,6 +105,16 @@ struct Request {
   std::uint32_t max_reports = 0;  ///< kDrain only (0 = all pending)
 };
 
+/// A request that creates a session where it runs: OPEN, or a RESTORE that
+/// carries a blob. A blobless RESTORE with an id rehydrates a spilled
+/// session on its owner instead. The pool routes by this, and a socket
+/// connection owns exactly the sessions its creating requests made.
+inline bool creates_session(const Request& request) {
+  return request.verb == Verb::kOpen ||
+         (request.verb == Verb::kRestore &&
+          !(request.bytes.empty() && request.session != 0));
+}
+
 struct FeedResult {
   std::uint64_t events = 0;          ///< events decoded+checked this feed
   std::uint32_t pending_reports = 0;  ///< reports awaiting drain

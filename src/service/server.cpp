@@ -85,7 +85,7 @@ struct Conn {
   bool peer_eof = false;
   bool broken = false;  ///< framing failed: answer, flush, then drop
   std::uint64_t inflight = 0;  ///< forwarded to another shard, unanswered
-  std::set<std::uint32_t> sessions;  ///< opened/restored via this connection
+  std::set<std::uint32_t> sessions;  ///< created by this connection's requests
 };
 
 /// The connections one shard loop serves. Only that shard's thread touches
@@ -219,7 +219,12 @@ class ShardConns {
                 Request&& request) {
     const std::size_t owner = pool_.route(request, shard_);
     if (owner == shard_) {
-      answer(c, seq, pool_.handle_on_shard(shard_, request));
+      const Response response = pool_.handle_on_shard(shard_, request);
+      // Only a creating request makes a session this connection owns; a
+      // blobless RESTORE naming someone else's session gets an OK too.
+      if (creates_session(request) && response.status == ServiceStatus::kOk)
+        c.sessions.insert(response.session);
+      answer(c, seq, response);
       return;
     }
     c.inflight++;
@@ -232,16 +237,10 @@ class ShardConns {
 
   void on_forwarded(std::uint64_t id, std::uint64_t seq,
                     const Response& response) {
+    // A connection waits for its in-flight answers before it goes, and
+    // creating requests never leave their shard, so none is lost here.
     auto it = conns_.find(id);
-    if (it == conns_.end()) {
-      // The connection is gone (it should wait for its in-flight answers).
-      // If the response created a session, close it so a vanished client
-      // cannot leak it.
-      if (response.status == ServiceStatus::kOk &&
-          (response.verb == Verb::kOpen || response.verb == Verb::kRestore))
-        close_session(response.session);
-      return;
-    }
+    if (it == conns_.end()) return;
     Conn& c = it->second;
     c.inflight--;
     answer(c, seq, response);
@@ -269,11 +268,9 @@ class ShardConns {
     }
   }
 
-  /// Session ownership bookkeeping from the response stream.
+  /// Drops the sessions the response stream shows are gone (dispatch
+  /// records the ones this connection creates).
   static void track_sessions(Conn& c, const Response& r) {
-    if (r.status == ServiceStatus::kOk &&
-        (r.verb == Verb::kOpen || r.verb == Verb::kRestore))
-      c.sessions.insert(r.session);
     if (r.verb == Verb::kClose) c.sessions.erase(r.session);
     // An evicted session is already gone server-side; stop tracking so the
     // disconnect cleanup does not re-close it.

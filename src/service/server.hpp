@@ -18,6 +18,9 @@
 //    through the owner's mailbox and answered back through the origin's.
 //    Responses go out IN REQUEST ORDER per connection (a per-connection
 //    sequence number holds back answers that overtook a forwarded one). A
+//    connection owns exactly the sessions its own creating requests made
+//    (creates_session: an OPEN, or a RESTORE with a blob); a blobless
+//    RESTORE or any other request naming a session does not adopt it. A
 //    disconnect closes the connection's own sessions — no leak — and never
 //    touches other connections'.
 //

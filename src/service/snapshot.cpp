@@ -18,12 +18,15 @@ namespace {
 // version and compressed-chunk flag, to 3 when the DePa section traded
 // fork-path labels for order-maintenance tags, to 4 when sessions kept
 // one engine: the payload lost its engine byte and DePa section, and the
-// DSU section its structural version and per-cell version stamps, and to 5
+// DSU section its structural version and per-cell version stamps, to 5
 // when both per-task tables kept rows for live tasks only: the lint
 // section carries its task count and the line, and the DSU section its
-// task index. Older blobs are refused with K002 (the service never
-// persisted them across releases).
-constexpr char kMagic[8] = {'R', '2', 'D', 'S', 'N', 'A', 'P', '\x05'};
+// task index, and to 6 when the blob stopped storing state a live session
+// cannot vary: the decoder section lost its frame size (the phase implies
+// it) and the lint section its finished flag and emitted-finding counts
+// (a snapshottable gate has found nothing). Older blobs are refused with
+// K002 (the service never persisted them across releases).
+constexpr char kMagic[8] = {'R', '2', 'D', 'S', 'N', 'A', 'P', '\x06'};
 constexpr std::size_t kHeaderBytes = sizeof(kMagic) + 4 + 4;
 
 /// Restore-side rejection: the K-coded message restore_session returns.
@@ -147,7 +150,6 @@ void put_decoder(Writer& w, const BinaryTraceDecoder::Snapshot& d) {
   w.u8(d.state);
   w.u8(d.version);
   w.u8(d.compressed ? 1 : 0);
-  w.u64(d.need);
   w.u32(d.payload_len);
   w.u32(d.payload_crc);
   w.u64(d.offset);
@@ -170,7 +172,6 @@ BinaryTraceDecoder::Snapshot get_decoder(Reader& r) {
   if (compressed != 0 && d.version != kBinaryTraceVersionCompressed)
     reject("K006", "compressed chunk flagged in a version-1 stream");
   d.compressed = compressed != 0;
-  d.need = r.u64();
   d.payload_len = r.u32();
   d.payload_crc = r.u32();
   d.offset = r.u64();
@@ -179,8 +180,11 @@ BinaryTraceDecoder::Snapshot get_decoder(Reader& r) {
   r.need(n);
   d.buffer.assign(r.p + r.pos, r.p + r.pos + n);
   r.pos += n;
-  if (d.need != 0 && d.buffer.size() > d.need)
-    reject("K007", "decoder buffer larger than the frame it is collecting");
+  // 3 == State::kChunkPayload, which collects payload_len bytes.
+  if (d.state == 3 && (d.payload_len == 0 || d.payload_len > kMaxChunkPayload))
+    reject("K006", "decoder chunk payload length out of range");
+  if (!d.buffer.empty() && d.buffer.size() >= d.need())
+    reject("K007", "decoder buffer does not fit the frame it is collecting");
   return d;
 }
 
@@ -188,9 +192,6 @@ BinaryTraceDecoder::Snapshot get_decoder(Reader& r) {
 
 void put_lint(Writer& w, const TraceLintStream::Snapshot& l) {
   w.u64(l.index);
-  w.u8(l.finished ? 1 : 0);
-  w.u64(l.warnings_emitted);
-  w.u64(l.errors_emitted);
   w.u64(l.task_count);
   w.u64(l.line.size());
   for (const TraceLintStream::LineTask& t : l.line) {
@@ -230,9 +231,6 @@ bool on_line(const std::vector<TraceLintStream::LineTask>& line, TaskId t) {
 TraceLintStream::Snapshot get_lint(Reader& r) {
   TraceLintStream::Snapshot l;
   l.index = r.u64();
-  l.finished = r.u8() != 0;
-  l.warnings_emitted = r.u64();
-  l.errors_emitted = r.u64();
   l.task_count = r.u64();
   if (l.task_count > kInvalidTask)
     reject("K006", "lint task count out of range");

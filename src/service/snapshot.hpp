@@ -8,7 +8,7 @@
 // stream yields exactly the reports the unsnapshotted session would have
 // produced. The blob is self-framed and self-checking:
 //
-//   blob    := magic[8] ("R2DSNAP\x05")  payload_len:u32le
+//   blob    := magic[8] ("R2DSNAP\x06")  payload_len:u32le
 //              payload_crc:u32le (CRC32C)  payload[payload_len]
 //   payload := fed_bytes:u64le  policy:u8  quota_bytes:u64le
 //              <session state, see snapshot.cpp and docs/API.md>

@@ -17,15 +17,6 @@ namespace race2d {
 
 namespace {
 
-/// A request that creates a session where it runs: OPEN, or a RESTORE that
-/// carries a blob. A blobless RESTORE with an id rehydrates a spilled
-/// session on its owner instead.
-bool creates_session(const Request& request) {
-  return request.verb == Verb::kOpen ||
-         (request.verb == Verb::kRestore &&
-          !(request.bytes.empty() && request.session != 0));
-}
-
 void ring(int wake_fd) {
   const std::uint64_t one = 1;
   [[maybe_unused]] const ssize_t n = ::write(wake_fd, &one, sizeof(one));

@@ -8,23 +8,6 @@ namespace race2d {
 
 namespace {
 
-const char* op_name(TraceOp op) {
-  switch (op) {
-    case TraceOp::kFork:        return "fork";
-    case TraceOp::kJoin:        return "join";
-    case TraceOp::kHalt:        return "halt";
-    case TraceOp::kSync:        return "sync";
-    case TraceOp::kRead:        return "read";
-    case TraceOp::kWrite:       return "write";
-    case TraceOp::kRetire:      return "retire";
-    case TraceOp::kFinishBegin: return "finish_begin";
-    case TraceOp::kFinishEnd:   return "finish_end";
-    case TraceOp::kAcquire:     return "acquire";
-    case TraceOp::kRelease:     return "release";
-  }
-  return "?";
-}
-
 /// Per-location lifetime state for the retire hygiene warnings.
 enum : std::uint8_t { kLocTracked = 1, kLocRetired = 2 };
 
@@ -90,7 +73,7 @@ bool TraceLintStream::feed(const TraceEvent& e) {
       TaskState& actor = tasks_[actor_row(e.actor)];
       if (actor.finish_depth == 0) {
         emit(LintCode::kFinishEndUnbalanced, i, [&](std::ostream& os) {
-          os << "finish_end by task " << e.actor
+          os << op_name(e.op) << " by task " << e.actor
              << " without an open finish region";
         }, "balance finish_begin/finish_end per task");
       } else {
@@ -153,21 +136,22 @@ bool TraceLintStream::admit(std::size_t i, const TraceEvent& e) {
 void TraceLintStream::on_fork(std::size_t i, const TraceEvent& e) {
   if (e.other == kInvalidTask) {
     emit(LintCode::kInvalidTaskId, i, [&](std::ostream& os) {
-      os << "fork by task " << e.actor
+      os << op_name(e.op) << " by task " << e.actor
          << " names the reserved invalid task id as its child";
     });
     return;
   }
   if (known(e.other)) {
     emit(LintCode::kForkChildCollision, i, [&](std::ostream& os) {
-      os << "fork by task " << e.actor << " re-introduces task " << e.other;
+      os << op_name(e.op) << " by task " << e.actor << " re-introduces task "
+         << e.other;
     }, "each task id may be forked exactly once");
     return;
   }
   if (e.other != task_index_.task_count()) {
     emit(LintCode::kForkChildNotDense, i, [&](std::ostream& os) {
-      os << "fork by task " << e.actor << " introduces child " << e.other
-         << " but the next dense id is " << task_index_.task_count();
+      os << op_name(e.op) << " by task " << e.actor << " introduces child "
+         << e.other << " but the next dense id is " << task_index_.task_count();
     }, "task ids are dense in fork order (root is 0)");
     return;
   }
@@ -188,7 +172,7 @@ void TraceLintStream::on_fork(std::size_t i, const TraceEvent& e) {
 void TraceLintStream::on_join(std::size_t i, const TraceEvent& e) {
   if (e.other == kInvalidTask) {
     emit(LintCode::kInvalidTaskId, i, [&](std::ostream& os) {
-      os << "join by task " << e.actor
+      os << op_name(e.op) << " by task " << e.actor
          << " names the reserved invalid task id as its target";
     });
     return;
@@ -377,7 +361,7 @@ void TraceLintStream::on_retire(std::size_t i, const TraceEvent& e) {
   std::uint8_t& state = locs_[e.loc];
   if (state != kLocTracked) {
     emit(LintCode::kDeadRetire, i, [&](std::ostream& os) {
-      os << "retire of location 0x" << std::hex << e.loc << std::dec
+      os << op_name(e.op) << " of location 0x" << std::hex << e.loc << std::dec
          << " by task " << e.actor << " with no live accesses to retire";
     }, "dead retires are ignored by the detectors");
     return;  // the detectors ignore it too: no lifetime ends here
@@ -414,11 +398,10 @@ void TraceLintStream::finish() {
 }
 
 TraceLintStream::Snapshot TraceLintStream::export_state() const {
+  R2D_REQUIRE(!finished_ && result_.diagnostics.empty() && !result_.truncated,
+              "only an unfinished stream with no findings snapshots");
   Snapshot s;
   s.index = index_;
-  s.finished = finished_;
-  s.warnings_emitted = warnings_emitted_;
-  s.errors_emitted = errors_emitted_;
   s.task_count = task_index_.task_count();
   const auto id_of = [this](std::uint32_t row) {
     return row == kNoRow ? kInvalidTask : task_index_.id_at(row);
@@ -472,9 +455,10 @@ void TraceLintStream::import_state(Snapshot&& s) {
   }
   joined_rows_ = 0;
   index_ = static_cast<std::size_t>(s.index);
-  finished_ = s.finished;
-  warnings_emitted_ = static_cast<std::size_t>(s.warnings_emitted);
-  errors_emitted_ = static_cast<std::size_t>(s.errors_emitted);
+  result_ = {};
+  finished_ = false;
+  warnings_emitted_ = 0;
+  errors_emitted_ = 0;
   refresh_top();
   locs_.clear();
   if (options_.warnings) {

@@ -124,15 +124,13 @@ class TraceLintStream {
     bool halted = false;
   };
 
-  /// Snapshot image of a CLEAN mid-stream linter (the service only
-  /// snapshots unpoisoned sessions, whose gate carries no diagnostics —
-  /// the diagnostic list is deliberately not part of the state). Only the
-  /// line is kept: every other task below task_count was joined.
+  /// Snapshot image of a CLEAN mid-stream linter: export requires an
+  /// unfinished stream that has found nothing, and import starts one. (The
+  /// service only snapshots unpoisoned sessions, whose errors-only gate
+  /// therefore carries no diagnostics.) Only the line is kept: every other
+  /// task below task_count was joined.
   struct Snapshot {
     std::uint64_t index = 0;
-    bool finished = false;
-    std::uint64_t warnings_emitted = 0;
-    std::uint64_t errors_emitted = 0;
     std::uint64_t task_count = 0;  ///< tasks introduced, the root included
     std::vector<LineTask> line;    ///< ascending ids, all below task_count
     std::vector<TaskId> stack;     ///< ids on the line

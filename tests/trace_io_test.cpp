@@ -50,6 +50,39 @@ TEST(TraceIo, TextFormatIsStable) {
   };
   EXPECT_EQ(trace_to_text(t),
             "fork 0 1\nwrite 1 ff\nhalt 1\njoin 0 1\nhalt 0\n");
+
+  // One line per op, each with its operand: a task, a hex location or sync
+  // id, or none. Written and re-parsed, this pins the whole op table.
+  const Trace every_op = {
+      {TraceOp::kFork, 0, 1, 0},
+      {TraceOp::kJoin, 0, 1, 0},
+      {TraceOp::kHalt, 1, kInvalidTask, 0},
+      {TraceOp::kSync, 2, kInvalidTask, 0},
+      {TraceOp::kRead, 3, kInvalidTask, 0xa0},
+      {TraceOp::kWrite, 4, kInvalidTask, 0xb1},
+      {TraceOp::kRetire, 5, kInvalidTask, 0xc2},
+      {TraceOp::kFinishBegin, 6, kInvalidTask, 0},
+      {TraceOp::kFinishEnd, 7, kInvalidTask, 0},
+      {TraceOp::kAcquire, 8, kInvalidTask, 0xd3},
+      {TraceOp::kRelease, 9, kInvalidTask, 0xe4},
+  };
+  const std::string golden =
+      "fork 0 1\njoin 0 1\nhalt 1\nsync 2\nread 3 a0\nwrite 4 b1\n"
+      "retire 5 c2\nfinish_begin 6\nfinish_end 7\nacquire 8 d3\n"
+      "release 9 e4\n";
+  EXPECT_EQ(trace_to_text(every_op), golden);
+  EXPECT_EQ(parse_trace_text(golden), every_op);
+
+  // A near-miss name is no op at all.
+  try {
+    (void)parse_trace_text("fork 0 1\nfinish-begin 0\n");
+    ADD_FAILURE() << "finish-begin parsed";
+  } catch (const TraceParseError& e) {
+    EXPECT_EQ(e.line_number(), 2u);
+    EXPECT_NE(std::string(e.what()).find("unknown event 'finish-begin'"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(TraceIo, CommentsAndBlanksIgnored) {
