@@ -174,7 +174,7 @@ BENCHMARK(BM_ServiceFeedDrain);
 // The shape the version-2 codec targets: long same-task, same-location
 // access runs (a tight loop hammering its accumulator). Each repetition
 // delta-encodes to the identical bytes, so the whole run folds into one
-// (template, count) item — and replay applies it in O(1) per repetition.
+// (template, count) item on the wire; the decoder expands it again.
 
 const Trace& repetitive_trace() {
   static const Trace trace = [] {
@@ -234,57 +234,35 @@ void BM_CompressedDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_CompressedDecode);
 
-/// The ingest pipeline (decode -> lint -> detector) on the SAME repetitive
-/// stream, plain vs run-compressed. Arg 0 = version-1 bytes (per-event
-/// replay), arg 1 = version-2 bytes (run fast path). scripts/bench.sh gates
-/// the compressed side's events/s above the plain side's.
-void BM_RunReplay(benchmark::State& state) {
-  const bool compressed = state.range(0) != 0;
-  const std::string& bytes =
-      compressed ? repetitive_v2_bytes() : repetitive_v1_bytes();
-  const std::int64_t events =
-      static_cast<std::int64_t>(repetitive_trace().size());
-  for (auto _ : state) {
-    DetectionSession session(ReportPolicy::kAll, 1u << 16);
-    benchmark::DoNotOptimize(session.feed(bytes));
-    bool more = false;
-    benchmark::DoNotOptimize(session.drain(0, more));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          events);
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(bytes.size()));
-}
-BENCHMARK(BM_RunReplay)->Arg(0)->Arg(1);
-
 /// One spill + rehydrate round trip through the cold tier: snapshot, blob
-/// compression, the file write, and the read + restore back. Uses a real
-/// mid-stream session over the repetitive trace so the blob is non-trivial.
+/// compression, the file write, and the read + restore back. The session is
+/// fed the repetitive trace once, before the timed loop, so the blob is
+/// non-trivial and the loop times the round trip alone: the decoder expands
+/// every run, so re-feeding the trace would cost 320 065 events a round.
 void BM_SpillRehydrate(benchmark::State& state) {
   namespace fs = std::filesystem;
   const fs::path dir =
       fs::temp_directory_path() / "race2d-bench-spill";
   fs::create_directories(dir);
-  const std::string& bytes = repetitive_v2_bytes();
   ServiceLimits limits;
   limits.spill_dir = dir.string();
+  DetectionService service{limits};
+  Request open;
+  open.verb = Verb::kOpen;
+  benchmark::DoNotOptimize(service.handle(open));
+  Request feed;
+  feed.verb = Verb::kFeed;
+  feed.session = 1;
+  feed.bytes = repetitive_v2_bytes();
+  benchmark::DoNotOptimize(service.handle(feed));
+  Request restore;
+  restore.verb = Verb::kRestore;
+  restore.session = 1;
   for (auto _ : state) {
-    DetectionService service{limits};
-    Request open;
-    open.verb = Verb::kOpen;
-    benchmark::DoNotOptimize(service.handle(open));
-    Request feed;
-    feed.verb = Verb::kFeed;
-    feed.session = 1;
-    feed.bytes = bytes;
-    benchmark::DoNotOptimize(service.handle(feed));
     // Force the spill (the global sweep would need a sibling session; the
     // eviction command spills directly when the tier is configured) and
     // rehydrate through the blobless RESTORE path.
     benchmark::DoNotOptimize(service.evict_heaviest());
-    Request restore;
-    restore.verb = Verb::kRestore;
-    restore.session = 1;
     const Response back = service.handle(restore);
     if (back.status != ServiceStatus::kOk) {
       state.SkipWithError("rehydrate failed");

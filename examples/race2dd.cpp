@@ -85,6 +85,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--workers must be >= 1\n");
     return 2;
   }
+  if (limits.max_pending_reports < 1) {
+    // A cap of 0 refuses every FEED with backpressure that no DRAIN lifts.
+    std::fprintf(stderr, "--max-pending must be >= 1\n");
+    return 2;
+  }
   WorkerPool pool(workers, limits);
   int rc = 0;
   if (pipe_mode) {

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Correctness gate: the tier-1 build + test cycle, the opt-in soak (one
-# detection session fed 10^8 events must hold its memory flat), a
+# Correctness gate (its tier-1, ASan and TSan builds treat a compiler
+# warning as an error): the tier-1 build + test cycle, the opt-in soak
+# (one detection session fed 10^8 events must hold its memory flat), a
 # 30-second fixed-seed differential fuzz smoke (race2d_fuzz cross-checks
 # every detector on seeded random programs; any mismatch fails the
 # gate), a 2-second end-to-end perfbench run per workload (reports
@@ -22,7 +23,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== tier-1: configure + build + ctest"
-cmake -B build -S . >/dev/null
+# CMake >= 3.24 turns CMAKE_COMPILE_WARNING_AS_ERROR into -Werror.
+cmake -B build -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
 cmake --build build -j "$(nproc)"
 (cd build && ctest --output-on-failure)
 
@@ -228,6 +230,7 @@ else
   # by the RelWithDebInfo flags that would otherwise follow it.
   # _GLIBCXX_ASSERTIONS adds libstdc++'s bounds and precondition checks.
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
+    -DCMAKE_COMPILE_WARNING_AS_ERROR=ON \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer -O1 -g -D_GLIBCXX_ASSERTIONS" \
     >/dev/null
   cmake --build build-asan -j "$(nproc)"
@@ -244,7 +247,7 @@ else
   # acceptor and shard loops. snapshot_test migrates sessions across pool
   # workers; it, live_tasks_test and soak_test also cover the compacting
   # task tables the sessions carry.
-  cmake -B build-tsan -S . \
+  cmake -B build-tsan -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer -O1 -g" \
     >/dev/null
   cmake --build build-tsan -j "$(nproc)" --target \

@@ -81,6 +81,16 @@ std::string compress_chunk_payload(const TraceEvent* events, std::size_t n) {
       const std::size_t as_literal = static_cast<std::size_t>(reps) *
                                      tmpl.size();
       const auto hit = dict.find(tmpl);
+      if (hit == dict.end() && dict.size() == kMaxChunkTemplates) {
+        // The dictionary is full, so no new template can be defined: the
+        // run goes out as literal events, all of it at once, so that a
+        // long run is not rescanned from every one of its positions.
+        for (const std::size_t end = i + best_cover; i < end; ++i) {
+          literal += span(i);
+          ++literal_count;
+        }
+        continue;
+      }
       std::size_t as_run;
       if (hit != dict.end()) {
         as_run = 1 + varint_len(hit->second) + varint_len(reps);
@@ -98,12 +108,7 @@ std::string compress_chunk_payload(const TraceEvent* events, std::size_t n) {
           append_varint(payload, reps);
           append_varint(payload, best_p);
           payload += tmpl;
-          if (dict.size() < kMaxChunkTemplates)
-            dict.emplace(tmpl, static_cast<std::uint32_t>(dict.size()));
-          else
-            ;  // past the cap the decoder would reject a define — but we
-               // only consulted the dictionary, never re-defined, so this
-               // branch is unreachable: defines stop once the map is full.
+          dict.emplace(tmpl, static_cast<std::uint32_t>(dict.size()));
         }
         i += best_cover;
         continue;

@@ -1,6 +1,5 @@
 #include "core/depa_detector.hpp"
 
-#include "runtime/trace.hpp"
 #include "support/assert.hpp"
 
 namespace race2d {
@@ -44,29 +43,6 @@ void DePaDetector::on_write(TaskId t, Loc loc) {
   R2D_REQUIRE(t < cur_.size(), "unknown task in write");
   ++access_count_;
   detail::depa_write(cells_[loc], cur_[t], t, loc, access_count_, reporter_);
-}
-
-bool DePaDetector::try_apply_clean_run(const TraceEvent* events,
-                                       std::size_t len,
-                                       std::uint64_t extra_reps) {
-  for (std::size_t i = 0; i < len; ++i) {
-    const TraceEvent& e = events[i];
-    if (e.op != TraceOp::kRead && e.op != TraceOp::kWrite) return false;
-    if (e.actor >= cur_.size()) return false;
-    const DepaShadowCell* cell = cells_.find(e.loc);
-    if (cell == nullptr || cell->owner != e.actor) return false;
-    // The maxima must already point at the actor's CURRENT interval: the
-    // owner fast path would otherwise fold them to it — a state change.
-    const OmInterval* v = cur_[e.actor];
-    if (e.op == TraceOp::kRead) {
-      if (cell->read_emax != v || cell->read_hmax != v) return false;
-    } else {
-      if (cell->write_emax != v || cell->write_hmax != v) return false;
-    }
-  }
-  access_count_ += static_cast<std::size_t>(len) *
-                   static_cast<std::size_t>(extra_reps);
-  return true;
 }
 
 void DePaDetector::on_retire(TaskId t, Loc loc) {

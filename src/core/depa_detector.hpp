@@ -157,14 +157,11 @@ class DePaDetector {
     return OmClock::ordered_before(cur_[x], cur_[t]);
   }
 
-  /// Run replay fast path (compressed traces), mirroring
-  /// OnlineRaceDetector::try_apply_clean_run: after the template was fed
-  /// once per-event, `extra_reps` further repetitions are a no-op iff every
-  /// template event is a read/write whose cell the actor owns AND whose
-  /// relevant maxima already point at the actor's CURRENT interval (owner
-  /// alone is insufficient — a fork in the template would have moved cur_).
-  bool try_apply_clean_run(const TraceEvent* events, std::size_t len,
-                           std::uint64_t extra_reps);
+  /// Shim: perfbench/src/traced.cpp is its only caller, and ROADMAP item 1
+  /// deletes it. Never folds a run: the caller replays per event.
+  bool try_apply_clean_run(const TraceEvent*, std::size_t, std::uint64_t) {
+    return false;
+  }
 
   const RaceReporter& reporter() const { return reporter_; }
   RaceReporter& mutable_reporter() { return reporter_; }

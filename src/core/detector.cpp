@@ -7,7 +7,6 @@
 #include "core/shadow_ops.hpp"
 #include "core/streaming_detector.hpp"
 #include "lattice/delayed.hpp"
-#include "runtime/trace.hpp"
 #include "support/assert.hpp"
 #include "verify/graph_lint.hpp"
 
@@ -91,34 +90,6 @@ void OnlineRaceDetector::on_retire(TaskId t, Loc loc) {
                             reporter_)) {
     ++access_count_;
   }
-}
-
-bool OnlineRaceDetector::try_apply_clean_run(const TraceEvent* events,
-                                             std::size_t len,
-                                             std::uint64_t extra_reps) {
-  for (std::size_t i = 0; i < len; ++i) {
-    const TraceEvent& e = events[i];
-    if (e.op != TraceOp::kRead && e.op != TraceOp::kWrite) return false;
-    const ShadowCell* cell = history_.find(e.loc);
-    if (cell == nullptr) return false;
-    // The template was just fed, so its actor holds a slot.
-    const VertexId s = tasks_.row(e.actor);
-    // epoch_hit alone is not enough: a write-cached epoch can coexist with a
-    // read_sup still naming an OLDER task, which a slow-replay read would
-    // fold to e.actor — a state change. Requiring the relevant supremum to
-    // have folded already makes every repetition a provable no-op.
-    if (!detail::epoch_hit(*cell, s)) return false;
-    if (e.op == TraceOp::kRead) {
-      if (cell->read_sup != s) return false;
-    } else {
-      if (cell->write_sup != s) return false;
-    }
-    // engine_.on_loop(s) is a no-op too: the actor is visited (it just
-    // performed this access in the materialized first repetition).
-  }
-  access_count_ += static_cast<std::size_t>(len) *
-                   static_cast<std::size_t>(extra_reps);
-  return true;
 }
 
 MemoryFootprint OnlineRaceDetector::footprint() const {

@@ -59,7 +59,8 @@
 namespace race2d {
 
 // runtime/trace.hpp includes this header (for the replay drivers below), so
-// the run fast path only forward-declares the event type it points at.
+// the try_apply_clean_run shim only forward-declares the event type it
+// points at.
 struct TraceEvent;
 
 class OnlineRaceDetector {
@@ -101,15 +102,11 @@ class OnlineRaceDetector {
     return engine_.ordered_before(slot(x), slot(t));
   }
 
-  /// Run replay fast path (compressed traces): the template `events[0..len)`
-  /// was just fed once per-event; applies `extra_reps` further repetitions
-  /// in O(len) TOTAL iff every template event is a read/write whose shadow
-  /// cell holds a cached owner-epoch verdict for its actor AND whose
-  /// relevant supremum already folded to that actor — then each repetition
-  /// is a full no-op except the access ordinal. Returns false untouched
-  /// otherwise (caller replays per-event).
-  bool try_apply_clean_run(const TraceEvent* events, std::size_t len,
-                           std::uint64_t extra_reps);
+  /// Shim: perfbench/src/traced.cpp is its only caller, and ROADMAP item 1
+  /// deletes it. Never folds a run: the caller replays per event.
+  bool try_apply_clean_run(const TraceEvent*, std::size_t, std::uint64_t) {
+    return false;
+  }
 
   const RaceReporter& reporter() const { return reporter_; }
   /// Mutable access for incremental consumers (RaceReporter::take()): a

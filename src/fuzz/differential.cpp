@@ -119,9 +119,8 @@ DifferentialResult run_differential(const Trace& trace,
 
   // 0b. Compressed codec: the version-2 run-compressed stream must expand
   //     to the identical event list, and feeding those bytes through the
-  //     full ingest session (decode → lint gate → detector with the O(1)
-  //     run fast path) must produce the BIT-IDENTICAL report stream — the
-  //     fast path is an optimization, never an oracle change.
+  //     full ingest session (decode, which expands every run → lint gate →
+  //     detector) must produce the BIT-IDENTICAL report stream.
   if (config.codec_roundtrip &&
       config.codec_compression == CompressionMode::kRuns) {
     BinaryWriteOptions zopt;

@@ -52,11 +52,11 @@ struct DifferentialConfig {
   /// re-encode) and require event equality plus byte-identical re-encoding.
   bool codec_roundtrip = true;
   /// kRuns additionally encodes the trace as a version-2 run-compressed
-  /// stream, requires it to expand to the identical event list, and replays
-  /// those bytes through the full ingest session (decode → lint gate →
-  /// detector with the run fast path) on BOTH engines, requiring the
-  /// bit-identical report stream — the fast path is an optimization, never
-  /// an oracle change. kNone skips the compressed stages.
+  /// stream, requires it to expand to the identical event list, and feeds
+  /// those bytes through one ingest session (decode → lint gate → DSU
+  /// detector), requiring the bit-identical report stream — compression is
+  /// a property of the codec, never an oracle change. kNone skips the
+  /// compressed stages.
   CompressionMode codec_compression = CompressionMode::kRuns;
 };
 

@@ -92,11 +92,8 @@ enum class CompressionMode : std::uint8_t {
   kRuns = 1,
 };
 
-/// One compressed run surfaced by the run-aware decoder feed: the template's
-/// first repetition was materialized at out[first .. first+len); `extra`
-/// further repetitions of those SAME events (stationary template — all
-/// deltas net zero) were NOT materialized. Consumers either fast-forward
-/// them (detector run replay) or re-feed the template slice `extra` times.
+/// Shim: perfbench/src/ (traced.cpp, workload.cpp) is its only user, and
+/// ROADMAP item 1 deletes it. No decoder writes one; runs are expanded.
 struct DecodedRun {
   std::size_t first = 0;
   std::uint32_t len = 0;

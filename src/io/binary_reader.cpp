@@ -132,28 +132,13 @@ std::uint64_t decode_fast(const unsigned char* p, std::size_t size,
   return done;
 }
 
-/// The vector overload's output: appends every event to `out`, and turns a
-/// stationary run into a DecodedRun record when `runs` is given, or into
-/// `extra` copies of its template otherwise. It never stops decoding, and
-/// its calls inline into the decode loops.
+/// The vector overload's output: appends every event to `out`. It never
+/// stops decoding, and its calls inline into the decode loops.
 struct VectorSink {
   std::vector<TraceEvent>& out;
-  std::vector<DecodedRun>* runs;
 
   bool accept(const TraceEvent& e) {
     out.push_back(e);
-    return true;
-  }
-
-  bool accept_run(const TraceEvent* tmpl, std::size_t len,
-                  std::uint64_t extra) {
-    if (runs != nullptr) {
-      runs->push_back(DecodedRun{out.size() - len,
-                                 static_cast<std::uint32_t>(len), extra});
-    } else {
-      for (std::uint64_t r = 0; r < extra; ++r)
-        out.insert(out.end(), tmpl, tmpl + len);
-    }
     return true;
   }
 };
@@ -172,6 +157,25 @@ void reserve_events(VectorSink& sink, std::uint64_t count,
 
 /// An EventSink takes its events one at a time: nothing to reserve.
 void reserve_events(EventSink&, std::uint64_t, std::size_t) {}
+
+/// Passes `reps` more repetitions of a stationary run's template to `out`,
+/// event by event; false once it stops.
+bool repeat_events(EventSink& out, const std::vector<TraceEvent>& tmpl,
+                   std::uint64_t reps) {
+  for (std::uint64_t r = 0; r < reps; ++r)
+    for (const TraceEvent& e : tmpl)
+      if (!out.accept(e)) return false;
+  return true;
+}
+
+/// A vector takes each repetition as one block copy: a push_back per event
+/// decodes a run-heavy stream about 10% slower (EXPERIMENTS.md E26).
+bool repeat_events(VectorSink& out, const std::vector<TraceEvent>& tmpl,
+                   std::uint64_t reps) {
+  for (std::uint64_t r = 0; r < reps; ++r)
+    out.out.insert(out.out.end(), tmpl.begin(), tmpl.end());
+  return true;
+}
 
 }  // namespace
 
@@ -506,14 +510,13 @@ bool BinaryTraceDecoder::decode_compressed_chunk(const unsigned char* p,
       }
     }
 
-    // A stationary run's repetitions all decode to its first one; any
-    // other run is replayed from its bytes against the moving registers.
-    const std::uint64_t extra = reps - 1;
-    if (extra > 0 && stationary) {
-      if (!out.accept_run(run_template_.data(), run_template_.size(), extra))
-        return stop();
+    // A stationary run's repetitions all decode to its first one, so they
+    // are passed on from the template buffer; any other run is replayed
+    // from its bytes against the moving registers.
+    if (stationary) {
+      if (!repeat_events(out, run_template_, reps - 1)) return stop();
     } else {
-      for (std::uint64_t r = 0; r < extra; ++r) {
+      for (std::uint64_t r = 1; r < reps; ++r) {
         std::size_t tp = tstart;
         for (std::uint64_t i = 0; i < m; ++i)
           if (!out.accept(decode_event(p, tstart + tbytes, tp, regs, offset_)))
@@ -624,8 +627,8 @@ bool BinaryTraceDecoder::feed(const void* data, std::size_t size,
 
 void BinaryTraceDecoder::feed(const void* data, std::size_t size,
                               std::vector<TraceEvent>& out,
-                              std::vector<DecodedRun>* runs) {
-  VectorSink sink{out, runs};
+                              std::vector<DecodedRun>* /*runs*/) {
+  VectorSink sink{out};
   (void)feed_into(data, size, sink);  // a VectorSink never stops
 }
 

@@ -36,15 +36,13 @@
 // cost (EXPERIMENTS.md E21, BM_WideDeltaDecode). A frame that arrives in
 // pieces is assembled in an exactly sized buffer before it is decoded.
 //
-// Version-2 'Z' chunks decode natively. A stationary run (one whose
-// template leaves the delta registers unchanged, so every repetition
-// decodes to the same events) is emitted as its first repetition, event by
-// event, then one EventSink::accept_run call for the rest; the decoder
-// keeps that repetition in a template buffer for the call. The vector
-// overload expands every run by default, so trace_from_binary and friends
-// see the exact event sequence; given a DecodedRun sink it instead records
-// each stationary run as a (first, len, extra) record — the detectors'
-// O(1)-per-repetition replay path.
+// Version-2 'Z' chunks decode natively, and run compression ends here:
+// every output sees every event of every run, one at a time, exactly as
+// the version-1 encoding of the same trace would deliver them. A stationary
+// run (one whose template leaves the delta registers unchanged, so every
+// repetition decodes to the same events) is decoded once into a template
+// buffer and its repetitions are passed on from there; any other run is
+// re-decoded from its bytes against the moving registers.
 #pragma once
 
 #include <cstddef>
@@ -60,18 +58,14 @@
 
 namespace race2d {
 
-/// Where BinaryTraceDecoder::feed sends decoded events. Either call returns
-/// false to stop decoding on the spot: the decoder then emits nothing more
-/// and refuses further use, as a poisoned one does.
+/// Where BinaryTraceDecoder::feed sends decoded events, one at a time and
+/// in stream order, runs expanded.
 class EventSink {
  public:
-  /// One decoded event.
+  /// One decoded event. Returns false to stop decoding on the spot: the
+  /// decoder then emits nothing more and refuses further use, as a
+  /// poisoned one does.
   virtual bool accept(const TraceEvent& e) = 0;
-  /// A stationary run: `tmpl[0..len)` was just passed to accept(), event by
-  /// event, and the run repeats it `extra` (>= 1) more times. The array is
-  /// the decoder's and valid only for the call.
-  virtual bool accept_run(const TraceEvent* tmpl, std::size_t len,
-                          std::uint64_t extra) = 0;
 
  protected:
   ~EventSink() = default;
@@ -90,11 +84,9 @@ class BinaryTraceDecoder {
   [[nodiscard]] bool feed(const void* data, std::size_t size,
                           EventSink& sink);
 
-  /// The same decode loop, appending every event to `out`. With a non-null
-  /// `runs` sink, stationary compressed runs append only their first
-  /// repetition to `out` plus a DecodedRun describing the `extra`
-  /// unmaterialized repetitions (events_decoded() still counts them). Null
-  /// sink — the default — expands everything.
+  /// The same decode loop, appending every event to `out`. `runs` is a
+  /// shim that is never written: perfbench/src/ is its only user, and
+  /// ROADMAP item 1 deletes it.
   void feed(const void* data, std::size_t size, std::vector<TraceEvent>& out,
             std::vector<DecodedRun>* runs = nullptr);
 
@@ -177,7 +169,8 @@ class BinaryTraceDecoder {
 
   State state_ = State::kHeader;
   std::vector<unsigned char> buffer_;  ///< bytes of the current frame piece
-  /// First repetition of the run being decoded, for EventSink::accept_run.
+  /// First repetition of the run being decoded; a stationary run's other
+  /// repetitions are passed on from it.
   std::vector<TraceEvent> run_template_;
   std::size_t need_ = kBinaryHeaderBytes;
   std::uint32_t payload_len_ = 0;

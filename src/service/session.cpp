@@ -49,23 +49,6 @@ bool DetectionSession::accept(const TraceEvent& e) {
   return true;
 }
 
-bool DetectionSession::accept_run(const TraceEvent* tmpl, std::size_t len,
-                                  std::uint64_t extra) {
-  // Clean same-task access runs are full no-ops on the detector's state
-  // except the access ordinal, so they apply in one step. Otherwise the
-  // template is re-accepted per event — bit-identical, just slower.
-  if (detector_.try_apply_clean_run(tmpl, len, extra)) {
-    const std::uint64_t folded = static_cast<std::uint64_t>(len) * extra;
-    lint_.note_replayed(folded);
-    events_total_ += folded;
-    return true;
-  }
-  for (std::uint64_t r = 0; r < extra; ++r)
-    for (std::size_t j = 0; j < len; ++j)
-      if (!accept(tmpl[j])) return false;
-  return true;
-}
-
 void DetectionSession::queue_reports() {
   // The reporter's totals (any/count/first) keep describing the whole
   // session; only its undrained tail moves.

@@ -8,8 +8,9 @@
 //
 // The session is the decoder's EventSink: each event goes from wire bytes
 // through the lint gate into the detector as soon as it is decoded, with no
-// per-frame event buffer, and a stationary 'Z' run arrives as one
-// accept_run call that the detector may apply in one step.
+// per-frame event buffer. The decoder expands 'Z' runs itself, so a
+// version-2 stream reaches the session event by event, exactly as its
+// version-1 twin does.
 //
 // The pipeline is fail-fast and sticky: the first decode or lint error in
 // stream order poisons the session (status + message are retained and every
@@ -118,8 +119,6 @@ class DetectionSession final : private EventSink {
 
   /// EventSink: lint gate, then the detector. False once lint rejects.
   bool accept(const TraceEvent& e) override;
-  bool accept_run(const TraceEvent* tmpl, std::size_t len,
-                  std::uint64_t extra) override;
 
   /// Moves the detector's fresh reports into the drain queue.
   void queue_reports();

@@ -447,6 +447,8 @@ DetectionSession::State decode_payload(Reader& r, std::uint64_t& quota_bytes) {
   quota_bytes = r.u64();
   if (quota_bytes == 0) reject("K006", "session quota out of range");
   s.max_pending_reports = r.u64();
+  if (s.max_pending_reports == 0)
+    reject("K006", "pending-report cap out of range");
   s.events_total = r.u64();
   s.decoder = get_decoder(r);
   s.lint = get_lint(r);

@@ -95,8 +95,9 @@ class TraceLintStream {
   /// unjoined tasks). Idempotent.
   void finish();
 
-  /// Fast-forwards the event index past `extra` repetitions of a clean
-  /// template whose FIRST repetition was just fed. Sound for pure
+  /// Shim: perfbench/src/traced.cpp is its only caller, and ROADMAP item 1
+  /// deletes it. Fast-forwards the event index past `extra` repetitions of
+  /// a clean template whose FIRST repetition was just fed. Sound for pure
   /// read/write runs: re-linting an access the linter already accepted is
   /// idempotent on its state (the location, if tracked, stays tracked; no
   /// task/mutex state moves), so only the running index needs to advance —

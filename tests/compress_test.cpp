@@ -10,9 +10,8 @@
 //    B015–B018 (with the chunk CRC re-computed, so the CRC pass cannot mask
 //    the structural check), and every truncation prefix and single-bit flip
 //    of a valid v2 stream is rejected;
-//  * the run sink surfaces stationary runs, the detectors' fast paths are
-//    bit-identical to per-event replay, and a session charges its run
-//    records to its memory quota;
+//  * a session fed the version-2 bytes gives the version-1 session's
+//    reports, and charges the decoder's run template to its memory quota;
 //  * blob codec: round trip on adversarial byte shapes, nullopt on any
 //    corruption;
 //  * spill tier: store/load round trip, LRU budget eviction, K009/K010.
@@ -30,7 +29,6 @@
 #include "compress/blob_codec.hpp"
 #include "compress/chunk_codec.hpp"
 #include "compress/spill_tier.hpp"
-#include "core/depa_detector.hpp"
 #include "core/detector.hpp"
 #include "core/replay.hpp"
 #include "fuzz/fuzz_plan.hpp"
@@ -65,8 +63,7 @@ Trace repetitive_trace(std::size_t reps = 500) {
 
 Trace racy_repetitive_trace(std::size_t reps = 200) {
   // Parent and un-joined child hammer the SAME location: races fire inside
-  // the runs, so the fast path must bail and per-event replay must yield
-  // the exact report stream.
+  // the runs, and the expanded runs must yield the exact report stream.
   Trace t;
   t.push_back({TraceOp::kFork, 0, 1});
   for (std::size_t i = 0; i < reps; ++i)
@@ -76,6 +73,19 @@ Trace racy_repetitive_trace(std::size_t reps = 200) {
   for (std::size_t i = 0; i < reps; ++i)
     t.push_back({TraceOp::kWrite, 0, kInvalidTask, 0x2000});
   t.push_back({TraceOp::kJoin, 0, 1});
+  t.push_back({TraceOp::kHalt, 0});
+  return t;
+}
+
+/// Task 0 writes `pairs` pairs of equal strides, each pair with a new
+/// stride of 64 or more (a 2-byte delta): every pair is a run of a template
+/// the chunk has not defined yet, and cheaper as one than as literals.
+Trace stride_pairs_trace(std::size_t pairs) {
+  Trace t;
+  Loc loc = 0;
+  for (std::size_t k = 0; k < pairs; ++k)
+    for (int i = 0; i < 2; ++i)
+      t.push_back({TraceOp::kWrite, 0, kInvalidTask, loc += 64 + k});
   t.push_back({TraceOp::kHalt, 0});
   return t;
 }
@@ -118,6 +128,9 @@ TEST(CompressedRoundTrip, RepetitiveGeneratedAndEdgeShapes) {
   // template dictionary reset at each), every boundary a fresh state.
   expect_pure_reframing(repetitive_trace(), 64);
   expect_pure_reframing(repetitive_trace(), 1);
+  // One chunk that wants one more template than its dictionary holds.
+  expect_pure_reframing(stride_pairs_trace(kMaxChunkTemplates), 64 * 1024);
+  expect_pure_reframing(stride_pairs_trace(kMaxChunkTemplates + 1), 64 * 1024);
 }
 
 TEST(CompressedRoundTrip, CompressesTheRepetitiveWorkload) {
@@ -154,31 +167,6 @@ TEST(CompressedRoundTrip, MixedChunksAreLegal) {
   expect_pure_reframing(t, 256);
 }
 
-TEST(DecodedRunSink, SurfacesStationaryRuns) {
-  const Trace t = repetitive_trace(500);
-  const std::string z = v2_bytes(t);
-  BinaryTraceDecoder decoder;
-  std::vector<TraceEvent> out;
-  std::vector<DecodedRun> runs;
-  decoder.feed(z.data(), z.size(), out, &runs);
-  decoder.finish();
-  ASSERT_FALSE(runs.empty()) << "repetitive stream surfaced no runs";
-  std::uint64_t expanded = out.size();
-  for (const DecodedRun& run : runs) {
-    ASSERT_GT(run.len, 0u);
-    ASSERT_LE(run.first + run.len, out.size());
-    expanded += static_cast<std::uint64_t>(run.len) * run.extra;
-  }
-  EXPECT_EQ(expanded, t.size());
-  EXPECT_EQ(decoder.events_decoded(), t.size());
-  // Null sink (the default) fully expands instead.
-  BinaryTraceDecoder full;
-  std::vector<TraceEvent> everything;
-  full.feed(z.data(), z.size(), everything);
-  full.finish();
-  EXPECT_EQ(everything, t);
-}
-
 TEST(RunReplay, BitIdenticalReports) {
   for (const Trace& t : {repetitive_trace(500), racy_repetitive_trace(100),
                          generate_trace(FuzzPlan::from_seed(77)).trace}) {
@@ -195,53 +183,11 @@ TEST(RunReplay, BitIdenticalReports) {
   }
 }
 
-// Sessions fold runs on the DSU detector only, but DePaDetector keeps its
-// own run fast path (the traced benchmark replays runs through it), so it
-// is held to per-event replay directly: decode with the run sink, fold what
-// folds, and the reports and access count match serial replay.
-TEST(RunReplay, DepaRunFoldingIsBitIdentical) {
-  std::size_t folded = 0;
-  for (const Trace& t : {repetitive_trace(500), racy_repetitive_trace(100),
-                         generate_trace(FuzzPlan::from_seed(77)).trace}) {
-    const std::string v2 = v2_bytes(t);
-    BinaryTraceDecoder decoder;
-    std::vector<TraceEvent> events;
-    std::vector<DecodedRun> runs;
-    decoder.feed(v2.data(), v2.size(), events, &runs);
-    decoder.finish();
-    DePaDetector depa;
-    depa.on_root();
-    std::size_t k = 0;
-    for (std::size_t i = 0; i < events.size();) {
-      if (k == runs.size() || runs[k].first != i) {
-        apply_event(depa, events[i++]);
-        continue;
-      }
-      const DecodedRun run = runs[k++];
-      const TraceEvent* tmpl = events.data() + i;
-      for (std::size_t j = 0; j < run.len; ++j) apply_event(depa, tmpl[j]);
-      if (depa.try_apply_clean_run(tmpl, run.len, run.extra)) {
-        ++folded;
-      } else {
-        for (std::uint64_t r = 0; r < run.extra; ++r)
-          for (std::size_t j = 0; j < run.len; ++j) apply_event(depa, tmpl[j]);
-      }
-      i += run.len;
-    }
-    OnlineRaceDetector dsu;
-    dsu.on_root();
-    for (const TraceEvent& e : t) apply_event(dsu, e);
-    EXPECT_EQ(depa.reporter().all(), detect_races_trace(t));
-    EXPECT_EQ(depa.access_count(), dsu.access_count());
-  }
-  EXPECT_GT(folded, 0u);
-}
-
 // A session holds no per-frame event buffer: its footprint is exactly the
 // decoder's buffers, the lint gate, the detector and the pending reports.
 // Rebuilding those pieces outside the session (same decoder, same replay)
 // gives memory_bytes() to the byte on a frame of many short stationary
-// runs, which reach the session as accept_run calls.
+// runs, whose repetitions the decoder passes on from its template buffer.
 TEST(RunReplay, SessionMemoryIsTheSumOfItsParts) {
   // Scattered locations, each written four times: a literal write, then a
   // stationary run of three. The scattered deltas keep the encoder from
@@ -259,19 +205,23 @@ TEST(RunReplay, SessionMemoryIsTheSumOfItsParts) {
   t.push_back({TraceOp::kJoin, 0, 1});
   t.push_back({TraceOp::kHalt, 0});
   const std::string v2 = v2_bytes(t, 1 << 20);
+  // A 'Z' payload without runs is never smaller than its 'C' twin. Here a
+  // location's last three writes become a 3-byte dictionary run in place
+  // of 9 bytes of events, less the 2-byte literal item its first write
+  // then needs: 4 bytes saved per location that carries a run.
+  ASSERT_LE(v2.size() + 3 * 2000, v1_bytes(t).size());
 
   BinaryTraceDecoder decoder;
   std::vector<TraceEvent> events;
-  std::vector<DecodedRun> runs;
-  decoder.feed(v2.data(), v2.size(), events, &runs);
-  ASSERT_GE(runs.size(), 1000u);
+  decoder.feed(v2.data(), v2.size(), events);
+  ASSERT_EQ(events, t);
   TraceLintOptions gate;
   gate.warnings = false;
   gate.max_diagnostics = 8;
   TraceLintStream lint(gate);
   OnlineRaceDetector detector;
   detector.on_root();
-  for (const TraceEvent& e : trace_from_binary(v2)) {
+  for (const TraceEvent& e : events) {
     ASSERT_TRUE(lint.feed(e));
     apply_event(detector, e);
   }

@@ -641,6 +641,35 @@ TEST(SplitInvariance, StructureBreakingMutantsWithACorruptTail) {
   }
 }
 
+// A lint fault in a later repetition of a 'Z' run: the decoder passes every
+// repetition on event by event, so the gate stops at the faulting event
+// itself, whatever the split, exactly as it does on the version-1 bytes.
+TEST(SplitInvariance, LintFaultInALaterRepetitionOfARun) {
+  Trace trace = {{TraceOp::kFork, 0, 1, 0},
+                 {TraceOp::kRead, 1, kInvalidTask, 0}};
+  for (int r = 0; r < 3; ++r) {  // task 1 writes after its own halt: L002
+    trace.push_back({TraceOp::kWrite, 1, kInvalidTask, 0});
+    trace.push_back({TraceOp::kHalt, 1, kInvalidTask, 0});
+  }
+  trace.push_back({TraceOp::kJoin, 0, 1, 0});
+  trace.push_back({TraceOp::kHalt, 0, kInvalidTask, 0});
+  const std::string v2 = encode(trace, 1024, CompressionMode::kRuns);
+  // One 'Z' chunk: count, literal(2) of 6 bytes, then define-run(reps 3,
+  // template of 2 events [write, halt]), then literal(2).
+  ASSERT_EQ(v2[kBinaryHeaderBytes], 'Z');
+  ASSERT_EQ(v2.substr(kBinaryHeaderBytes + 9 + 1 + 2 + 6, 3),
+            std::string("\x01\x03\x02", 3));
+
+  for (const std::string& wire : {encode(trace, 1024), v2}) {
+    const SessionView view =
+        expect_split_invariant(wire, wire[4] == 1 ? "v1" : "v2");
+    EXPECT_EQ(view.feed_status, ServiceStatus::kLintReject);
+    EXPECT_EQ(view.feed_message.rfind("L002 actor-halted at event 4", 0), 0u)
+        << view.feed_message;
+    EXPECT_EQ(view.close_events, 4u);  // fork, read, write, halt
+  }
+}
+
 TEST(PipeServer, FrameLoopAnswersEveryRequestAndRecovers) {
   // Script: stats, open, feed(garbage->decode reject), a malformed frame.
   DetectionService service;

@@ -753,6 +753,7 @@ TEST(Snapshot, ResealedByteMutantsNeverEscapeTheService) {
   const unsigned char values[] = {0x00, 0x01, 0x02, 0x7f, 0x80, 0xff};
 
   std::vector<std::string> escapes;
+  std::vector<std::string> stalls;
   std::size_t mutants = 0;
   std::size_t accepted = 0;
   // Runs one request; an exception out of handle() is an escape.
@@ -806,13 +807,27 @@ TEST(Snapshot, ResealedByteMutantsNeverEscapeTheService) {
         close.verb = Verb::kClose;
         close.session = rsp.session;
         Response out;
-        if (answers(b, feed, out, where.str() + " FEED") &&
-            answers(b, drain, out, where.str() + " DRAIN"))
+        // A FEED refused for backpressure must be followed by a DRAIN that
+        // hands over a report, or the session can never make progress.
+        bool live = answers(b, feed, out, where.str() + " FEED");
+        while (live && out.status == ServiceStatus::kBackpressure) {
+          live = answers(b, drain, out, where.str() + " DRAIN");
+          if (live && out.drain.reports.empty()) {
+            stalls.push_back(where.str());
+            live = false;
+          } else if (live) {
+            live = answers(b, feed, out, where.str() + " FEED");
+          }
+        }
+        if (live && answers(b, drain, out, where.str() + " DRAIN"))
           answers(b, close, out, where.str() + " CLOSE");
       }
     }
   }
   EXPECT_GT(accepted, 0u);
+  EXPECT_TRUE(stalls.empty())
+      << stalls.size() << " restored sessions stalled; first: "
+      << stalls.front();
   EXPECT_TRUE(escapes.empty())
       << escapes.size() << " of " << mutants << " mutants escaped; first: "
       << escapes.front();
