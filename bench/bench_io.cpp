@@ -259,9 +259,9 @@ void BM_SpillRehydrate(benchmark::State& state) {
   restore.verb = Verb::kRestore;
   restore.session = 1;
   for (auto _ : state) {
-    // Force the spill (the global sweep would need a sibling session; the
-    // eviction command spills directly when the tier is configured) and
-    // rehydrate through the blobless RESTORE path.
+    // Force the spill with the pool's eviction command (a lone service
+    // keeps no budget of its own) and rehydrate through the blobless
+    // RESTORE path.
     benchmark::DoNotOptimize(service.evict_heaviest());
     const Response back = service.handle(restore);
     if (back.status != ServiceStatus::kOk) {

@@ -242,19 +242,21 @@ if [[ "${RACE2D_SKIP_TSAN:-0}" == "1" ]]; then
 else
   echo "== ThreadSanitizer build (parallel executor + service pool)"
   # service_pool_test hammers STATS against concurrent feeds (the metrics
-  # counters must be atomics), and service_fuzz_test runs adversarial
-  # clients, cross-shard forwarding and fd exhaustion against the live
-  # acceptor and shard loops. snapshot_test migrates sessions across pool
-  # workers; it, live_tasks_test and soak_test also cover the compacting
-  # task tables the sessions carry.
+  # counters must be atomics), service_test drives the pipe transport
+  # through a worker pool's shard threads, and service_fuzz_test runs
+  # adversarial clients, cross-shard forwarding and fd exhaustion against
+  # the live acceptor and shard loops. snapshot_test migrates sessions
+  # across pool workers; it, live_tasks_test and soak_test also cover the
+  # compacting task tables the sessions carry.
   cmake -B build-tsan -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer -O1 -g" \
     >/dev/null
   cmake --build build-tsan -j "$(nproc)" --target \
-    parallel_executor_test service_pool_test service_fuzz_test \
+    parallel_executor_test service_pool_test service_test service_fuzz_test \
     snapshot_test live_tasks_test soak_test
   ./build-tsan/tests/parallel_executor_test
   ./build-tsan/tests/service_pool_test
+  ./build-tsan/tests/service_test
   ./build-tsan/tests/service_fuzz_test
   ./build-tsan/tests/snapshot_test
   ./build-tsan/tests/live_tasks_test

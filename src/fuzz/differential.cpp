@@ -93,36 +93,33 @@ DifferentialResult run_differential(const Trace& trace,
   //    exactly, and its canonical encoding means re-encoding the decoded
   //    trace reproduces the identical bytes. A standing invariant over
   //    every generated AND mutated trace the campaign replays.
-  if (config.codec_roundtrip) {
-    try {
-      const std::string bytes = trace_to_binary(trace);
-      const Trace decoded = trace_from_binary(bytes);
-      if (decoded != trace) {
-        std::ostringstream os;
-        os << "codec round-trip altered the trace: " << trace.size()
-           << " event(s) in, " << decoded.size() << " out";
-        for (std::size_t i = 0; i < trace.size() && i < decoded.size(); ++i) {
-          if (!(trace[i] == decoded[i])) {
-            os << "; first divergence at event " << i;
-            break;
-          }
+  try {
+    const std::string bytes = trace_to_binary(trace);
+    const Trace decoded = trace_from_binary(bytes);
+    if (decoded != trace) {
+      std::ostringstream os;
+      os << "codec round-trip altered the trace: " << trace.size()
+         << " event(s) in, " << decoded.size() << " out";
+      for (std::size_t i = 0; i < trace.size() && i < decoded.size(); ++i) {
+        if (!(trace[i] == decoded[i])) {
+          os << "; first divergence at event " << i;
+          break;
         }
-        fail(os.str());
-      } else if (trace_to_binary(decoded) != bytes) {
-        fail("codec re-encode is not byte-identical: the wire format lost "
-             "canonicity");
       }
-    } catch (const TraceDecodeError& e) {
-      fail(std::string("codec rejected its own encoding: ") + e.what());
+      fail(os.str());
+    } else if (trace_to_binary(decoded) != bytes) {
+      fail("codec re-encode is not byte-identical: the wire format lost "
+           "canonicity");
     }
+  } catch (const TraceDecodeError& e) {
+    fail(std::string("codec rejected its own encoding: ") + e.what());
   }
 
   // 0b. Compressed codec: the version-2 run-compressed stream must expand
   //     to the identical event list, and feeding those bytes through the
   //     full ingest session (decode, which expands every run → lint gate →
   //     detector) must produce the BIT-IDENTICAL report stream.
-  if (config.codec_roundtrip &&
-      config.codec_compression == CompressionMode::kRuns) {
+  if (config.codec_compression == CompressionMode::kRuns) {
     BinaryWriteOptions zopt;
     zopt.compression = CompressionMode::kRuns;
     try {
@@ -159,14 +156,12 @@ DifferentialResult run_differential(const Trace& trace,
 
   // 1. DePa label backend: same event stream, timestamps instead of DSU
   //    suprema — must reproduce the serial report stream exactly.
-  if (config.depa_backend) {
-    const std::vector<RaceReport> depa =
-        detect_races_trace_depa(trace, ReportPolicy::kAll, LintGate::kSkip);
-    ++result.detectors_run;
-    if (depa != serial) {
-      fail("depa backend diverges from serial replay: " +
-           describe("serial", serial) + " vs " + describe("depa", depa));
-    }
+  const std::vector<RaceReport> depa =
+      detect_races_trace_depa(trace, ReportPolicy::kAll, LintGate::kSkip);
+  ++result.detectors_run;
+  if (depa != serial) {
+    fail("depa backend diverges from serial replay: " +
+         describe("serial", serial) + " vs " + describe("depa", depa));
   }
 
   // 2. The naive §2.3 gold reference and the offline walks share one task
@@ -174,15 +169,13 @@ DifferentialResult run_differential(const Trace& trace,
   const TaskGraph tg = build_task_graph(trace);
   agree_first("naive-gold", detect_races_naive(tg).races, true);
   ++result.detectors_run;
-  if (config.run_offline) {
-    for (const WalkMode mode : {WalkMode::kNonSeparating, WalkMode::kDelayed,
-                                WalkMode::kRuntimeDelayed}) {
-      const std::vector<RaceReport> offline =
-          detect_races_offline(tg.diagram, tg.ops, mode);
-      ++result.detectors_run;
-      agree_first((std::string("offline-") + to_string(mode)).c_str(), offline,
-                  true);
-    }
+  for (const WalkMode mode : {WalkMode::kNonSeparating, WalkMode::kDelayed,
+                              WalkMode::kRuntimeDelayed}) {
+    const std::vector<RaceReport> offline =
+        detect_races_offline(tg.diagram, tg.ops, mode);
+    ++result.detectors_run;
+    agree_first((std::string("offline-") + to_string(mode)).c_str(), offline,
+                true);
   }
 
   // 3. Epoch-world baselines understand fork/join/access only, so they are
@@ -226,7 +219,7 @@ DifferentialResult run_differential(const Trace& trace,
   // 5. Certification: the first report must carry an oracle-proved witness,
   //    and every certificate the checker is willing to build must survive
   //    its own re-check. Capped: re-proving is quadratic-ish in reports.
-  if (config.certify && !serial.empty()) {
+  if (!serial.empty()) {
     const CertificateChecker checker(trace);
     const std::size_t cap = std::min<std::size_t>(serial.size(), 64);
     for (std::size_t i = 0; i < cap; ++i) {

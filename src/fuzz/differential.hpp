@@ -32,15 +32,8 @@
 
 namespace race2d {
 
+/// The stages a caller may skip or trust; every other stage always runs.
 struct DifferentialConfig {
-  /// Run detect_races_offline over the materialized task graph (all modes).
-  bool run_offline = true;
-  /// Replay through the DePa order-maintenance backend (DePaDetector) and
-  /// require BIT-IDENTICAL agreement with serial replay — the label world
-  /// and the DSU world must tell the same story, report for report.
-  bool depa_backend = true;
-  /// Re-prove the first report's certificate against the oracle.
-  bool certify = true;
   /// Consult SP-bags / ESP-bags when the trace's features allow it. The
   /// shrinker turns this off: delta-debugging cuts do not preserve the
   /// sugar disciplines, only Figure-9 validity.
@@ -48,9 +41,6 @@ struct DifferentialConfig {
   /// kEnforce lints once up front (the per-detector gates then skip);
   /// kSkip trusts the caller to have linted the identical trace.
   LintGate gate = LintGate::kEnforce;
-  /// Round-trip the trace through the binary codec (encode -> decode ->
-  /// re-encode) and require event equality plus byte-identical re-encoding.
-  bool codec_roundtrip = true;
   /// kRuns additionally encodes the trace as a version-2 run-compressed
   /// stream, requires it to expand to the identical event list, and feeds
   /// those bytes through one ingest session (decode → lint gate → DSU

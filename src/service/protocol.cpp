@@ -3,6 +3,7 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <utility>
 
 #include "support/assert.hpp"
 
@@ -98,6 +99,16 @@ const char* service_status_id(ServiceStatus status) {
     case ServiceStatus::kSnapshotReject: return "snapshot-reject";
   }
   return "?";
+}
+
+Response error_response(Verb verb, std::uint32_t session, ServiceStatus status,
+                        std::string message) {
+  Response r;
+  r.verb = verb;
+  r.session = session;
+  r.status = status;
+  r.message = std::move(message);
+  return r;
 }
 
 std::string encode_request(const Request& request) {

@@ -143,6 +143,12 @@ struct Response {
   CloseResult close;
 };
 
+/// A failure answer: `verb` echoed, the session it concerns (0 for none),
+/// a status other than kOk and its message. Every refusal is built here,
+/// from the service, the pool and both transports alike.
+Response error_response(Verb verb, std::uint32_t session, ServiceStatus status,
+                        std::string message);
+
 /// Payload codecs. decode_* return false and set `error` on malformed input
 /// (undersized body, trailing bytes, out-of-range enum) — they never throw.
 std::string encode_request(const Request& request);

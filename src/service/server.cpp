@@ -23,54 +23,29 @@
 
 namespace race2d {
 
-namespace {
-
-template <typename Handler>
-std::uint64_t serve_pipe_impl(std::istream& in, std::ostream& out,
-                              Handler&& handle_frame) {
+std::uint64_t serve_pipe(std::istream& in, std::ostream& out,
+                         WorkerPool& pool) {
   std::uint64_t answered = 0;
   std::string payload;
   std::string error;
-  for (;;) {
-    if (!read_frame(in, payload, error)) {
-      if (error.empty()) break;  // clean EOF between frames
-      Response r;
-      r.status = ServiceStatus::kBadFrame;
-      r.message = error;
-      write_frame(out, encode_response(r));
-      out.flush();
-      ++answered;
-      break;  // frame boundaries are lost; stop parsing the stream
-    }
-    write_frame(out, encode_response(handle_frame(payload)));
+  while (read_frame(in, payload, error)) {
+    write_frame(out, encode_response(pool.handle_frame(payload)));
     out.flush();  // pipe clients lockstep on responses
+    ++answered;
+  }
+  if (!error.empty()) {
+    // Frame boundaries are lost: answer once and stop parsing the stream.
+    pool.count_frame(true);
+    write_frame(out, encode_response(error_response(
+                         Verb::kStats, 0, ServiceStatus::kBadFrame,
+                         std::move(error))));
+    out.flush();
     ++answered;
   }
   return answered;
 }
 
-}  // namespace
-
-std::uint64_t serve_pipe(std::istream& in, std::ostream& out,
-                         DetectionService& service) {
-  return serve_pipe_impl(
-      in, out, [&service](const std::string& p) { return service.handle_frame(p); });
-}
-
-std::uint64_t serve_pipe(std::istream& in, std::ostream& out,
-                         WorkerPool& pool) {
-  return serve_pipe_impl(
-      in, out, [&pool](const std::string& p) { return pool.handle_frame(p); });
-}
-
 namespace {
-
-Response bad_frame(std::string message) {
-  Response r;
-  r.status = ServiceStatus::kBadFrame;
-  r.message = std::move(message);
-  return r;
-}
 
 /// One connection, owned by the shard loop it was handed to.
 struct Conn {
@@ -175,7 +150,9 @@ class ShardConns {
       // Bytes left that can never complete a frame: truncated frame.
       pool_.count_frame(true);
       c.broken = true;
-      answer(c, c.next_request_seq++, bad_frame("connection ended inside a frame"));
+      answer(c, c.next_request_seq++,
+             error_response(Verb::kStats, 0, ServiceStatus::kBadFrame,
+                            "connection ended inside a frame"));
     }
   }
 
@@ -191,7 +168,9 @@ class ShardConns {
       if (len > kMaxFrameBytes) {
         pool_.count_frame(true);
         c.broken = true;
-        answer(c, c.next_request_seq++, bad_frame("frame length exceeds the cap"));
+        answer(c, c.next_request_seq++,
+               error_response(Verb::kStats, 0, ServiceStatus::kBadFrame,
+                              "frame length exceeds the cap"));
         break;
       }
       if (c.in.size() - pos - 4 < len) break;  // partial frame: wait
@@ -203,7 +182,9 @@ class ShardConns {
       if (!decode_request(payload, request, error)) {
         pool_.count_frame(true);
         // Framing is intact — answer and keep the stream alive.
-        answer(c, seq, bad_frame(std::move(error)));
+        answer(c, seq,
+               error_response(Verb::kStats, 0, ServiceStatus::kBadFrame,
+                              std::move(error)));
         continue;
       }
       pool_.count_frame(false);

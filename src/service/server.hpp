@@ -1,18 +1,17 @@
-// Frame transports for the DetectionService / WorkerPool.
+// Frame transports for the WorkerPool.
 //
-//  * serve_pipe — frames over an (istream, ostream) pair: race2dd's stdin
-//    pipe mode, and what tests and the check.sh smoke stage drive. Strictly
-//    sequential, so a fixed request script yields a byte-deterministic
-//    response stream. Two forms: over one DetectionService (single-core),
-//    or over a WorkerPool (requests still lockstep — the pipe client waits
-//    for each response).
+//  * serve_pipe — frames over an (istream, ostream) pair into a WorkerPool:
+//    race2dd's stdin pipe mode, and what tests and the check.sh smoke stage
+//    drive. Strictly sequential — the pipe client waits for each response —
+//    so a fixed request script yields a byte-deterministic response stream
+//    whatever the pool's worker count.
 //
 //  * serve_unix_socket — an AF_UNIX listener served by the WorkerPool's
 //    shard loops, run to completion. The calling thread only accepts, and
 //    deals each new connection to the next shard round-robin. From then on
 //    that shard's epoll loop owns it: non-blocking reads, frame reassembly
-//    (partial frames across arbitrary byte splits), request decode, its own
-//    DetectionService::handle, encode and send, with no thread crossing. An
+//    (partial frames across arbitrary byte splits), request decode,
+//    WorkerPool::handle_on_shard, encode and send, with no thread crossing. An
 //    OPEN (or RESTORE with a blob) creates its session on the connection's
 //    shard; a request naming a session another shard owns is forwarded
 //    through the owner's mailbox and answered back through the origin's.
@@ -36,15 +35,12 @@
 #include <iosfwd>
 #include <string>
 
-#include "service/service.hpp"
 #include "service/worker_pool.hpp"
 
 namespace race2d {
 
-/// Serves frames from `in` to `out` until EOF. Returns the number of frames
-/// answered.
-std::uint64_t serve_pipe(std::istream& in, std::ostream& out,
-                         DetectionService& service);
+/// Serves frames from `in` to `out` through `pool` until EOF or a framing
+/// error. Returns the number of frames answered; the pool counts them.
 std::uint64_t serve_pipe(std::istream& in, std::ostream& out,
                          WorkerPool& pool);
 

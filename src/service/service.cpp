@@ -15,16 +15,6 @@ namespace {
 
 constexpr std::size_t kMaxTombstones = 1024;
 
-Response make_error(Verb verb, std::uint32_t session, ServiceStatus status,
-                    std::string message) {
-  Response r;
-  r.verb = verb;
-  r.session = session;
-  r.status = status;
-  r.message = std::move(message);
-  return r;
-}
-
 void bump(std::atomic<std::uint64_t>& counter, std::uint64_t by = 1) {
   counter.fetch_add(by, std::memory_order_relaxed);
 }
@@ -33,6 +23,8 @@ void bump(std::atomic<std::uint64_t>& counter, std::uint64_t by = 1) {
 
 DetectionService::DetectionService(ServiceLimits limits)
     : limits_(limits), start_(std::chrono::steady_clock::now()) {
+  R2D_REQUIRE(limits_.max_pending_reports >= 1,
+              "DetectionService: max_pending_reports must be >= 1");
   if (!limits_.spill_dir.empty()) {
     // Best-effort creation; if the path stays unwritable every store fails
     // and the eviction falls back to tombstoning — degraded, never fatal.
@@ -52,17 +44,6 @@ void DetectionService::configure_session_ids(std::uint32_t first,
   session_stride_ = stride;
 }
 
-Response DetectionService::handle_frame(const std::string& payload) {
-  bump(frames_);
-  Request request;
-  std::string error;
-  if (!decode_request(payload, request, error)) {
-    bump(bad_frames_);
-    return make_error(Verb::kStats, 0, ServiceStatus::kBadFrame, error);
-  }
-  return handle(request);
-}
-
 Response DetectionService::handle(const Request& request) {
   switch (request.verb) {
     case Verb::kOpen:     return do_open(request);
@@ -73,9 +54,9 @@ Response DetectionService::handle(const Request& request) {
     case Verb::kSnapshot: return do_snapshot(request);
     case Verb::kRestore:  return do_restore(request);
   }
-  bump(bad_frames_);
-  return make_error(Verb::kStats, request.session, ServiceStatus::kUnknownVerb,
-                    "request verb outside the protocol");
+  return error_response(Verb::kStats, request.session,
+                        ServiceStatus::kUnknownVerb,
+                        "request verb outside the protocol");
 }
 
 DetectionService::Slot* DetectionService::find(std::uint32_t id, Verb verb,
@@ -85,13 +66,15 @@ DetectionService::Slot* DetectionService::find(std::uint32_t id, Verb verb,
   if (spill_ && spill_->contains(id)) return rehydrate(id, verb, failure);
   auto tomb = evicted_.find(id);
   if (tomb != evicted_.end()) {
-    failure = make_error(verb, id, ServiceStatus::kQuotaEvicted, tomb->second);
+    failure =
+        error_response(verb, id, ServiceStatus::kQuotaEvicted, tomb->second);
     // CLOSE acknowledges the eviction and retires the tombstone.
     if (verb == Verb::kClose) evicted_.erase(tomb);
   } else {
     std::ostringstream os;
     os << "no session with id " << id;
-    failure = make_error(verb, id, ServiceStatus::kUnknownSession, os.str());
+    failure =
+        error_response(verb, id, ServiceStatus::kUnknownSession, os.str());
   }
   return nullptr;
 }
@@ -191,8 +174,8 @@ DetectionService::Slot* DetectionService::rehydrate(std::uint32_t id,
   // reason so later verbs answer deterministically.
   note_reject(ServiceStatus::kSnapshotReject);
   tombstone(id, error);
-  failure = make_error(verb, id, ServiceStatus::kSnapshotReject,
-                       std::move(error));
+  failure = error_response(verb, id, ServiceStatus::kSnapshotReject,
+                           std::move(error));
   return nullptr;
 }
 
@@ -214,17 +197,6 @@ std::size_t DetectionService::evict_heaviest() {
   return bytes;
 }
 
-void DetectionService::enforce_global_quota() {
-  // Evict the heaviest session (lowest id on ties — std::map iteration
-  // order makes this deterministic) until the sum fits the budget. The sum
-  // is the incrementally-maintained resident counter, so the sweep is
-  // O(sessions) per eviction, not per feed.
-  while (!sessions_.empty() &&
-         resident_bytes() > limits_.total_quota_bytes) {
-    if (evict_heaviest() == 0) break;
-  }
-}
-
 void DetectionService::note_reject(ServiceStatus status) {
   if (status == ServiceStatus::kLintReject) bump(lint_rejects_);
   if (status == ServiceStatus::kDecodeReject) bump(decode_rejects_);
@@ -232,11 +204,6 @@ void DetectionService::note_reject(ServiceStatus status) {
 }
 
 Response DetectionService::do_open(const Request& request) {
-  if (sessions_.size() >= limits_.max_sessions) {
-    std::ostringstream os;
-    os << "live-session cap reached (" << limits_.max_sessions << ")";
-    return make_error(Verb::kOpen, 0, ServiceStatus::kSessionLimit, os.str());
-  }
   const std::size_t quota =
       request.open.quota_bytes != 0
           ? std::min<std::size_t>(request.open.quota_bytes,
@@ -263,8 +230,8 @@ Response DetectionService::do_feed(const Request& request) {
   remeasure(*slot);
   if (outcome.status != ServiceStatus::kOk) {
     note_reject(outcome.status);
-    return make_error(Verb::kFeed, request.session, outcome.status,
-                      std::move(outcome.message));
+    return error_response(Verb::kFeed, request.session, outcome.status,
+                          std::move(outcome.message));
   }
   // Quota checks AFTER the feed: the session's footprint is only known once
   // the bytes are ingested. Graceful, not preventive — one frame of
@@ -276,20 +243,8 @@ Response DetectionService::do_feed(const Request& request) {
        << " bytes exceeds its quota of " << slot->quota_bytes << " bytes";
     std::string reason = os.str();
     evict(request.session, reason);
-    return make_error(Verb::kFeed, request.session,
-                      ServiceStatus::kQuotaEvicted, reason);
-  }
-  enforce_global_quota();
-  if (sessions_.find(request.session) == sessions_.end() &&
-      !(spill_ && spill_->contains(request.session))) {
-    // The global sweep chose this session as the heaviest and could not
-    // spill it. (A spilled session is still a success: this feed's bytes
-    // are in the snapshot; the next verb rehydrates it.)
-    return make_error(Verb::kFeed, request.session,
-                      ServiceStatus::kQuotaEvicted,
-                      evicted_.count(request.session) != 0
-                          ? evicted_[request.session]
-                          : std::string("evicted: global budget exceeded"));
+    return error_response(Verb::kFeed, request.session,
+                          ServiceStatus::kQuotaEvicted, reason);
   }
   Response r;
   r.verb = Verb::kFeed;
@@ -322,8 +277,8 @@ Response DetectionService::do_close(const Request& request) {
   bump(sessions_closed_);
   if (outcome.status != ServiceStatus::kOk) {
     note_reject(outcome.status);
-    return make_error(Verb::kClose, request.session, outcome.status,
-                      std::move(outcome.message));
+    return error_response(Verb::kClose, request.session, outcome.status,
+                          std::move(outcome.message));
   }
   Response r;
   r.verb = Verb::kClose;
@@ -348,17 +303,17 @@ Response DetectionService::do_snapshot(const Request& request) {
   if (slot == nullptr) return failure;
   if (slot->session->poisoned()) {
     note_reject(ServiceStatus::kSnapshotReject);
-    return make_error(Verb::kSnapshot, request.session,
-                      ServiceStatus::kSnapshotReject,
-                      "K008: session not snapshotable (poisoned)");
+    return error_response(Verb::kSnapshot, request.session,
+                          ServiceStatus::kSnapshotReject,
+                          "K008: session not snapshotable (poisoned)");
   }
   std::string blob = snapshot_session(*slot->session, slot->quota_bytes);
   if (blob.size() > kMaxFrameBytes - 16) {
     std::ostringstream os;
     os << "K008: session not snapshotable (" << blob.size()
        << "-byte snapshot exceeds the frame cap)";
-    return make_error(Verb::kSnapshot, request.session,
-                      ServiceStatus::kSnapshotReject, os.str());
+    return error_response(Verb::kSnapshot, request.session,
+                          ServiceStatus::kSnapshotReject, os.str());
   }
   bump(snapshots_);
   Response r;
@@ -381,17 +336,11 @@ Response DetectionService::do_restore(const Request& request) {
     r.session = request.session;
     return r;
   }
-  if (sessions_.size() >= limits_.max_sessions) {
-    std::ostringstream os;
-    os << "live-session cap reached (" << limits_.max_sessions << ")";
-    return make_error(Verb::kRestore, 0, ServiceStatus::kSessionLimit,
-                      os.str());
-  }
   RestoreOutcome outcome = restore_session(request.bytes);
   if (!outcome.session) {
     note_reject(ServiceStatus::kSnapshotReject);
-    return make_error(Verb::kRestore, 0, ServiceStatus::kSnapshotReject,
-                      std::move(outcome.error));
+    return error_response(Verb::kRestore, 0, ServiceStatus::kSnapshotReject,
+                          std::move(outcome.error));
   }
   // The blob records the session's effective quota so migration never
   // loosens a cap the original OPEN tightened; clamp to this service's own
@@ -419,8 +368,6 @@ std::string DetectionService::metrics_json() const {
   std::ostringstream os;
   os << "{"
      << "\"uptime_seconds\":" << uptime
-     << ",\"frames\":" << frames_.load(std::memory_order_relaxed)
-     << ",\"bad_frames\":" << bad_frames_.load(std::memory_order_relaxed)
      << ",\"bytes_in\":" << bytes_in_.load(std::memory_order_relaxed)
      << ",\"events\":" << events
      << ",\"events_per_second\":" << events_per_second

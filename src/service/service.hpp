@@ -1,25 +1,26 @@
-// DetectionService: many concurrent detection sessions behind one verb
+// DetectionService: one shard of detection sessions behind one verb
 // dispatcher.
 //
 // The service is transport-independent — handle() maps one Request to one
-// Response; the pipe and epoll socket servers (server.hpp) only move frames.
-// Its job beyond dispatch is RESOURCE GOVERNANCE:
+// Response. It is the shard a WorkerPool runs on each worker thread
+// (worker_pool.hpp), and the pool is what race2dd serves: frame decoding
+// and counting, the live-session cap and the memory budget across all
+// sessions belong to the pool. A shard keeps only the per-session rules:
 //
-//  * live-session cap: open() refuses (kSessionLimit) past max_sessions;
 //  * per-session quota: after every feed the session's byte-accounted
 //    footprint is checked; an over-quota session is evicted — destroyed,
 //    with a tombstone so the client's later verbs get kQuotaEvicted and the
 //    reason, not kUnknownSession;
-//  * global budget: if the sum of session footprints exceeds
-//    total_quota_bytes, the largest session is evicted (deterministically:
-//    greatest footprint, lowest id on ties) until the sum fits. With a
-//    spill directory configured, a budget eviction SPILLS the session
-//    instead: its snapshot blob is compressed to the bounded on-disk cold
-//    tier (compress/spill_tier.hpp) and a later FEED — or an explicit
-//    RESTORE with the session id and no blob — rehydrates it transparently.
-//    Per-session quota violations stay fatal (a session over its OWN quota
-//    would only thrash spill/rehydrate), as do corrupt spill files (K009 /
-//    K010 in the rejection message) and spill-tier budget drops;
+//  * eviction on command: evict_heaviest() removes the largest session
+//    (greatest footprint, lowest id on ties); the pool calls it when its
+//    budget overflows. With a spill directory configured, it SPILLS the
+//    session instead: its snapshot blob is compressed to the bounded
+//    on-disk cold tier (compress/spill_tier.hpp) and a later FEED — or an
+//    explicit RESTORE with the session id and no blob — rehydrates it
+//    transparently. Per-session quota violations stay fatal (a session
+//    over its OWN quota would only thrash spill/rehydrate), as do corrupt
+//    spill files (K009 / K010 in the rejection message) and spill-tier
+//    budget drops;
 //  * backpressure: sessions refuse feeds while their report backlog is at
 //    max_pending_reports (the frame is not consumed; drain and resend).
 //
@@ -51,18 +52,21 @@
 namespace race2d {
 
 struct ServiceLimits {
+  /// Live sessions across the whole pool. Pool-wide: WorkerPool alone
+  /// reads it.
   std::size_t max_sessions = 64;
   /// Default per-session footprint quota; OPEN may lower (not raise) it.
   std::size_t session_quota_bytes = 64u << 20;
-  /// Global budget across all live sessions. The worker pool disables this
-  /// per-shard check (sets it unlimited) and enforces the budget across
-  /// shards itself, through EvictHeaviest commands.
+  /// Budget over the footprints of every live session in the pool.
+  /// Pool-wide: WorkerPool alone reads it, and meets it by sending
+  /// evict_heaviest to its heaviest shard.
   std::size_t total_quota_bytes = 256u << 20;
   /// Report backlog per session before feeds bounce with kBackpressure.
+  /// At least 1: a cap of 0 would refuse every feed for good.
   std::size_t max_pending_reports = 1u << 16;
-  /// Non-empty enables the cold tier: global-budget evictions spill the
-  /// session snapshot there instead of tombstoning. The directory must
-  /// exist. Shards may share one directory (their session ids are disjoint).
+  /// Non-empty enables the cold tier: evict_heaviest spills the session
+  /// snapshot there instead of tombstoning. The directory must exist.
+  /// Shards may share one directory (their session ids are disjoint).
   std::string spill_dir;
   /// Byte budget of the cold tier (COMPRESSED bytes on disk); the
   /// least-recently-spilled sessions are dropped past it.
@@ -71,24 +75,21 @@ struct ServiceLimits {
 
 class DetectionService {
  public:
+  /// Throws ContractViolation when `limits.max_pending_reports` is 0.
   explicit DetectionService(ServiceLimits limits = {});
 
   /// The verb dispatcher. Total: every request gets a response. Must be
   /// called from the owning thread only (see the threading note above).
   Response handle(const Request& request);
 
-  /// Frame-level entry: decodes the request payload first; an undecodable
-  /// payload is answered with kBadFrame (and counted), never thrown.
-  Response handle_frame(const std::string& payload);
-
   /// Session ids this instance hands out: first, first+stride, … — how the
   /// pool makes shard w's ids satisfy id % workers == w (sessions route to
   /// their shard by id alone). Call before any OPEN; stride >= 1.
   void configure_session_ids(std::uint32_t first, std::uint32_t stride);
 
-  /// Evicts the single heaviest live session (lowest id on ties); returns
-  /// the bytes freed, 0 when no session is live. The pool's global-budget
-  /// command; owning thread only.
+  /// Evicts the single heaviest live session (lowest id on ties), spilling
+  /// it when a cold tier is configured; returns the bytes freed, 0 when no
+  /// session is live. The pool's budget command; owning thread only.
   std::size_t evict_heaviest();
 
   /// Point-in-time metrics as a single-line JSON object. Thread-safe.
@@ -133,7 +134,6 @@ class DetectionService {
   /// plus the live slot via `slot`. Rehydrates spilled sessions in passing.
   Slot* find(std::uint32_t id, Verb verb, Response& failure);
   void evict(std::uint32_t id, const std::string& reason);
-  void enforce_global_quota();
   void note_reject(ServiceStatus status);
   /// Re-measures the slot's session and folds the delta into the resident
   /// sum — the incremental accounting every mutation ends with.
@@ -142,7 +142,7 @@ class DetectionService {
   std::uint32_t install(std::unique_ptr<DetectionSession> session,
                         std::size_t quota_bytes);
   /// Re-installs a rehydrated session under its ORIGINAL id, bypassing
-  /// next_session_ and the live cap (it was admitted once already).
+  /// next_session_.
   Slot* install_at(std::uint32_t id, std::unique_ptr<DetectionSession> session,
                    std::size_t quota_bytes);
   void drop(std::map<std::uint32_t, Slot>::iterator it);
@@ -170,8 +170,6 @@ class DetectionService {
   // Monotonic counters; any thread may read them (metrics_json), only the
   // owning thread writes. Relaxed suffices: each is an independent
   // statistic, no cross-counter invariant is promised to readers.
-  std::atomic<std::uint64_t> frames_{0};
-  std::atomic<std::uint64_t> bad_frames_{0};
   std::atomic<std::uint64_t> bytes_in_{0};
   std::atomic<std::uint64_t> events_{0};
   std::atomic<std::uint64_t> reports_out_{0};

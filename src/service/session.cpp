@@ -7,20 +7,6 @@
 
 namespace race2d {
 
-namespace {
-
-/// The session's lint gate mirrors require_lint_clean(): errors only (a
-/// hygiene warning must not kill a live stream), stop early — one finding
-/// poisons the session and is all the error message carries.
-TraceLintOptions gate_options() {
-  TraceLintOptions options;
-  options.warnings = false;
-  options.max_diagnostics = 8;
-  return options;
-}
-
-}  // namespace
-
 DetectionSession::DetectionSession(ReportPolicy policy,
                                    std::size_t max_pending_reports,
                                    DetectorEngine)
@@ -161,7 +147,7 @@ DetectionSession::CloseOutcome DetectionSession::close() {
 DetectionSession::DetectionSession(RestoreTag, ReportPolicy policy,
                                    std::size_t max_pending_reports)
     : max_pending_reports_(max_pending_reports),
-      lint_(gate_options()),
+      lint_(kGateLintOptions),
       detector_(policy) {
   // No on_root(): a restore imports the detector image (root included).
 }

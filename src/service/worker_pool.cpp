@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <future>
-#include <limits>
 #include <sstream>
 #include <system_error>
 #include <utility>
@@ -32,14 +31,10 @@ WorkerPool::Shard::~Shard() {
 WorkerPool::WorkerPool(std::size_t workers, ServiceLimits limits)
     : limits_(limits) {
   R2D_REQUIRE(workers >= 1, "WorkerPool: need at least one worker");
-  ServiceLimits shard_limits = limits;
-  // The budget is enforced pool-wide through EvictHeaviest commands; a
-  // shard-local sweep would see only its own sessions and over-evict.
-  shard_limits.total_quota_bytes = std::numeric_limits<std::size_t>::max();
   shards_.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
     auto shard = std::make_unique<Shard>();
-    shard->service = std::make_unique<DetectionService>(shard_limits);
+    shard->service = std::make_unique<DetectionService>(limits);
     // Shard w's ids ≡ w (mod workers); 0 is not a session id, so shard 0
     // starts at `workers`.
     shard->service->configure_session_ids(
@@ -194,19 +189,15 @@ Response WorkerPool::stats(const Request& request) const {
 Response WorkerPool::handle_on_shard(std::size_t shard,
                                      const Request& request) {
   if (request.verb == Verb::kStats) return stats(request);
-  // Pool-wide session cap; the per-shard cap never binds first. Benign
-  // over-admission under concurrent opens on different shards resolves at
-  // the shard (its own cap still holds). A rehydrate is exempt: the session
-  // was admitted once already (the shard's install_at bypasses its own cap
-  // the same way).
+  // The live-session cap. Each shard checks, then installs, one request at
+  // a time, so creating requests racing on different shards overshoot it
+  // by at most workers - 1. A rehydrate is exempt: its session was
+  // admitted once already.
   if (creates_session(request) && live_sessions() >= limits_.max_sessions) {
     std::ostringstream os;
     os << "live-session cap reached (" << limits_.max_sessions << ")";
-    Response r;
-    r.verb = request.verb;
-    r.status = ServiceStatus::kSessionLimit;
-    r.message = os.str();
-    return r;
+    return error_response(request.verb, 0, ServiceStatus::kSessionLimit,
+                          os.str());
   }
   Response response = shards_[shard]->service->handle(request);
   if (request.verb == Verb::kFeed || request.verb == Verb::kRestore)
@@ -246,11 +237,8 @@ Response WorkerPool::handle_frame(const std::string& payload) {
   std::string error;
   if (!decode_request(payload, request, error)) {
     count_frame(true);
-    Response r;
-    r.verb = Verb::kStats;
-    r.status = ServiceStatus::kBadFrame;
-    r.message = error;
-    return r;
+    return error_response(Verb::kStats, 0, ServiceStatus::kBadFrame,
+                          std::move(error));
   }
   count_frame(false);
   return handle(request);

@@ -22,13 +22,18 @@
 //     spilled session) route to the owning shard by id (route());
 //   * STATS aggregates every shard's thread-safe atomic counters on the
 //     calling thread — no queueing, no locks against feeds;
-//   * the pool-wide session cap is checked on the shard, just before the
-//     session-creating request runs;
-//   * the pool-wide memory budget is enforced by watching the shards'
-//     atomic resident-byte sums after feeds and posting an EvictHeaviest
-//     command to the heaviest shard's mailbox, one command at a time (the
-//     shard evicts on its own thread — governance never touches another
-//     thread's sessions).
+//   * the live-session cap is checked on the shard, just before the
+//     session-creating request runs (handle_on_shard);
+//   * the memory budget is enforced by watching the shards' atomic
+//     resident-byte sums after feeds and posting an EvictHeaviest command
+//     to the heaviest shard's mailbox, one command at a time (the shard
+//     evicts on its own thread — governance never touches another thread's
+//     sessions).
+//
+// The pool alone owns those two rules and the frame counters; each shard's
+// DetectionService enforces only the per-session ones (quota, backpressure,
+// spill and rehydrate). Every request but STATS reaches its shard's service
+// through handle_on_shard.
 //
 // submit() is safe from any thread; the completion callback runs on the
 // shard thread that handled the request (or inline on the submitting thread
@@ -54,9 +59,10 @@ namespace race2d {
 
 class WorkerPool {
  public:
-  /// Spawns `workers` shard threads (>= 1). `limits.max_sessions` and
-  /// `limits.total_quota_bytes` are POOL-WIDE; per-shard enforcement of the
-  /// global budget is disabled and replaced by the EvictHeaviest scheme.
+  /// Spawns `workers` shard threads (>= 1), each serving a DetectionService
+  /// built from `limits` as they are. The pool alone reads
+  /// `limits.max_sessions` and `limits.total_quota_bytes`, across all
+  /// shards.
   WorkerPool(std::size_t workers, ServiceLimits limits = {});
   ~WorkerPool();
 
@@ -76,7 +82,8 @@ class WorkerPool {
 
   /// Synchronous submit: blocks until the response is ready.
   Response handle(const Request& request);
-  /// Decodes the payload first; undecodable payloads answer kBadFrame.
+  /// Frame entry: decodes the payload first and counts the frame;
+  /// undecodable payloads answer kBadFrame, never throw.
   Response handle_frame(const std::string& payload);
 
   /// Pool-wide metrics JSON: aggregate counters plus one nested object per
@@ -97,8 +104,9 @@ class WorkerPool {
   std::size_t spilled_sessions() const;
   std::uint64_t rehydrations() const;
 
-  /// Transport-level frame accounting (the socket server counts frames it
-  /// reassembles itself; handle_frame counts its own). Thread-safe.
+  /// Frame accounting: handle_frame counts the frames it decodes, and the
+  /// transports count the framing errors they answer themselves (and the
+  /// socket server the frames it decodes). Thread-safe.
   void count_frame(bool bad) {
     frames_.fetch_add(1, std::memory_order_relaxed);
     if (bad) bad_frames_.fetch_add(1, std::memory_order_relaxed);
@@ -127,9 +135,11 @@ class WorkerPool {
   /// Runs `task` on shard `shard`'s thread, after every task posted to
   /// that shard before it. Safe from any thread.
   void post_task(std::size_t shard, std::function<void()> task);
-  /// Runs `request` inline, under the same pool-wide session cap and budget
-  /// as a submitted request. Call it only on shard `shard`'s own thread and
-  /// only when route(request, shard) == shard.
+  /// Runs `request` inline on shard `shard`: the one door through which
+  /// every request but STATS, submitted or socket-borne, reaches a shard's
+  /// service, and where the session cap and the budget apply. Call it only
+  /// on shard `shard`'s own thread and only when route(request, shard) ==
+  /// shard.
   Response handle_on_shard(std::size_t shard, const Request& request);
 
   /// Drains every mailbox and joins the shard threads. Idempotent; the

@@ -497,12 +497,7 @@ LintResult TraceLinter::run(const Trace& trace) const {
 LintResult lint_trace(const Trace& trace) { return TraceLinter().run(trace); }
 
 void require_lint_clean(const Trace& trace) {
-  // Gate configuration: errors only, stop early — the first few findings
-  // are what an exception message can usefully carry.
-  TraceLintOptions options;
-  options.warnings = false;
-  options.max_diagnostics = 8;
-  LintResult result = TraceLinter(options).run(trace);
+  LintResult result = TraceLinter(kGateLintOptions).run(trace);
   if (!result.ok()) throw TraceLintError(std::move(result));
 }
 

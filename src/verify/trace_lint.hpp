@@ -74,6 +74,13 @@ struct TraceLintOptions {
   bool warnings = true;
 };
 
+/// The gate configuration: errors only (a hygiene warning must not kill a
+/// live stream), stopping early, since the first few findings are all a
+/// rejection carries. require_lint_clean() and every DetectionSession lint
+/// with it.
+inline constexpr TraceLintOptions kGateLintOptions{.max_diagnostics = 8,
+                                                   .warnings = false};
+
 /// The linter's single pass, exposed as a PUSH stream: feed() events as
 /// they arrive, finish() when the stream ends. This is the form a
 /// long-running ingest front (the DetectionService) gates on — an

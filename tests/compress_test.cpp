@@ -215,10 +215,7 @@ TEST(RunReplay, SessionMemoryIsTheSumOfItsParts) {
   std::vector<TraceEvent> events;
   decoder.feed(v2.data(), v2.size(), events);
   ASSERT_EQ(events, t);
-  TraceLintOptions gate;
-  gate.warnings = false;
-  gate.max_diagnostics = 8;
-  TraceLintStream lint(gate);
+  TraceLintStream lint(kGateLintOptions);
   OnlineRaceDetector detector;
   detector.on_root();
   for (const TraceEvent& e : events) {

@@ -183,11 +183,39 @@ TEST(WorkerPool, PoolWideSessionCapBindsAcrossShards) {
   ServiceLimits limits;
   limits.max_sessions = 5;
   WorkerPool pool(4, limits);
-  for (int i = 0; i < 5; ++i) pool_open(pool);
+  std::vector<std::uint32_t> ids;
+  for (int i = 0; i < 5; ++i) ids.push_back(pool_open(pool));
   Request req;
   req.verb = Verb::kOpen;
   const Response refused = pool.handle(req);
   EXPECT_EQ(refused.status, ServiceStatus::kSessionLimit);
+  EXPECT_EQ(refused.message, "live-session cap reached (5)");
+  EXPECT_EQ(pool.live_sessions(), 5u);
+
+  // RESTORE at the cap: a blob would create a session and is refused; a
+  // blobless RESTORE names a live one and is answered.
+  Request snap;
+  snap.verb = Verb::kSnapshot;
+  snap.session = ids[0];
+  const Response snapshot = pool.handle(snap);
+  ASSERT_EQ(snapshot.status, ServiceStatus::kOk) << snapshot.message;
+  Request restore;
+  restore.verb = Verb::kRestore;
+  restore.bytes = snapshot.blob;
+  EXPECT_EQ(pool.handle(restore).status, ServiceStatus::kSessionLimit);
+  Request rehydrate;
+  rehydrate.verb = Verb::kRestore;
+  rehydrate.session = ids[1];
+  const Response named = pool.handle(rehydrate);
+  EXPECT_EQ(named.status, ServiceStatus::kOk) << named.message;
+  EXPECT_EQ(named.session, ids[1]);
+  EXPECT_EQ(pool.live_sessions(), 5u);
+
+  // One CLOSE frees a place, and the same blob is admitted.
+  pool_close(pool, ids[2]);
+  EXPECT_EQ(pool.live_sessions(), 4u);
+  const Response admitted = pool.handle(restore);
+  EXPECT_EQ(admitted.status, ServiceStatus::kOk) << admitted.message;
   EXPECT_EQ(pool.live_sessions(), 5u);
 }
 

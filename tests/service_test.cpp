@@ -1,7 +1,9 @@
 // DetectionService: protocol codecs, multi-session multiplexing, quota
-// eviction, backpressure, malformed-frame recovery, and determinism of the
-// report streams under arbitrary session interleavings.
+// eviction, backpressure, spill failures, determinism of the report streams
+// under arbitrary session interleavings, and the pipe transport over a
+// worker pool, with its malformed-frame recovery.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -22,6 +24,8 @@
 #include "service/server.hpp"
 #include "service/service.hpp"
 #include "service/session.hpp"
+#include "service/worker_pool.hpp"
+#include "support/assert.hpp"
 
 namespace race2d {
 namespace {
@@ -306,20 +310,15 @@ TEST(Service, UnknownSessionAndUnknownVerb) {
   Request req;
   req.verb = static_cast<Verb>(99);
   EXPECT_EQ(service.handle(req).status, ServiceStatus::kUnknownVerb);
-  Response bad = service.handle_frame("\x63");
-  EXPECT_EQ(bad.status, ServiceStatus::kBadFrame);
 }
 
-TEST(Service, SessionLimitRefusesOpen) {
+// A pending-report cap of 0 would answer every FEED kBackpressure with
+// nothing to drain, so neither a service nor a pool of them accepts it.
+TEST(Service, MaxPendingOfZeroIsAContractViolation) {
   ServiceLimits limits;
-  limits.max_sessions = 2;
-  DetectionService service(limits);
-  open_session(service);
-  open_session(service);
-  Request req;
-  req.verb = Verb::kOpen;
-  EXPECT_EQ(service.handle(req).status, ServiceStatus::kSessionLimit);
-  EXPECT_EQ(service.live_sessions(), 2u);
+  limits.max_pending_reports = 0;
+  EXPECT_THROW({ DetectionService service(limits); }, ContractViolation);
+  EXPECT_THROW({ WorkerPool pool(2, limits); }, ContractViolation);
 }
 
 TEST(Service, QuotaEvictionIsGracefulAndRemembered) {
@@ -419,6 +418,130 @@ TEST(Service, MetricsJsonTracksTraffic) {
   EXPECT_NE(json.find("\"sessions_opened\":1"), std::string::npos) << json;
   EXPECT_NE(json.find("\"sessions_closed\":1"), std::string::npos) << json;
   EXPECT_NE(json.find("\"live_sessions\":0"), std::string::npos) << json;
+  // The STATS verb answers the same counters; frames are the pool's.
+  Request stats;
+  stats.verb = Verb::kStats;
+  const Response answered = service.handle(stats);
+  EXPECT_EQ(answered.status, ServiceStatus::kOk);
+  EXPECT_NE(answered.message.find("\"sessions_opened\":1"), std::string::npos)
+      << answered.message;
+  EXPECT_EQ(answered.message.find("frames"), std::string::npos)
+      << answered.message;
+}
+
+// ---- spill failures --------------------------------------------------------
+//
+// evict_heaviest is the pool's budget command; calling it on one service
+// spills a chosen session with no threads involved, so both failure paths
+// of the cold tier run deterministically.
+
+/// A fresh cold-tier directory, removed with the object.
+struct SpillDir {
+  std::filesystem::path path;
+  explicit SpillDir(const std::string& name)
+      : path(std::filesystem::temp_directory_path() /
+             ("race2d-" + name + "-" + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(path);
+    std::filesystem::create_directories(path);
+  }
+  ~SpillDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+};
+
+ServiceLimits spill_limits(const SpillDir& dir) {
+  ServiceLimits limits;
+  limits.spill_dir = dir.path.string();
+  return limits;
+}
+
+// A spill file damaged on disk: the FEED that would rehydrate it answers
+// the K-coded rejection, the session stays tombstoned with that reason
+// until CLOSE, and the file is consumed.
+TEST(Service, CorruptSpillFileTombstonesTheSession) {
+  const SpillDir dir("corrupt-spill");
+  DetectionService service(spill_limits(dir));
+  const std::uint32_t id = open_session(service);
+  const std::string wire = trace_to_binary(generated(31));
+  const std::size_t half = wire.size() / 2;
+  ASSERT_EQ(feed_bytes(service, id, wire.substr(0, half)).status,
+            ServiceStatus::kOk);
+  ASSERT_GT(service.evict_heaviest(), 0u);
+  ASSERT_EQ(service.spilled_sessions(), 1u);
+
+  const std::filesystem::path file =
+      dir.path / ("sess-" + std::to_string(id) + ".spill");
+  std::string bytes;
+  {
+    std::ifstream is(file, std::ios::binary);
+    ASSERT_TRUE(is) << file;
+    std::ostringstream buf;
+    buf << is.rdbuf();
+    bytes = buf.str();
+  }
+  ASSERT_FALSE(bytes.empty());
+  bytes.back() = static_cast<char>(bytes.back() ^ 0x01);  // payload damage
+  std::ofstream(file, std::ios::binary | std::ios::trunc) << bytes;
+
+  const Response fed = feed_bytes(service, id, wire.substr(half));
+  EXPECT_EQ(fed.status, ServiceStatus::kSnapshotReject);
+  EXPECT_EQ(fed.message.rfind("K010", 0), 0u) << fed.message;
+  Request drain;
+  drain.verb = Verb::kDrain;
+  drain.session = id;
+  const Response drained = service.handle(drain);
+  EXPECT_EQ(drained.status, ServiceStatus::kQuotaEvicted);
+  EXPECT_EQ(drained.message, fed.message);
+  EXPECT_EQ(close_session(service, id).status, ServiceStatus::kQuotaEvicted);
+  EXPECT_EQ(feed_bytes(service, id, "x").status,
+            ServiceStatus::kUnknownSession);
+  EXPECT_FALSE(std::filesystem::exists(file));
+  EXPECT_EQ(service.spilled_sessions(), 0u);
+}
+
+// A cold tier with room for one spill file: spilling a second session
+// drops the first, whose client then learns it is gone for good, while the
+// second rehydrates and finishes bit-identical to the offline detector.
+TEST(Service, SpillBudgetDropTombstonesTheOlderSpill) {
+  const Trace trace = generated(31);
+  const std::string wire = trace_to_binary(trace);
+  const std::size_t half = wire.size() / 2;
+  std::size_t file_bytes = 0;  // one spill of this half-fed session
+  {
+    const SpillDir probe_dir("spill-probe");
+    DetectionService probe(spill_limits(probe_dir));
+    const std::uint32_t id = open_session(probe);
+    ASSERT_EQ(feed_bytes(probe, id, wire.substr(0, half)).status,
+              ServiceStatus::kOk);
+    ASSERT_GT(probe.evict_heaviest(), 0u);
+    file_bytes = probe.spill_bytes();
+    ASSERT_GT(file_bytes, 0u);
+  }
+
+  const SpillDir dir("spill-drop");
+  ServiceLimits limits = spill_limits(dir);
+  limits.spill_budget_bytes = file_bytes * 3 / 2;
+  DetectionService service(limits);
+  const std::uint32_t a = open_session(service);
+  ASSERT_EQ(feed_bytes(service, a, wire.substr(0, half)).status,
+            ServiceStatus::kOk);
+  ASSERT_GT(service.evict_heaviest(), 0u);  // spills a
+  const std::uint32_t b = open_session(service);
+  ASSERT_EQ(feed_bytes(service, b, wire.substr(0, half)).status,
+            ServiceStatus::kOk);
+  ASSERT_GT(service.evict_heaviest(), 0u);  // spills b, which drops a
+  EXPECT_EQ(service.spilled_sessions(), 1u);
+
+  const Response fed_a = feed_bytes(service, a, wire.substr(half));
+  EXPECT_EQ(fed_a.status, ServiceStatus::kQuotaEvicted);
+  EXPECT_NE(fed_a.message.find("spilled snapshot dropped"), std::string::npos)
+      << fed_a.message;
+  const Response fed_b = feed_bytes(service, b, wire.substr(half));
+  EXPECT_EQ(fed_b.status, ServiceStatus::kOk) << fed_b.message;
+  EXPECT_EQ(drain_session(service, b), detect_races_trace(trace));
+  const std::string json = service.metrics_json();
+  EXPECT_NE(json.find("\"spill_drops\":1"), std::string::npos) << json;
 }
 
 // ---- split invariance ------------------------------------------------------
@@ -670,9 +793,11 @@ TEST(SplitInvariance, LintFaultInALaterRepetitionOfARun) {
   }
 }
 
+// The pipe transport race2dd --pipe runs: frames into a WorkerPool. A
+// 1-worker pool issues session ids 1, 2, ... like a lone service.
 TEST(PipeServer, FrameLoopAnswersEveryRequestAndRecovers) {
   // Script: stats, open, feed(garbage->decode reject), a malformed frame.
-  DetectionService service;
+  WorkerPool pool(1);
   std::stringstream in(std::ios::in | std::ios::out | std::ios::binary);
   std::stringstream out(std::ios::in | std::ios::out | std::ios::binary);
   {
@@ -689,7 +814,7 @@ TEST(PipeServer, FrameLoopAnswersEveryRequestAndRecovers) {
     write_frame(in, encode_request(feed));
     write_frame(in, std::string("\x42", 1));  // undecodable request
   }
-  const std::uint64_t answered = serve_pipe(in, out, service);
+  const std::uint64_t answered = serve_pipe(in, out, pool);
   EXPECT_EQ(answered, 4u);
   std::string payload;
   std::string error;
@@ -709,20 +834,30 @@ TEST(PipeServer, FrameLoopAnswersEveryRequestAndRecovers) {
   EXPECT_EQ(rsp.status, ServiceStatus::kBadFrame);
   EXPECT_FALSE(read_frame(out, payload, error));  // clean EOF
   EXPECT_TRUE(error.empty());
+  // The pool counts every frame the pipe answered; its shards count none.
+  const std::string json = pool.metrics_json();
+  EXPECT_NE(json.find("\"frames\":4,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"bad_frames\":1,"), std::string::npos) << json;
+  EXPECT_EQ(json.find("frames", json.find("\"shards\"")), std::string::npos)
+      << json;
 }
 
 TEST(PipeServer, TruncatedFrameGetsAnErrorThenStops) {
-  DetectionService service;
+  WorkerPool pool(1);
   std::stringstream in(std::ios::in | std::ios::out | std::ios::binary);
   std::stringstream out(std::ios::in | std::ios::out | std::ios::binary);
   in.write("\xff\x00\x00\x00trunc", 9);  // claims 255 bytes, delivers 5
-  serve_pipe(in, out, service);
+  EXPECT_EQ(serve_pipe(in, out, pool), 1u);
   std::string payload;
   std::string error;
   Response rsp;
   ASSERT_TRUE(read_frame(out, payload, error));
   ASSERT_TRUE(decode_response(payload, rsp, error));
   EXPECT_EQ(rsp.status, ServiceStatus::kBadFrame);
+  EXPECT_FALSE(read_frame(out, payload, error));  // nothing after it
+  const std::string json = pool.metrics_json();
+  EXPECT_NE(json.find("\"frames\":1,\"bad_frames\":1,"), std::string::npos)
+      << json;
 }
 
 }  // namespace
