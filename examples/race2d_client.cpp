@@ -30,6 +30,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <sys/socket.h>
@@ -85,23 +86,20 @@ struct Channel {
   pid_t child = -1;
 
   bool call(const Request& request, Response& response) {
-    const std::string payload = encode_request(request);
-    unsigned char len[4];
-    for (int i = 0; i < 4; ++i)
-      len[i] = static_cast<unsigned char>((payload.size() >> (8 * i)) & 0xffu);
-    if (!write_all(wfd, len, 4) ||
-        !write_all(wfd, payload.data(), payload.size())) {
+    std::string frame;
+    append_frame(frame, encode_request(request));
+    if (!write_all(wfd, frame.data(), frame.size())) {
       std::fprintf(stderr, "race2d_client: server pipe broke on send\n");
       return false;
     }
-    if (!read_exact(rfd, len, 4)) {
+    char prefix[4];
+    if (!read_exact(rfd, prefix, 4)) {
       std::fprintf(stderr, "race2d_client: server closed the connection\n");
       return false;
     }
     std::uint32_t rlen = 0;
-    for (int i = 0; i < 4; ++i)
-      rlen |= static_cast<std::uint32_t>(len[i]) << (8 * i);
-    if (rlen > kMaxFrameBytes) {
+    std::string error;
+    if (!frame_length(std::string_view(prefix, 4), rlen, error)) {
       std::fprintf(stderr, "race2d_client: oversized response frame\n");
       return false;
     }
@@ -110,7 +108,6 @@ struct Channel {
       std::fprintf(stderr, "race2d_client: truncated response frame\n");
       return false;
     }
-    std::string error;
     if (!decode_response(body, response, error)) {
       std::fprintf(stderr, "race2d_client: bad response: %s\n", error.c_str());
       return false;

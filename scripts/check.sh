@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Correctness gate (its tier-1, ASan and TSan builds treat a compiler
-# warning as an error): the tier-1 build + test cycle, the opt-in soak
+# warning as an error): a static check that one codec header holds every
+# little-endian byte loop, the tier-1 build + test cycle, the opt-in soak
 # (one detection session fed 10^8 events must hold its memory flat), a
 # 30-second fixed-seed differential fuzz smoke (race2d_fuzz cross-checks
 # every detector on seeded random programs; any mismatch fails the
@@ -21,6 +22,19 @@
 #        RACE2D_SKIP_TIDY=1 scripts/check.sh    skip the clang-tidy gate
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "== byte-layer gate: one little-endian codec"
+# Every binary format (R2DT traces, service frames and payloads, snapshot
+# blobs, spill files) writes and reads its fixed-width integers through
+# src/io/byte_codec.hpp. A byte loop spelled out anywhere else in src/ or
+# examples/ (the `(8 * i)` shift every private copy used) fails the gate.
+if grep -rn --include='*.cpp' --include='*.hpp' -F '(8 * i)' src examples \
+    | grep -v '^src/io/byte_codec\.hpp:'; then
+  echo "check.sh: a little-endian byte loop outside src/io/byte_codec.hpp;" \
+    "use put_le/get_le/ByteReader"
+  exit 1
+fi
+echo "byte-layer gate: only src/io/byte_codec.hpp spells out a byte loop"
 
 echo "== tier-1: configure + build + ctest"
 # CMake >= 3.24 turns CMAKE_COMPILE_WARNING_AS_ERROR into -Werror.

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "compress/blob_codec.hpp"
+#include "io/byte_codec.hpp"
 #include "io/crc32c.hpp"
 
 namespace race2d {
@@ -16,18 +17,6 @@ namespace {
 constexpr char kSpillMagic[8] = {'R', '2', 'D', 'S', 'P', 'I', 'L', 'L'};
 constexpr std::uint8_t kSpillVersion = 1;
 constexpr std::size_t kSpillHeaderBytes = 8 + 1 + 4 + 4 + 4;
-
-void put_u32le(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-std::uint32_t get_u32le(const unsigned char* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         static_cast<std::uint32_t>(p[1]) << 8 |
-         static_cast<std::uint32_t>(p[2]) << 16 |
-         static_cast<std::uint32_t>(p[3]) << 24;
-}
 
 std::string k_error(const char* code, std::uint32_t id, const char* what) {
   std::ostringstream os;
@@ -62,10 +51,10 @@ SpillTier::StoreResult SpillTier::store(std::uint32_t id,
 
   std::string file(kSpillMagic, sizeof(kSpillMagic));
   file.push_back(static_cast<char>(kSpillVersion));
-  put_u32le(file, id);
+  put_le(file, id);
   const std::string payload = blob_compress(blob);
-  put_u32le(file, static_cast<std::uint32_t>(payload.size()));
-  put_u32le(file, crc32c(payload.data(), payload.size()));
+  put_le(file, static_cast<std::uint32_t>(payload.size()));
+  put_le(file, crc32c(payload.data(), payload.size()));
   file += payload;
 
   if (file.size() > budget_) return result;  // would never fit
@@ -133,10 +122,10 @@ std::optional<std::string> SpillTier::load(std::uint32_t id,
   if (std::memcmp(p, kSpillMagic, sizeof(kSpillMagic)) != 0)
     return reject("K009", "spill file magic mismatch");
   if (p[8] != kSpillVersion) return reject("K009", "spill file version mismatch");
-  if (get_u32le(p + 9) != id)
+  if (get_le<std::uint32_t>(p + 9) != id)
     return reject("K009", "spill file names a different session");
-  const std::uint32_t payload_len = get_u32le(p + 13);
-  const std::uint32_t crc = get_u32le(p + 17);
+  const auto payload_len = get_le<std::uint32_t>(p + 13);
+  const auto crc = get_le<std::uint32_t>(p + 17);
   if (file.size() != kSpillHeaderBytes + payload_len)
     return reject("K009", "spill file length disagrees with its header");
   const char* payload = file.data() + kSpillHeaderBytes;

@@ -1,55 +1,53 @@
 #include "io/binary_format.hpp"
 
+#include <iterator>
 #include <sstream>
 
 namespace race2d {
 
+namespace {
+
+struct DecodeCodeInfo {
+  const char* id;
+  const char* slug;
+};
+
+/// One row per DecodeCode, in enumerator order.
+constexpr DecodeCodeInfo kDecodeCodeTable[] = {
+    {"B001", "bad-magic"},
+    {"B002", "unsupported-version"},
+    {"B003", "bad-header"},
+    {"B004", "truncated-input"},
+    {"B005", "chunk-crc-mismatch"},
+    {"B006", "malformed-varint"},
+    {"B007", "unknown-opcode"},
+    {"B008", "task-id-out-of-range"},
+    {"B009", "bad-frame-marker"},
+    {"B010", "event-count-mismatch"},
+    {"B011", "chunk-too-large"},
+    {"B012", "trailing-bytes"},
+    {"B013", "missing-trailer"},
+    {"B014", "trailer-crc-mismatch"},
+    {"B015", "bad-compressed-item"},
+    {"B016", "bad-run-count"},
+    {"B017", "bad-template-ref"},
+    {"B018", "chunk-too-many-events"},
+};
+static_assert(std::size(kDecodeCodeTable) ==
+                  static_cast<std::size_t>(DecodeCode::kChunkTooManyEvents) + 1,
+              "one kDecodeCodeTable row per DecodeCode");
+
+}  // namespace
+
 const char* decode_code_id(DecodeCode code) {
-  switch (code) {
-    case DecodeCode::kBadMagic:            return "B001";
-    case DecodeCode::kUnsupportedVersion:  return "B002";
-    case DecodeCode::kBadHeader:           return "B003";
-    case DecodeCode::kTruncatedInput:      return "B004";
-    case DecodeCode::kChunkCrcMismatch:    return "B005";
-    case DecodeCode::kMalformedVarint:     return "B006";
-    case DecodeCode::kUnknownOpcode:       return "B007";
-    case DecodeCode::kTaskIdOutOfRange:    return "B008";
-    case DecodeCode::kBadFrameMarker:      return "B009";
-    case DecodeCode::kEventCountMismatch:  return "B010";
-    case DecodeCode::kChunkTooLarge:       return "B011";
-    case DecodeCode::kTrailingBytes:       return "B012";
-    case DecodeCode::kMissingTrailer:      return "B013";
-    case DecodeCode::kTrailerCrcMismatch:  return "B014";
-    case DecodeCode::kBadCompressedItem:   return "B015";
-    case DecodeCode::kBadRunCount:         return "B016";
-    case DecodeCode::kBadTemplateRef:      return "B017";
-    case DecodeCode::kChunkTooManyEvents:  return "B018";
-  }
-  return "B???";
+  const auto i = static_cast<std::size_t>(code);
+  return i < std::size(kDecodeCodeTable) ? kDecodeCodeTable[i].id : "B???";
 }
 
 const char* decode_code_slug(DecodeCode code) {
-  switch (code) {
-    case DecodeCode::kBadMagic:            return "bad-magic";
-    case DecodeCode::kUnsupportedVersion:  return "unsupported-version";
-    case DecodeCode::kBadHeader:           return "bad-header";
-    case DecodeCode::kTruncatedInput:      return "truncated-input";
-    case DecodeCode::kChunkCrcMismatch:    return "chunk-crc-mismatch";
-    case DecodeCode::kMalformedVarint:     return "malformed-varint";
-    case DecodeCode::kUnknownOpcode:       return "unknown-opcode";
-    case DecodeCode::kTaskIdOutOfRange:    return "task-id-out-of-range";
-    case DecodeCode::kBadFrameMarker:      return "bad-frame-marker";
-    case DecodeCode::kEventCountMismatch:  return "event-count-mismatch";
-    case DecodeCode::kChunkTooLarge:       return "chunk-too-large";
-    case DecodeCode::kTrailingBytes:       return "trailing-bytes";
-    case DecodeCode::kMissingTrailer:      return "missing-trailer";
-    case DecodeCode::kTrailerCrcMismatch:  return "trailer-crc-mismatch";
-    case DecodeCode::kBadCompressedItem:   return "bad-compressed-item";
-    case DecodeCode::kBadRunCount:         return "bad-run-count";
-    case DecodeCode::kBadTemplateRef:      return "bad-template-ref";
-    case DecodeCode::kChunkTooManyEvents:  return "chunk-too-many-events";
-  }
-  return "unknown";
+  const auto i = static_cast<std::size_t>(code);
+  return i < std::size(kDecodeCodeTable) ? kDecodeCodeTable[i].slug
+                                         : "unknown";
 }
 
 TraceDecodeError::TraceDecodeError(DecodeCode code, std::uint64_t byte_offset,

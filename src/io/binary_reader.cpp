@@ -5,6 +5,7 @@
 #include <istream>
 #include <sstream>
 
+#include "io/byte_codec.hpp"
 #include "io/crc32c.hpp"
 #include "io/varint.hpp"
 #include "support/assert.hpp"
@@ -13,19 +14,6 @@
 namespace race2d {
 
 namespace {
-
-std::uint32_t read_u32le(const unsigned char* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         static_cast<std::uint32_t>(p[1]) << 8 |
-         static_cast<std::uint32_t>(p[2]) << 16 |
-         static_cast<std::uint32_t>(p[3]) << 24;
-}
-
-std::uint64_t read_u64le(const unsigned char* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
 
 /// The longest well-formed event: an opcode and two maximal varints. An
 /// event that starts this far before the end of its payload lies wholly
@@ -234,8 +222,8 @@ void BinaryTraceDecoder::decode_marker(const unsigned char* p) {
 }
 
 void BinaryTraceDecoder::decode_chunk_header(const unsigned char* p) {
-  payload_len_ = read_u32le(p);
-  payload_crc_ = read_u32le(p + 4);
+  payload_len_ = get_le<std::uint32_t>(p);
+  payload_crc_ = get_le<std::uint32_t>(p + 4);
   if (payload_len_ > kMaxChunkPayload) {
     std::ostringstream os;
     os << "chunk payload of " << payload_len_ << " bytes exceeds the "
@@ -537,10 +525,10 @@ bool BinaryTraceDecoder::decode_compressed_chunk(const unsigned char* p,
 }
 
 void BinaryTraceDecoder::decode_trailer(const unsigned char* p) {
-  if (crc32c(p, 8) != read_u32le(p + 8))
+  if (crc32c(p, 8) != get_le<std::uint32_t>(p + 8))
     fail(DecodeCode::kTrailerCrcMismatch, offset_,
          "trailer event count fails its CRC32C");
-  const std::uint64_t total = read_u64le(p);
+  const auto total = get_le<std::uint64_t>(p);
   if (total != events_decoded_) {
     std::ostringstream os;
     os << "trailer declares " << total << " event(s) but the chunks carried "

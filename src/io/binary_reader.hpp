@@ -99,6 +99,9 @@ class BinaryTraceDecoder {
 
   std::uint64_t events_decoded() const { return events_decoded_; }
   std::uint64_t bytes_consumed() const { return offset_; }
+  /// Bytes fed so far: those consumed plus the partial frame piece held in
+  /// the buffer.
+  std::uint64_t bytes_fed() const { return offset_ + buffer_.size(); }
   /// Bytes held resident: the current partial frame (<= header + largest
   /// frame) and the run template buffer. The quota accounting of a
   /// detection session charges these.

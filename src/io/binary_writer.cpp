@@ -5,27 +5,12 @@
 
 #include "compress/chunk_codec.hpp"
 #include "io/binary_format.hpp"
+#include "io/byte_codec.hpp"
 #include "io/crc32c.hpp"
 #include "io/varint.hpp"
 #include "support/assert.hpp"
 
 namespace race2d {
-
-namespace {
-
-void append_u32le(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xFF));
-  out.push_back(static_cast<char>((v >> 8) & 0xFF));
-  out.push_back(static_cast<char>((v >> 16) & 0xFF));
-  out.push_back(static_cast<char>((v >> 24) & 0xFF));
-}
-
-void append_u64le(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-}  // namespace
 
 BinaryTraceWriter::BinaryTraceWriter(std::ostream& os,
                                      BinaryWriteOptions options)
@@ -75,8 +60,8 @@ void BinaryTraceWriter::flush_chunk() {
   std::string frame;
   frame.reserve(payload.size() + 9);
   frame.push_back(static_cast<char>(marker));
-  append_u32le(frame, static_cast<std::uint32_t>(payload.size()));
-  append_u32le(frame, crc32c(payload.data(), payload.size()));
+  put_le(frame, static_cast<std::uint32_t>(payload.size()));
+  put_le(frame, crc32c(payload.data(), payload.size()));
   frame += payload;
   os_->write(frame.data(), static_cast<std::streamsize>(frame.size()));
   bytes_written_ += frame.size();
@@ -92,9 +77,9 @@ void BinaryTraceWriter::finish() {
   std::string trailer;
   trailer.push_back(static_cast<char>(kTrailerMarker));
   std::string count;
-  append_u64le(count, total_events_);
+  put_le(count, total_events_);
   trailer += count;
-  append_u32le(trailer, crc32c(count.data(), count.size()));
+  put_le(trailer, crc32c(count.data(), count.size()));
   os_->write(trailer.data(), static_cast<std::streamsize>(trailer.size()));
   bytes_written_ += trailer.size();
   os_->flush();

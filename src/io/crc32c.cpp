@@ -6,6 +6,8 @@
 #include <nmmintrin.h>
 #endif
 
+#include "io/byte_codec.hpp"
+
 namespace race2d {
 
 namespace {
@@ -87,14 +89,8 @@ std::uint32_t crc32c_portable(const void* data, std::size_t size,
   crc = ~crc;
   while (size >= 8) {
     // Little-endian-agnostic byte loads; the compiler fuses them.
-    const std::uint32_t lo = crc ^ (static_cast<std::uint32_t>(p[0]) |
-                                    static_cast<std::uint32_t>(p[1]) << 8 |
-                                    static_cast<std::uint32_t>(p[2]) << 16 |
-                                    static_cast<std::uint32_t>(p[3]) << 24);
-    const std::uint32_t hi = static_cast<std::uint32_t>(p[4]) |
-                             static_cast<std::uint32_t>(p[5]) << 8 |
-                             static_cast<std::uint32_t>(p[6]) << 16 |
-                             static_cast<std::uint32_t>(p[7]) << 24;
+    const std::uint32_t lo = crc ^ get_le<std::uint32_t>(p);
+    const auto hi = get_le<std::uint32_t>(p + 4);
     crc = tb.t[7][lo & 0xFF] ^ tb.t[6][(lo >> 8) & 0xFF] ^
           tb.t[5][(lo >> 16) & 0xFF] ^ tb.t[4][lo >> 24] ^
           tb.t[3][hi & 0xFF] ^ tb.t[2][(hi >> 8) & 0xFF] ^

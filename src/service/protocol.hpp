@@ -30,26 +30,34 @@
 //     OK+OPEN   body := empty (the session id is the header field)
 //     OK+FEED   body := events:u64le  pending_reports:u32le  backpressure:u8
 //     OK+DRAIN  body := more:u8  count:u32le  count * report
-//               report := loc:u64le task:u32le curr_kind:u8 prior_kind:u8
-//                         ordinal:u64le
 //     OK+CLOSE  body := complete:u8  events:u64le  reports:u64le
 //     OK+STATS  body := utf-8 metrics JSON
 //     OK+SNAPSHOT body := the snapshot blob (self-framing: magic + length +
 //                         CRC32C, see service/snapshot.hpp)
 //     OK+RESTORE  body := empty (the fresh session id is the header field)
 //
+//   report := loc:u64le task:u32le curr_kind:u8 prior_kind:u8 ordinal:u64le
+//
+// Each of these is defined once. The frame is built by append_frame and
+// parsed by frame_length, for the pipe, the socket server and the client
+// alike, and its two faults read the same on both transports. The 22-byte
+// report record is put_report/get_report, for DRAIN answers and snapshot
+// blobs alike. Every integer goes through io/byte_codec.hpp.
+//
 // Both sides decode defensively: any malformed payload yields a structured
 // decode failure (the server answers kBadFrame, it never crashes), and
-// encode∘decode is identity — service_test round-trips every shape.
+// encode∘decode is identity — service_test pins every shape's bytes.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/report.hpp"
+#include "io/byte_codec.hpp"
 
 namespace race2d {
 
@@ -152,17 +160,34 @@ Response error_response(Verb verb, std::uint32_t session, ServiceStatus status,
 /// Payload codecs. decode_* return false and set `error` on malformed input
 /// (undersized body, trailing bytes, out-of-range enum) — they never throw.
 std::string encode_request(const Request& request);
-bool decode_request(const std::string& payload, Request& out,
+bool decode_request(std::string_view payload, Request& out,
                     std::string& error);
 std::string encode_response(const Response& response);
-bool decode_response(const std::string& payload, Response& out,
+bool decode_response(std::string_view payload, Response& out,
                      std::string& error);
 
-/// Stream framing. write_frame rejects oversized payloads with a
-/// ContractViolation (the caller built an illegal frame). read_frame
-/// returns false on clean EOF before a frame starts; `error` is set (with
-/// false) on a truncated or oversized frame.
-void write_frame(std::ostream& os, const std::string& payload);
+/// The report record DRAIN answers and snapshot blobs carry.
+inline constexpr std::size_t kReportRecordBytes = 22;
+void put_report(std::string& out, const RaceReport& report);
+/// Reads one record. False when fewer than kReportRecordBytes remain or a
+/// kind byte names no AccessKind.
+bool get_report(ByteReader& in, RaceReport& report);
+
+/// Stream framing. append_frame appends `payload` behind its length
+/// prefix; the caller keeps it within kMaxFrameBytes. frame_length reads
+/// the prefix at the front of `bytes` (at least 4 of them) and fails, with
+/// `error` set, on a length past the cap. truncated_frame is the error of
+/// a stream that ended `buffered` bytes into a frame.
+void append_frame(std::string& out, std::string_view payload);
+bool frame_length(std::string_view bytes, std::uint32_t& len,
+                  std::string& error);
+std::string truncated_frame(std::size_t buffered);
+
+/// Framing over iostreams (the pipe transport, tests). write_frame rejects
+/// oversized payloads with a ContractViolation (the caller built an
+/// illegal frame). read_frame returns false on clean EOF before a frame
+/// starts; `error` is set (with false) on a truncated or oversized frame.
+void write_frame(std::ostream& os, std::string_view payload);
 bool read_frame(std::istream& is, std::string& payload, std::string& error);
 
 }  // namespace race2d

@@ -10,6 +10,7 @@
 #include <memory>
 #include <ostream>
 #include <set>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -35,10 +36,7 @@ std::uint64_t serve_pipe(std::istream& in, std::ostream& out,
   }
   if (!error.empty()) {
     // Frame boundaries are lost: answer once and stop parsing the stream.
-    pool.count_frame(true);
-    write_frame(out, encode_response(error_response(
-                         Verb::kStats, 0, ServiceStatus::kBadFrame,
-                         std::move(error))));
+    write_frame(out, encode_response(pool.framing_fault(std::move(error))));
     out.flush();
     ++answered;
   }
@@ -148,47 +146,36 @@ class ShardConns {
     ingest(id, c);
     if (c.peer_eof && !c.in.empty() && !c.broken) {
       // Bytes left that can never complete a frame: truncated frame.
-      pool_.count_frame(true);
       c.broken = true;
       answer(c, c.next_request_seq++,
-             error_response(Verb::kStats, 0, ServiceStatus::kBadFrame,
-                            "connection ended inside a frame"));
+             pool_.framing_fault(truncated_frame(c.in.size())));
     }
   }
 
   /// Parses complete frames out of the reassembly buffer and runs them.
+  /// Each request is decoded from its frame in place.
   void ingest(std::uint64_t id, Conn& c) {
+    const std::string_view in = c.in;
     std::size_t pos = 0;
-    while (!c.broken && c.in.size() - pos >= 4) {
-      std::uint32_t len = 0;
-      for (int i = 0; i < 4; ++i)
-        len |= static_cast<std::uint32_t>(
-                   static_cast<unsigned char>(c.in[pos + static_cast<std::size_t>(i)]))
-               << (8 * i);
-      if (len > kMaxFrameBytes) {
-        pool_.count_frame(true);
+    std::uint32_t len = 0;
+    std::string error;
+    while (!c.broken && in.size() - pos >= 4) {
+      if (!frame_length(in.substr(pos), len, error)) {
         c.broken = true;
         answer(c, c.next_request_seq++,
-               error_response(Verb::kStats, 0, ServiceStatus::kBadFrame,
-                              "frame length exceeds the cap"));
+               pool_.framing_fault(std::move(error)));
         break;
       }
-      if (c.in.size() - pos - 4 < len) break;  // partial frame: wait
-      const std::string payload = c.in.substr(pos + 4, len);
+      if (in.size() - pos - 4 < len) break;  // partial frame: wait
+      const std::string_view payload = in.substr(pos + 4, len);
       pos += 4 + len;
       const std::uint64_t seq = c.next_request_seq++;
       Request request;
-      std::string error;
-      if (!decode_request(payload, request, error)) {
-        pool_.count_frame(true);
-        // Framing is intact — answer and keep the stream alive.
-        answer(c, seq,
-               error_response(Verb::kStats, 0, ServiceStatus::kBadFrame,
-                              std::move(error)));
-        continue;
-      }
-      pool_.count_frame(false);
-      dispatch(id, c, seq, std::move(request));
+      Response bad;
+      if (pool_.accept_frame(payload, request, bad))
+        dispatch(id, c, seq, std::move(request));
+      else
+        answer(c, seq, bad);  // framing is intact: the stream goes on
     }
     c.in.erase(0, pos);
   }
@@ -234,12 +221,8 @@ class ShardConns {
   /// earlier answer still missing. Never destroys the connection.
   void answer(Conn& c, std::uint64_t seq, const Response& response) {
     track_sessions(c, response);
-    const std::string payload = encode_response(response);
     std::string framed;
-    framed.reserve(4 + payload.size());
-    for (int i = 0; i < 4; ++i)
-      framed.push_back(static_cast<char>((payload.size() >> (8 * i)) & 0xffu));
-    framed.append(payload);
+    append_frame(framed, encode_response(response));
     c.ready.emplace(seq, std::move(framed));
     for (auto it = c.ready.begin();
          it != c.ready.end() && it->first == c.next_flush_seq;) {

@@ -23,12 +23,15 @@
 //    disconnect closes the connection's own sessions — no leak — and never
 //    touches other connections'.
 //
-// Both transports answer a malformed frame (bad length prefix, truncated
-// payload at EOF, oversized length) with a kBadFrame response and then drop
-// the byte stream — after a framing error the boundary of the next frame is
-// unknowable, so continuing would misparse everything after it. A payload
-// that frames correctly but fails request decode answers kBadFrame and the
-// stream continues (the framing layer is intact).
+// Both transports parse frames with the one frame codec (protocol.hpp) and
+// hand them to the pool's frame entry (WorkerPool::accept_frame,
+// framing_fault), so both count a frame and word a fault alike. A framing
+// fault (an oversized length prefix, or a stream that ends inside a frame)
+// gets one kBadFrame answer and then the byte stream is dropped — after it
+// the boundary of the next frame is unknowable, so continuing would
+// misparse everything after it. A payload that frames correctly but fails
+// request decode answers kBadFrame and the stream continues (the framing
+// layer is intact).
 #pragma once
 
 #include <atomic>

@@ -69,12 +69,9 @@ DetectionSession::FeedOutcome DetectionSession::feed(const std::string& bytes) {
   const std::uint64_t events_before = events_total_;
   FeedOutcome out;
   try {
-    if (decoder_.feed(bytes.data(), bytes.size(), *this)) {
-      fed_bytes_ += bytes.size();
-    } else {
+    if (!decoder_.feed(bytes.data(), bytes.size(), *this))
       out = poison(ServiceStatus::kLintReject,
                    to_string(lint_.result().first_error()));
-    }
   } catch (const TraceDecodeError& e) {
     out = poison(ServiceStatus::kDecodeReject, e.what());
   }
@@ -158,7 +155,6 @@ DetectionSession::State DetectionSession::export_state() const {
   s.policy = policy();
   s.max_pending_reports = max_pending_reports_;
   s.events_total = events_total_;
-  s.fed_bytes = fed_bytes_;
   s.decoder = decoder_.export_state();
   s.lint = lint_.export_state();
   s.detector = detector_.export_state();
@@ -175,7 +171,6 @@ std::unique_ptr<DetectionSession> DetectionSession::restore(State&& s) {
   session->detector_.import_state(std::move(s.detector));
   session->pending_ = std::move(s.pending);
   session->events_total_ = s.events_total;
-  session->fed_bytes_ = s.fed_bytes;
   return session;
 }
 

@@ -89,9 +89,10 @@ class DetectionSession final : private EventSink {
   bool poisoned() const { return poison_status_ != ServiceStatus::kOk; }
 
   ReportPolicy policy() const { return detector_.reporter().policy(); }
-  /// Wire bytes successfully decoded so far (what a snapshot covers — the
-  /// restoring client resumes its stream at this offset).
-  std::uint64_t fed_bytes() const { return fed_bytes_; }
+  /// Wire bytes fed so far: those decoded plus the partial frame the
+  /// decoder holds (what a snapshot covers — the restoring client resumes
+  /// its stream at this offset).
+  std::uint64_t fed_bytes() const { return decoder_.bytes_fed(); }
 
   /// Plain-data image of the whole session pipeline. Only live, unpoisoned
   /// sessions are snapshotable — export_state on a poisoned session is a
@@ -100,7 +101,6 @@ class DetectionSession final : private EventSink {
     ReportPolicy policy = ReportPolicy::kAll;
     std::uint64_t max_pending_reports = 0;
     std::uint64_t events_total = 0;
-    std::uint64_t fed_bytes = 0;
     BinaryTraceDecoder::Snapshot decoder;
     TraceLintStream::Snapshot lint;
     OnlineRaceDetector::State detector;
@@ -134,7 +134,6 @@ class DetectionSession final : private EventSink {
   std::vector<RaceReport> pending_;
   std::size_t drained_ = 0;
   std::uint64_t events_total_ = 0;
-  std::uint64_t fed_bytes_ = 0;  ///< wire bytes successfully decoded
   ServiceStatus poison_status_ = ServiceStatus::kOk;
   std::string poison_message_;
 };

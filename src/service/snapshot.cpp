@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string_view>
 #include <utility>
 
+#include "io/byte_codec.hpp"
 #include "io/crc32c.hpp"
 #include "support/assert.hpp"
 #include "support/flat_hash_map.hpp"
@@ -43,15 +45,9 @@ struct SnapshotReject {
 struct Writer {
   std::string out;
 
-  void u8(std::uint8_t v) { out.push_back(static_cast<char>(v)); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i)
-      out.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i)
-      out.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-  }
+  void u8(std::uint8_t v) { put_le(out, v); }
+  void u32(std::uint32_t v) { put_le(out, v); }
+  void u64(std::uint64_t v) { put_le(out, v); }
   void bytes(const void* data, std::size_t size) {
     out.append(static_cast<const char*>(data), size);
   }
@@ -59,85 +55,55 @@ struct Writer {
 
 // ---------------------------------------------------------------- reader --
 
-/// Bounds-checked little-endian reader; every underrun is a K005.
+/// The snapshot's view of a ByteReader: every underrun is a K005.
 struct Reader {
-  const unsigned char* p;
-  std::size_t size;
-  std::size_t pos = 0;
+  ByteReader in;
 
-  Reader(const void* data, std::size_t n)
-      : p(static_cast<const unsigned char*>(data)), size(n) {}
-
-  std::size_t remaining() const { return size - pos; }
-
-  void need(std::size_t n) {
-    if (remaining() < n) reject("K005", "payload structure truncated");
-  }
-  std::uint8_t u8() {
-    need(1);
-    return p[pos++];
-  }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(p[pos + static_cast<std::size_t>(i)])
-           << (8 * i);
-    pos += 4;
+  template <class T>
+  T get() {
+    T v = 0;
+    if (!in.get(v)) truncated();
     return v;
   }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(p[pos + static_cast<std::size_t>(i)])
-           << (8 * i);
-    pos += 8;
-    return v;
+  std::uint8_t u8() { return get<std::uint8_t>(); }
+  std::uint32_t u32() { return get<std::uint32_t>(); }
+  std::uint64_t u64() { return get<std::uint64_t>(); }
+  std::string_view bytes(std::size_t n) {
+    std::string_view out;
+    if (!in.take(n, out)) truncated();
+    return out;
   }
   /// An element count followed by `min_elem_bytes`-sized elements cannot
   /// exceed the bytes left — checked BEFORE any reserve so a hostile count
   /// cannot force a huge allocation.
   std::size_t count(std::size_t min_elem_bytes) {
     const std::uint64_t n = u64();
-    if (min_elem_bytes != 0 && n > remaining() / min_elem_bytes)
+    if (min_elem_bytes != 0 && n > in.remaining() / min_elem_bytes)
       reject("K005", "element count exceeds the payload size");
     return static_cast<std::size_t>(n);
+  }
+  [[noreturn]] static void truncated() {
+    reject("K005", "payload structure truncated");
   }
 };
 
 // ------------------------------------------------------- report sections --
 
-void put_report(Writer& w, const RaceReport& r) {
-  w.u64(r.loc);
-  w.u32(r.current_task);
-  w.u8(static_cast<std::uint8_t>(r.current_kind));
-  w.u8(static_cast<std::uint8_t>(r.prior_kind));
-  w.u64(static_cast<std::uint64_t>(r.access_index));
-}
-
 RaceReport get_report(Reader& r) {
+  if (r.in.remaining() < kReportRecordBytes) r.truncated();
   RaceReport out;
-  out.loc = r.u64();
-  out.current_task = r.u32();
-  const std::uint8_t ck = r.u8();
-  const std::uint8_t pk = r.u8();
-  if (ck > static_cast<std::uint8_t>(AccessKind::kRetire) ||
-      pk > static_cast<std::uint8_t>(AccessKind::kRetire))
+  if (!get_report(r.in, out))
     reject("K006", "report names an unknown access kind");
-  out.current_kind = static_cast<AccessKind>(ck);
-  out.prior_kind = static_cast<AccessKind>(pk);
-  out.access_index = static_cast<std::size_t>(r.u64());
   return out;
 }
 
 void put_reports(Writer& w, const std::vector<RaceReport>& reports) {
   w.u64(reports.size());
-  for (const RaceReport& r : reports) put_report(w, r);
+  for (const RaceReport& r : reports) put_report(w.out, r);
 }
 
 std::vector<RaceReport> get_reports(Reader& r) {
-  const std::size_t n = r.count(22);
+  const std::size_t n = r.count(kReportRecordBytes);
   std::vector<RaceReport> out;
   out.reserve(n);
   for (std::size_t i = 0; i < n; ++i) out.push_back(get_report(r));
@@ -176,10 +142,8 @@ BinaryTraceDecoder::Snapshot get_decoder(Reader& r) {
   d.payload_crc = r.u32();
   d.offset = r.u64();
   d.events_decoded = r.u64();
-  const std::size_t n = r.count(1);
-  r.need(n);
-  d.buffer.assign(r.p + r.pos, r.p + r.pos + n);
-  r.pos += n;
+  const std::string_view buffer = r.bytes(r.count(1));
+  d.buffer.assign(buffer.begin(), buffer.end());
   // 3 == State::kChunkPayload, which collects payload_len bytes.
   if (d.state == 3 && (d.payload_len == 0 || d.payload_len > kMaxChunkPayload))
     reject("K006", "decoder chunk payload length out of range");
@@ -312,7 +276,7 @@ void put_dsu(Writer& w, const OnlineRaceDetector::State& s) {
     w.u32(cell.epoch_task);
   }
   put_reports(w, s.undrained);
-  put_report(w, s.first);
+  put_report(w.out, s.first);
   w.u64(s.reports_total);
   w.u64(s.access_count);
 }
@@ -352,18 +316,16 @@ OnlineRaceDetector::State get_dsu(Reader& r) {
     if (v >= n) reject("K007", "DSU parent names a missing slot");
     s.engine.parent.push_back(v);
   }
-  r.need(n);
-  s.engine.rank.assign(r.p + r.pos, r.p + r.pos + n);
-  r.pos += n;
+  const std::string_view rank = r.bytes(n);
+  s.engine.rank.assign(rank.begin(), rank.end());
   s.engine.label.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint32_t v = r.u32();
     if (v >= n) reject("K007", "DSU label names a missing slot");
     s.engine.label.push_back(v);
   }
-  r.need(n);
-  s.engine.visited.assign(r.p + r.pos, r.p + r.pos + n);
-  r.pos += n;
+  const std::string_view visited = r.bytes(n);
+  s.engine.visited.assign(visited.begin(), visited.end());
   // Union by rank keeps every parent's rank above its child's; a forest
   // that breaks this can hold a cycle, on which a find never returns.
   for (std::size_t x = 0; x < n; ++x)
@@ -417,29 +379,24 @@ void check_line_has_slots(const TraceLintStream::Snapshot& lint,
 // ----------------------------------------------------------- whole blobs --
 
 /// Frames, CRC-checks and opens `blob`; returns a reader over the payload.
-Reader open_payload(const std::string& blob) {
+Reader open_payload(std::string_view blob) {
   if (blob.size() < kHeaderBytes)
     reject("K001", "blob truncated before the fixed header");
   if (std::memcmp(blob.data(), kMagic, sizeof(kMagic)) != 0)
     reject("K002", "bad magic or unsupported snapshot version");
-  const unsigned char* p =
-      reinterpret_cast<const unsigned char*>(blob.data()) + sizeof(kMagic);
-  std::uint32_t len = 0;
-  std::uint32_t crc = 0;
-  for (int i = 0; i < 4; ++i) {
-    len |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    crc |= static_cast<std::uint32_t>(p[4 + i]) << (8 * i);
-  }
+  const std::uint32_t len = get_le<std::uint32_t>(blob.data() + 8);
+  const std::uint32_t crc = get_le<std::uint32_t>(blob.data() + 12);
   if (blob.size() != kHeaderBytes + static_cast<std::size_t>(len))
     reject("K003", "payload length disagrees with the blob size");
-  const char* payload = blob.data() + kHeaderBytes;
-  if (crc32c(payload, len) != crc) reject("K004", "payload CRC32C mismatch");
-  return Reader(payload, len);
+  const std::string_view payload = blob.substr(kHeaderBytes);
+  if (crc32c(payload.data(), len) != crc)
+    reject("K004", "payload CRC32C mismatch");
+  return Reader{ByteReader(payload)};
 }
 
 DetectionSession::State decode_payload(Reader& r, std::uint64_t& quota_bytes) {
   DetectionSession::State s;
-  s.fed_bytes = r.u64();
+  const std::uint64_t fed_bytes = r.u64();
   const std::uint8_t policy = r.u8();
   if (policy > static_cast<std::uint8_t>(ReportPolicy::kFirstOnly))
     reject("K006", "unknown report policy");
@@ -451,11 +408,13 @@ DetectionSession::State decode_payload(Reader& r, std::uint64_t& quota_bytes) {
     reject("K006", "pending-report cap out of range");
   s.events_total = r.u64();
   s.decoder = get_decoder(r);
+  if (fed_bytes != s.decoder.offset + s.decoder.buffer.size())
+    reject("K007", "fed byte count disagrees with the decoder");
   s.lint = get_lint(r);
   s.detector = get_dsu(r);
   check_line_has_slots(s.lint, s.detector);
   s.pending = get_reports(r);
-  if (r.remaining() != 0)
+  if (r.in.remaining() != 0)
     reject("K005", "trailing bytes after the session state");
   return s;
 }
@@ -466,7 +425,7 @@ std::string snapshot_session(const DetectionSession& session,
                              std::size_t quota_bytes) {
   DetectionSession::State s = session.export_state();
   Writer w;
-  w.u64(s.fed_bytes);
+  w.u64(session.fed_bytes());
   w.u8(static_cast<std::uint8_t>(s.policy));
   w.u64(static_cast<std::uint64_t>(quota_bytes));
   w.u64(s.max_pending_reports);
@@ -479,10 +438,8 @@ std::string snapshot_session(const DetectionSession& session,
   std::string blob;
   blob.reserve(kHeaderBytes + w.out.size());
   blob.append(kMagic, sizeof(kMagic));
-  Writer header;
-  header.u32(static_cast<std::uint32_t>(w.out.size()));
-  header.u32(crc32c(w.out.data(), w.out.size()));
-  blob.append(header.out);
+  put_le(blob, static_cast<std::uint32_t>(w.out.size()));
+  put_le(blob, crc32c(w.out.data(), w.out.size()));
   blob.append(w.out);
   return blob;
 }

@@ -30,8 +30,9 @@
 //   K005  payload structure truncated or carries trailing bytes
 //   K006  a field holds an out-of-range value
 //   K007  cross-field validation failed (an index names a missing object,
-//         the lint gate and the DSU disagree on the task count, or a task
-//         on the lint line has no live DSU slot)
+//         the lint gate and the DSU disagree on the task count, a task on
+//         the lint line has no live DSU slot, or fed_bytes is not the
+//         decoder's offset plus the partial frame it holds)
 //   K008  session not snapshotable (poisoned, or the blob would exceed the
 //         protocol frame cap)
 //

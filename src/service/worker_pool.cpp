@@ -232,16 +232,27 @@ Response WorkerPool::handle(const Request& request) {
   return future.get();
 }
 
-Response WorkerPool::handle_frame(const std::string& payload) {
-  Request request;
+bool WorkerPool::accept_frame(std::string_view payload, Request& request,
+                              Response& bad) {
   std::string error;
-  if (!decode_request(payload, request, error)) {
-    count_frame(true);
-    return error_response(Verb::kStats, 0, ServiceStatus::kBadFrame,
-                          std::move(error));
-  }
-  count_frame(false);
-  return handle(request);
+  const bool ok = decode_request(payload, request, error);
+  count_frame(!ok);
+  if (!ok)
+    bad = error_response(Verb::kStats, 0, ServiceStatus::kBadFrame,
+                         std::move(error));
+  return ok;
+}
+
+Response WorkerPool::framing_fault(std::string message) {
+  count_frame(true);
+  return error_response(Verb::kStats, 0, ServiceStatus::kBadFrame,
+                        std::move(message));
+}
+
+Response WorkerPool::handle_frame(std::string_view payload) {
+  Request request;
+  Response bad;
+  return accept_frame(payload, request, bad) ? handle(request) : bad;
 }
 
 std::string WorkerPool::metrics_json() const {

@@ -49,6 +49,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -82,9 +83,22 @@ class WorkerPool {
 
   /// Synchronous submit: blocks until the response is ready.
   Response handle(const Request& request);
-  /// Frame entry: decodes the payload first and counts the frame;
-  /// undecodable payloads answer kBadFrame, never throw.
-  Response handle_frame(const std::string& payload);
+
+  // ---- The frame entry: where both transports hand in what they read ----
+  // Frames are counted here and nowhere else, and every kBadFrame answer
+  // is built here. Thread-safe.
+
+  /// Decodes `payload` into `request` and counts the frame. An
+  /// undecodable payload counts as bad and returns false with its answer
+  /// in `bad`; the framing is intact, so the stream goes on.
+  bool accept_frame(std::string_view payload, Request& request,
+                    Response& bad);
+  /// Counts a framing fault (an oversized length prefix, or a stream that
+  /// ends inside a frame) and returns its answer. Frame boundaries are
+  /// lost, so the transport answers once and stops reading the stream.
+  Response framing_fault(std::string message);
+  /// accept_frame, then handle: the pipe transport's whole step.
+  Response handle_frame(std::string_view payload);
 
   /// Pool-wide metrics JSON: aggregate counters plus one nested object per
   /// shard. Thread-safe (atomics only).
@@ -103,14 +117,6 @@ class WorkerPool {
   /// Cold-tier aggregates across shards (0 when no spill dir is configured).
   std::size_t spilled_sessions() const;
   std::uint64_t rehydrations() const;
-
-  /// Frame accounting: handle_frame counts the frames it decodes, and the
-  /// transports count the framing errors they answer themselves (and the
-  /// socket server the frames it decodes). Thread-safe.
-  void count_frame(bool bad) {
-    frames_.fetch_add(1, std::memory_order_relaxed);
-    if (bad) bad_frames_.fetch_add(1, std::memory_order_relaxed);
-  }
 
   // ---- The shard loops as a transport drives them (serve_unix_socket) ----
 
@@ -160,6 +166,10 @@ class WorkerPool {
   };
 
   void loop(std::size_t index);
+  void count_frame(bool bad) {
+    frames_.fetch_add(1, std::memory_order_relaxed);
+    if (bad) bad_frames_.fetch_add(1, std::memory_order_relaxed);
+  }
   Response stats(const Request& request) const;
   /// Posts EvictHeaviest to the heaviest shard while the pool-wide resident
   /// sum exceeds the budget (one command in flight at a time).

@@ -1,158 +1,108 @@
 #include "verify/diagnostics.hpp"
 
+#include <iterator>
 #include <sstream>
 
 namespace race2d {
 
+namespace {
+
+struct LintCodeInfo {
+  const char* id;
+  const char* slug;
+  LintSeverity severity;
+};
+
+using enum LintSeverity;
+
+/// One row per LintCode, in enumerator order.
+constexpr LintCodeInfo kLintCodeTable[] = {
+    {"L001", "unknown-actor", kError},
+    {"L002", "actor-halted", kError},
+    {"L003", "double-halt", kError},
+    {"L004", "fork-child-collision", kError},
+    {"L005", "fork-child-not-dense", kError},
+    {"L006", "out-of-serial-order", kError},
+    {"L007", "join-target-unknown", kError},
+    {"L008", "join-target-not-halted", kError},
+    {"L009", "join-not-left-neighbor", kError},
+    {"L010", "join-target-already-joined", kError},
+    {"L011", "event-after-root-halt", kError},
+    {"L012", "truncated-trace", kError},
+    {"L013", "unjoined-task", kError},
+    {"L014", "finish-end-unbalanced", kError},
+    {"L015", "finish-unclosed", kError},
+    {"L016", "invalid-task-id", kError},
+    {"L017", "release-without-acquire", kError},
+    {"L018", "cross-task-mutex-release", kError},
+    {"L019", "mutex-unreleased-at-halt", kError},
+    {"L020", "double-acquire", kError},
+    {"W101", "access-after-retire", kWarning},
+    {"W102", "dead-retire", kWarning},
+    {"D001", "empty-diagram", kError},
+    {"D002", "not-single-source", kError},
+    {"D003", "unreachable-or-cyclic", kError},
+    {"D004", "self-arc", kError},
+    {"D005", "duplicate-arc", kError},
+    {"D006", "ops-shape-mismatch", kError},
+    {"T001", "vertex-out-of-range", kError},
+    {"T002", "missing-loop", kError},
+    {"T003", "duplicate-loop", kError},
+    {"T004", "unknown-arc", kError},
+    {"T005", "arc-out-of-order", kError},
+    {"T006", "fan-order-violation", kError},
+    {"T007", "last-arc-mismatch", kError},
+    {"T008", "stop-arc-violation", kError},
+    {"T009", "missing-arc", kError},
+    {"S001", "skel-join-underflow", kError},
+    {"S002", "skel-unjoined-at-halt", kError},
+    {"S003", "skel-loop-bounds", kError},
+    {"S004", "skel-branch-empty", kError},
+    {"S005", "skel-interval-invalid", kError},
+    {"S006", "skel-async-outside-finish", kError},
+    {"S007", "skel-pipeline-shape", kError},
+    {"S008", "skel-node-shape", kError},
+    {"S009", "skel-config-space-truncated", kWarning},
+    {"S010", "skel-budget-exceeded", kError},
+    {"S011", "skel-possible-violation", kWarning},
+    {"S012", "skel-get-before-future", kError},
+    {"S013", "skel-future-never-got", kError},
+    {"S014", "skel-future-get-cycle", kError},
+    {"S015", "skel-get-aliases-cells", kWarning},
+    {"S016", "skel-handoff-cell-escapes", kWarning},
+    {"S017", "skel-future-budget-exceeded", kError},
+    {"S018", "skel-futures-need-relaxed-mode", kError},
+    {"S019", "skel-release-unheld-mutex", kError},
+    {"S020", "skel-double-acquire", kError},
+    {"S021", "skel-mutex-unreleased-at-halt", kError},
+    {"S022", "skel-lock-order-cycle", kWarning},
+    {"S023", "skel-acquire-across-sync", kWarning},
+    {"S024", "skel-possible-lock-violation", kWarning},
+};
+static_assert(std::size(kLintCodeTable) ==
+                  static_cast<std::size_t>(LintCode::kSkelLockPossible) + 1,
+              "one kLintCodeTable row per LintCode");
+
+const LintCodeInfo* lint_code_info(LintCode code) {
+  const auto i = static_cast<std::size_t>(code);
+  return i < std::size(kLintCodeTable) ? &kLintCodeTable[i] : nullptr;
+}
+
+}  // namespace
+
 const char* lint_code_id(LintCode code) {
-  switch (code) {
-    case LintCode::kUnknownActor:        return "L001";
-    case LintCode::kActorHalted:         return "L002";
-    case LintCode::kDoubleHalt:          return "L003";
-    case LintCode::kForkChildCollision:  return "L004";
-    case LintCode::kForkChildNotDense:   return "L005";
-    case LintCode::kOutOfSerialOrder:    return "L006";
-    case LintCode::kJoinTargetUnknown:   return "L007";
-    case LintCode::kJoinTargetNotHalted: return "L008";
-    case LintCode::kJoinNotLeftNeighbor: return "L009";
-    case LintCode::kJoinTargetJoined:    return "L010";
-    case LintCode::kEventAfterRootHalt:  return "L011";
-    case LintCode::kTruncatedTrace:      return "L012";
-    case LintCode::kUnjoinedTask:        return "L013";
-    case LintCode::kFinishEndUnbalanced: return "L014";
-    case LintCode::kFinishUnclosed:      return "L015";
-    case LintCode::kInvalidTaskId:       return "L016";
-    case LintCode::kReleaseWithoutAcquire:return "L017";
-    case LintCode::kCrossTaskRelease:    return "L018";
-    case LintCode::kUnreleasedAtHalt:    return "L019";
-    case LintCode::kDoubleAcquire:       return "L020";
-    case LintCode::kAccessAfterRetire:   return "W101";
-    case LintCode::kDeadRetire:          return "W102";
-    case LintCode::kEmptyDiagram:        return "D001";
-    case LintCode::kNotSingleSource:     return "D002";
-    case LintCode::kUnreachableOrCyclic: return "D003";
-    case LintCode::kSelfArc:             return "D004";
-    case LintCode::kDuplicateArc:        return "D005";
-    case LintCode::kOpsShapeMismatch:    return "D006";
-    case LintCode::kVertexOutOfRange:    return "T001";
-    case LintCode::kMissingLoop:         return "T002";
-    case LintCode::kDuplicateLoop:       return "T003";
-    case LintCode::kUnknownArc:          return "T004";
-    case LintCode::kArcOutOfOrder:       return "T005";
-    case LintCode::kFanOrderViolation:   return "T006";
-    case LintCode::kLastArcMismatch:     return "T007";
-    case LintCode::kStopArcViolation:    return "T008";
-    case LintCode::kMissingArc:          return "T009";
-    case LintCode::kSkelJoinUnderflow:     return "S001";
-    case LintCode::kSkelUnjoinedAtHalt:    return "S002";
-    case LintCode::kSkelLoopBounds:        return "S003";
-    case LintCode::kSkelBranchEmpty:       return "S004";
-    case LintCode::kSkelIntervalInvalid:   return "S005";
-    case LintCode::kSkelAsyncOutsideFinish:return "S006";
-    case LintCode::kSkelPipelineShape:     return "S007";
-    case LintCode::kSkelNodeShape:         return "S008";
-    case LintCode::kSkelConfigTruncated:   return "S009";
-    case LintCode::kSkelBudgetExceeded:    return "S010";
-    case LintCode::kSkelPossibleViolation: return "S011";
-    case LintCode::kSkelGetUnfulfilled:    return "S012";
-    case LintCode::kSkelFutureNeverGot:    return "S013";
-    case LintCode::kSkelFutureCycle:       return "S014";
-    case LintCode::kSkelGetAliasesCells:   return "S015";
-    case LintCode::kSkelCellEscapes:       return "S016";
-    case LintCode::kSkelFutureBudget:      return "S017";
-    case LintCode::kSkelFuturesNeedRelaxed:return "S018";
-    case LintCode::kSkelReleaseUnheld:     return "S019";
-    case LintCode::kSkelDoubleAcquire:     return "S020";
-    case LintCode::kSkelUnreleasedAtHalt:  return "S021";
-    case LintCode::kSkelLockOrderCycle:    return "S022";
-    case LintCode::kSkelAcquireAcrossSync: return "S023";
-    case LintCode::kSkelLockPossible:      return "S024";
-  }
-  return "????";
+  const LintCodeInfo* info = lint_code_info(code);
+  return info != nullptr ? info->id : "????";
 }
 
 const char* lint_code_slug(LintCode code) {
-  switch (code) {
-    case LintCode::kUnknownActor:        return "unknown-actor";
-    case LintCode::kActorHalted:         return "actor-halted";
-    case LintCode::kDoubleHalt:          return "double-halt";
-    case LintCode::kForkChildCollision:  return "fork-child-collision";
-    case LintCode::kForkChildNotDense:   return "fork-child-not-dense";
-    case LintCode::kOutOfSerialOrder:    return "out-of-serial-order";
-    case LintCode::kJoinTargetUnknown:   return "join-target-unknown";
-    case LintCode::kJoinTargetNotHalted: return "join-target-not-halted";
-    case LintCode::kJoinNotLeftNeighbor: return "join-not-left-neighbor";
-    case LintCode::kJoinTargetJoined:    return "join-target-already-joined";
-    case LintCode::kEventAfterRootHalt:  return "event-after-root-halt";
-    case LintCode::kTruncatedTrace:      return "truncated-trace";
-    case LintCode::kUnjoinedTask:        return "unjoined-task";
-    case LintCode::kFinishEndUnbalanced: return "finish-end-unbalanced";
-    case LintCode::kFinishUnclosed:      return "finish-unclosed";
-    case LintCode::kInvalidTaskId:       return "invalid-task-id";
-    case LintCode::kReleaseWithoutAcquire:return "release-without-acquire";
-    case LintCode::kCrossTaskRelease:    return "cross-task-mutex-release";
-    case LintCode::kUnreleasedAtHalt:    return "mutex-unreleased-at-halt";
-    case LintCode::kDoubleAcquire:       return "double-acquire";
-    case LintCode::kAccessAfterRetire:   return "access-after-retire";
-    case LintCode::kDeadRetire:          return "dead-retire";
-    case LintCode::kEmptyDiagram:        return "empty-diagram";
-    case LintCode::kNotSingleSource:     return "not-single-source";
-    case LintCode::kUnreachableOrCyclic: return "unreachable-or-cyclic";
-    case LintCode::kSelfArc:             return "self-arc";
-    case LintCode::kDuplicateArc:        return "duplicate-arc";
-    case LintCode::kOpsShapeMismatch:    return "ops-shape-mismatch";
-    case LintCode::kVertexOutOfRange:    return "vertex-out-of-range";
-    case LintCode::kMissingLoop:         return "missing-loop";
-    case LintCode::kDuplicateLoop:       return "duplicate-loop";
-    case LintCode::kUnknownArc:          return "unknown-arc";
-    case LintCode::kArcOutOfOrder:       return "arc-out-of-order";
-    case LintCode::kFanOrderViolation:   return "fan-order-violation";
-    case LintCode::kLastArcMismatch:     return "last-arc-mismatch";
-    case LintCode::kStopArcViolation:    return "stop-arc-violation";
-    case LintCode::kMissingArc:          return "missing-arc";
-    case LintCode::kSkelJoinUnderflow:     return "skel-join-underflow";
-    case LintCode::kSkelUnjoinedAtHalt:    return "skel-unjoined-at-halt";
-    case LintCode::kSkelLoopBounds:        return "skel-loop-bounds";
-    case LintCode::kSkelBranchEmpty:       return "skel-branch-empty";
-    case LintCode::kSkelIntervalInvalid:   return "skel-interval-invalid";
-    case LintCode::kSkelAsyncOutsideFinish:return "skel-async-outside-finish";
-    case LintCode::kSkelPipelineShape:     return "skel-pipeline-shape";
-    case LintCode::kSkelNodeShape:         return "skel-node-shape";
-    case LintCode::kSkelConfigTruncated:   return "skel-config-space-truncated";
-    case LintCode::kSkelBudgetExceeded:    return "skel-budget-exceeded";
-    case LintCode::kSkelPossibleViolation: return "skel-possible-violation";
-    case LintCode::kSkelGetUnfulfilled:    return "skel-get-before-future";
-    case LintCode::kSkelFutureNeverGot:    return "skel-future-never-got";
-    case LintCode::kSkelFutureCycle:       return "skel-future-get-cycle";
-    case LintCode::kSkelGetAliasesCells:   return "skel-get-aliases-cells";
-    case LintCode::kSkelCellEscapes:       return "skel-handoff-cell-escapes";
-    case LintCode::kSkelFutureBudget:      return "skel-future-budget-exceeded";
-    case LintCode::kSkelFuturesNeedRelaxed:return "skel-futures-need-relaxed-mode";
-    case LintCode::kSkelReleaseUnheld:     return "skel-release-unheld-mutex";
-    case LintCode::kSkelDoubleAcquire:     return "skel-double-acquire";
-    case LintCode::kSkelUnreleasedAtHalt:  return "skel-mutex-unreleased-at-halt";
-    case LintCode::kSkelLockOrderCycle:    return "skel-lock-order-cycle";
-    case LintCode::kSkelAcquireAcrossSync: return "skel-acquire-across-sync";
-    case LintCode::kSkelLockPossible:      return "skel-possible-lock-violation";
-  }
-  return "unknown";
+  const LintCodeInfo* info = lint_code_info(code);
+  return info != nullptr ? info->slug : "unknown";
 }
 
 LintSeverity lint_code_severity(LintCode code) {
-  switch (code) {
-    case LintCode::kAccessAfterRetire:
-    case LintCode::kDeadRetire:
-    case LintCode::kSkelConfigTruncated:
-    case LintCode::kSkelPossibleViolation:
-    case LintCode::kSkelGetAliasesCells:
-    case LintCode::kSkelCellEscapes:
-    case LintCode::kSkelLockOrderCycle:
-    case LintCode::kSkelAcquireAcrossSync:
-    case LintCode::kSkelLockPossible:
-      return LintSeverity::kWarning;
-    default:
-      return LintSeverity::kError;
-  }
+  const LintCodeInfo* info = lint_code_info(code);
+  return info != nullptr ? info->severity : kError;
 }
 
 std::string to_string(const LintDiagnostic& d) {

@@ -5,8 +5,9 @@
 // connection. The server must never crash, never leak sessions, and never
 // corrupt the control session's report stream. Further tests pin where
 // sessions are placed, the forwarding of requests between shard loops, and
-// the accept pause under fd exhaustion. scripts/check.sh runs this under
-// TSan too.
+// the accept pause under fd exhaustion, and that a framing fault reads the
+// same on the socket as on the pipe. scripts/check.sh runs this under TSan
+// too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -355,6 +356,51 @@ TEST(ServiceFuzz, AdversarialClientsNeverCrashLeakOrCorrupt) {
   EXPECT_NE(rsp.message.find("\"workers\":4"), std::string::npos)
       << rsp.message;
   ::close(fd);
+}
+
+/// The pool-wide bad_frames count, read from its STATS JSON.
+std::uint64_t bad_frames(const WorkerPool& pool) {
+  const std::string json = pool.metrics_json();
+  const std::string key = "\"bad_frames\":";
+  return std::stoull(json.substr(json.find(key) + key.size()));
+}
+
+// A framing fault reads the same on both transports: one kBadFrame answer
+// with the same message, counted once in the pool's bad_frames, whether
+// the stream came through serve_pipe or a socket connection.
+TEST(ServiceFuzz, BothTransportsAnswerFramingFaultsAlike) {
+  const std::string faults[] = {
+      std::string("\x05\x00\x00\x01", 4),        // kMaxFrameBytes + 5
+      std::string("\xff\x00\x00\x00trunc", 9),  // payload cut short
+      std::string("\x05\x00", 2),                // prefix cut short
+  };
+  ServerFixture server;
+  for (const std::string& fault : faults) {
+    WorkerPool pool(1);
+    std::stringstream in(std::ios::in | std::ios::out | std::ios::binary);
+    std::stringstream out(std::ios::in | std::ios::out | std::ios::binary);
+    in.write(fault.data(), static_cast<std::streamsize>(fault.size()));
+    ASSERT_EQ(serve_pipe(in, out, pool), 1u);
+    std::string payload;
+    std::string error;
+    Response piped;
+    ASSERT_TRUE(read_frame(out, payload, error)) << error;
+    ASSERT_TRUE(decode_response(payload, piped, error)) << error;
+    EXPECT_EQ(piped.status, ServiceStatus::kBadFrame);
+    EXPECT_EQ(bad_frames(pool), 1u);
+
+    const std::uint64_t before = bad_frames(server.pool);
+    const int fd = server.try_connect();
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(write_all(fd, fault.data(), fault.size()));
+    ::shutdown(fd, SHUT_WR);  // the stream ends here
+    Response socketed;
+    ASSERT_TRUE(read_response(fd, socketed));
+    ::close(fd);
+    EXPECT_EQ(socketed.status, ServiceStatus::kBadFrame);
+    EXPECT_EQ(socketed.message, piped.message);
+    EXPECT_EQ(bad_frames(server.pool), before + 1);
+  }
 }
 
 Response must_open(int fd, Xoshiro256& rng) {

@@ -146,30 +146,130 @@ TEST(Protocol, ResponseCodecsRoundTrip) {
   EXPECT_EQ(back.message, err.message);
 }
 
-// The DRAIN layout, byte for byte: the response header (verb, status,
-// session), `more`, the count, then a 22-byte record per report (loc u64,
-// task u32, kind u8, prior kind u8, ordinal u64), all little-endian.
-TEST(Protocol, DrainResponseBytesAreFixed) {
-  Response rsp;
-  rsp.verb = Verb::kDrain;
-  rsp.session = 3;
-  rsp.drain.more = true;
-  rsp.drain.reports.push_back(
-      {0xabcdef, 7, AccessKind::kWrite, AccessKind::kRead, 42});
-  rsp.drain.reports.push_back(
-      {0x10, 2, AccessKind::kRetire, AccessKind::kWrite, 99});
-  const unsigned char golden[] = {
-      0x03, 0x00, 0x03, 0x00, 0x00, 0x00,              // DRAIN, ok, session 3
-      0x01, 0x02, 0x00, 0x00, 0x00,                    // more, 2 reports
-      0xef, 0xcd, 0xab, 0x00, 0x00, 0x00, 0x00, 0x00,  // loc 0xabcdef
-      0x07, 0x00, 0x00, 0x00, 0x01, 0x00,              // task 7, write/read
-      0x2a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // ordinal 42
-      0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // loc 0x10
-      0x02, 0x00, 0x00, 0x00, 0x02, 0x01,              // task 2, retire/write
-      0x63, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // ordinal 99
+/// The bytes a golden hex string spells; spaces only separate fields.
+std::string hex(const char* digits) {
+  std::string out;
+  int high = -1;
+  for (const char* c = digits; *c != '\0'; ++c) {
+    if (*c == ' ') continue;
+    const int nibble = *c <= '9' ? *c - '0' : *c - 'a' + 10;
+    if (high < 0) {
+      high = nibble;
+    } else {
+      out.push_back(static_cast<char>(high << 4 | nibble));
+      high = -1;
+    }
+  }
+  return out;
+}
+
+Request request_of(Verb verb) {
+  Request r;
+  r.verb = verb;
+  r.session = 0x04030201;
+  return r;
+}
+
+Response ok_response_of(Verb verb) {
+  Response r;
+  r.verb = verb;
+  r.session = 0x04030201;
+  return r;
+}
+
+// Every payload shape, byte for byte. Requests: the verb, the session
+// (u32le), then the body. Responses: the verb, the status, the session,
+// then the body. A DRAIN body is `more`, the count, and a 22-byte record
+// per report (loc u64, task u32, kind u8, prior kind u8, ordinal u64). Each
+// golden must be what the encoder writes, and must decode to a value that
+// re-encodes to it.
+TEST(Protocol, PayloadBytesAreFixed) {
+  struct RequestRow {
+    Request request;
+    const char* golden;
   };
-  EXPECT_EQ(encode_response(rsp),
-            std::string(reinterpret_cast<const char*>(golden), sizeof(golden)));
+  std::vector<RequestRow> requests;
+  Request open = request_of(Verb::kOpen);
+  open.open.policy = ReportPolicy::kFirstOnly;
+  open.open.quota_bytes = 0x1122334455667788;
+  open.open.engine = DetectorEngine::kDepa;
+  requests.push_back({open, "01 01020304 01 8877665544332211 01"});
+  Request feed = request_of(Verb::kFeed);
+  feed.bytes = std::string("R2DT\x00\xff", 6);
+  requests.push_back({feed, "02 01020304 52324454 00ff"});
+  Request drain = request_of(Verb::kDrain);
+  drain.max_reports = 0x0a0b0c0d;
+  requests.push_back({drain, "03 01020304 0d0c0b0a"});
+  requests.push_back({request_of(Verb::kClose), "04 01020304"});
+  requests.push_back({request_of(Verb::kStats), "05 01020304"});
+  requests.push_back({request_of(Verb::kSnapshot), "06 01020304"});
+  Request restore = request_of(Verb::kRestore);
+  restore.bytes = "blob";
+  requests.push_back({restore, "07 01020304 626c6f62"});
+  std::string error;
+  for (const RequestRow& row : requests) {
+    const std::string golden = hex(row.golden);
+    EXPECT_EQ(encode_request(row.request), golden) << row.golden;
+    Request back;
+    ASSERT_TRUE(decode_request(golden, back, error)) << row.golden << error;
+    EXPECT_EQ(encode_request(back), golden) << row.golden;
+  }
+  // An OPEN without its trailing engine byte names the DSU; it re-encodes
+  // with the byte.
+  Request legacy;
+  ASSERT_TRUE(
+      decode_request(hex("01 01020304 00 0000100000000000"), legacy, error))
+      << error;
+  EXPECT_EQ(legacy.open.engine, DetectorEngine::kDsu);
+  EXPECT_EQ(legacy.open.quota_bytes, 1u << 20);
+  EXPECT_EQ(encode_request(legacy), hex("01 01020304 00 0000100000000000 00"));
+
+  struct ResponseRow {
+    Response response;
+    const char* golden;
+  };
+  std::vector<ResponseRow> responses;
+  responses.push_back({ok_response_of(Verb::kOpen), "01 00 01020304"});
+  Response fed = ok_response_of(Verb::kFeed);
+  fed.feed.events = 0x0102030405060708;
+  fed.feed.pending_reports = 9;
+  fed.feed.backpressure = true;
+  responses.push_back(
+      {fed, "02 00 01020304 0807060504030201 09000000 01"});
+  Response drained = ok_response_of(Verb::kDrain);
+  drained.session = 3;
+  drained.drain.more = true;
+  drained.drain.reports.push_back(
+      {0xabcdef, 7, AccessKind::kWrite, AccessKind::kRead, 42});
+  drained.drain.reports.push_back(
+      {0x10, 2, AccessKind::kRetire, AccessKind::kWrite, 99});
+  responses.push_back({drained,
+                       "03 00 03000000 01 02000000"
+                       " efcdab0000000000 07000000 01 00 2a00000000000000"
+                       " 1000000000000000 02000000 02 01 6300000000000000"});
+  Response closed = ok_response_of(Verb::kClose);
+  closed.close.complete = true;
+  closed.close.events = 5;
+  closed.close.reports = 1;
+  responses.push_back(
+      {closed, "04 00 01020304 01 0500000000000000 0100000000000000"});
+  Response stats = ok_response_of(Verb::kStats);
+  stats.message = "{}";
+  responses.push_back({stats, "05 00 01020304 7b7d"});
+  Response snapshot = ok_response_of(Verb::kSnapshot);
+  snapshot.blob = "blob";
+  responses.push_back({snapshot, "06 00 01020304 626c6f62"});
+  responses.push_back({ok_response_of(Verb::kRestore), "07 00 01020304"});
+  responses.push_back({error_response(Verb::kFeed, 0x04030201,
+                                      ServiceStatus::kLintReject, "L006"),
+                       "02 07 01020304 4c303036"});
+  for (const ResponseRow& row : responses) {
+    const std::string golden = hex(row.golden);
+    EXPECT_EQ(encode_response(row.response), golden) << row.golden;
+    Response back;
+    ASSERT_TRUE(decode_response(golden, back, error)) << row.golden << error;
+    EXPECT_EQ(encode_response(back), golden) << row.golden;
+  }
 }
 
 TEST(Protocol, MalformedPayloadsAreRejectedNotCrashes) {

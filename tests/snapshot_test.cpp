@@ -9,13 +9,18 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "composed_program.hpp"
+#include "compress/spill_tier.hpp"
 #include "core/replay.hpp"
 #include "fuzz/fuzz_plan.hpp"
 #include "fuzz/trace_gen.hpp"
@@ -833,6 +838,38 @@ TEST(Snapshot, ResealedByteMutantsNeverEscapeTheService) {
       << escapes.front();
 }
 
+// The v6 blob of a fixed session cut inside a chunk payload, and the spill
+// file the cold tier writes for it, pinned by size and CRC32C: a codec
+// change that moves any byte of either format fails here.
+TEST(Snapshot, GoldenBlobAndSpillFileBytes) {
+  const CutStream s = cut_after("acquire 0 40\nfork 0 1\nwrite 1 10\n"
+                                "read 1 11\nhalt 1\nwrite 0 10\nfork 0 2\n"
+                                "write 2 12\nhalt 2\njoin 0 2\njoin 0 1\n"
+                                "release 0 40\nhalt 0\n", 6);
+  DetectionService service;
+  const std::uint32_t id = open_session(service);
+  ASSERT_EQ(feed_bytes(service, id, s.wire.substr(0, s.cut + 9 + 1)).status,
+            ServiceStatus::kOk);
+  const std::string blob = snapshot_via_service(service, id);
+  EXPECT_EQ(blob.size(), 367u);
+  EXPECT_EQ(crc32c(blob.data(), blob.size()), 0x70dba390u);
+
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("race2d-golden-spill-" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  {
+    SpillTier tier(dir.string(), 1u << 20);
+    ASSERT_TRUE(tier.store(7, blob).stored);
+  }
+  std::ifstream in(dir / "sess-7.spill", std::ios::binary);
+  std::ostringstream file;
+  file << in.rdbuf();
+  std::filesystem::remove_all(dir);
+  EXPECT_EQ(file.str().size(), 251u);
+  EXPECT_EQ(crc32c(file.str().data(), file.str().size()), 0x44704d2fu);
+}
+
 TEST(Snapshot, PoisonedSessionsRefuseToSnapshot) {
   DetectionService service;
   const std::uint32_t id = open_session(service);
@@ -909,6 +946,29 @@ TEST(Snapshot, PerSessionQuotaSurvivesRestore) {
   last = feed_rest_until_reject(c, restored.session);
   EXPECT_EQ(last.status, ServiceStatus::kQuotaEvicted) << last.message;
   EXPECT_NE(last.message.find("8192"), std::string::npos) << last.message;
+}
+
+// A blob's fed-byte count must equal what its decoder section was fed: the
+// bytes it decoded plus the partial frame it holds. A client resumes its
+// stream at that count, so a resealed blob whose count is off by one either
+// way is refused with K007 rather than restored into a stream the next FEED
+// or the CLOSE would break.
+TEST(Snapshot, FedBytesMustMatchTheDecoder) {
+  DetectionService service;
+  const std::uint32_t id = open_session(service);
+  const std::string wire = trace_to_binary(racy_trace());
+  const std::size_t cut = wire.size() / 2;  // inside the one chunk
+  ASSERT_EQ(feed_bytes(service, id, wire.substr(0, cut)).status,
+            ServiceStatus::kOk);
+  const std::string blob = snapshot_via_service(service, id);
+  ASSERT_EQ(blob.substr(16, 8), le64(cut));
+  ASSERT_NE(restore_session(blob).session, nullptr);
+  for (const std::uint64_t forged : {cut - 1, cut + 1}) {
+    const RestoreOutcome out =
+        restore_session(splice(blob, 16, 8, le64(forged)));
+    EXPECT_EQ(out.session, nullptr) << forged;
+    EXPECT_EQ(out.error.substr(0, 4), "K007") << forged << ": " << out.error;
+  }
 }
 
 TEST(Snapshot, FedBytesPeekMatchesWithoutFullRestore) {

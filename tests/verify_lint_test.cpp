@@ -15,6 +15,7 @@
 #include "core/replay.hpp"
 #include "fuzz/fuzz_plan.hpp"
 #include "fuzz/trace_gen.hpp"
+#include "io/binary_format.hpp"
 #include "io/binary_reader.hpp"
 #include "lattice/generate.hpp"
 #include "lattice/traversal.hpp"
@@ -820,6 +821,111 @@ TEST(LintGate, ErrorsOnlyGateMatchesFullLinterOverCorruptionMutants) {
   }
   EXPECT_GT(counts.rejected, 0u);
   EXPECT_GT(counts.truncated, 0u);
+}
+
+// Every stable code, in enumerator order: the code string, the slug and
+// (for lint codes) the severity. A code string never changes once shipped,
+// so a table that reorders or renames a row fails here.
+TEST(StableCodes, EveryLintAndDecodeCodeInEnumeratorOrder) {
+  std::string lint;
+  for (int i = 0; i < 61; ++i) {
+    const auto code = static_cast<LintCode>(i);
+    lint += std::string(lint_code_id(code)) + ' ' + lint_code_slug(code) +
+            (lint_code_severity(code) == LintSeverity::kWarning ? " warning\n"
+                                                                : " error\n");
+  }
+  EXPECT_EQ(lint,
+      "L001 unknown-actor error\n"
+      "L002 actor-halted error\n"
+      "L003 double-halt error\n"
+      "L004 fork-child-collision error\n"
+      "L005 fork-child-not-dense error\n"
+      "L006 out-of-serial-order error\n"
+      "L007 join-target-unknown error\n"
+      "L008 join-target-not-halted error\n"
+      "L009 join-not-left-neighbor error\n"
+      "L010 join-target-already-joined error\n"
+      "L011 event-after-root-halt error\n"
+      "L012 truncated-trace error\n"
+      "L013 unjoined-task error\n"
+      "L014 finish-end-unbalanced error\n"
+      "L015 finish-unclosed error\n"
+      "L016 invalid-task-id error\n"
+      "L017 release-without-acquire error\n"
+      "L018 cross-task-mutex-release error\n"
+      "L019 mutex-unreleased-at-halt error\n"
+      "L020 double-acquire error\n"
+      "W101 access-after-retire warning\n"
+      "W102 dead-retire warning\n"
+      "D001 empty-diagram error\n"
+      "D002 not-single-source error\n"
+      "D003 unreachable-or-cyclic error\n"
+      "D004 self-arc error\n"
+      "D005 duplicate-arc error\n"
+      "D006 ops-shape-mismatch error\n"
+      "T001 vertex-out-of-range error\n"
+      "T002 missing-loop error\n"
+      "T003 duplicate-loop error\n"
+      "T004 unknown-arc error\n"
+      "T005 arc-out-of-order error\n"
+      "T006 fan-order-violation error\n"
+      "T007 last-arc-mismatch error\n"
+      "T008 stop-arc-violation error\n"
+      "T009 missing-arc error\n"
+      "S001 skel-join-underflow error\n"
+      "S002 skel-unjoined-at-halt error\n"
+      "S003 skel-loop-bounds error\n"
+      "S004 skel-branch-empty error\n"
+      "S005 skel-interval-invalid error\n"
+      "S006 skel-async-outside-finish error\n"
+      "S007 skel-pipeline-shape error\n"
+      "S008 skel-node-shape error\n"
+      "S009 skel-config-space-truncated warning\n"
+      "S010 skel-budget-exceeded error\n"
+      "S011 skel-possible-violation warning\n"
+      "S012 skel-get-before-future error\n"
+      "S013 skel-future-never-got error\n"
+      "S014 skel-future-get-cycle error\n"
+      "S015 skel-get-aliases-cells warning\n"
+      "S016 skel-handoff-cell-escapes warning\n"
+      "S017 skel-future-budget-exceeded error\n"
+      "S018 skel-futures-need-relaxed-mode error\n"
+      "S019 skel-release-unheld-mutex error\n"
+      "S020 skel-double-acquire error\n"
+      "S021 skel-mutex-unreleased-at-halt error\n"
+      "S022 skel-lock-order-cycle warning\n"
+      "S023 skel-acquire-across-sync warning\n"
+      "S024 skel-possible-lock-violation warning\n");
+  std::string decode;
+  for (int i = 0; i < 18; ++i) {
+    const auto code = static_cast<DecodeCode>(i);
+    decode += std::string(decode_code_id(code)) + ' ' +
+              decode_code_slug(code) + '\n';
+  }
+  EXPECT_EQ(decode,
+      "B001 bad-magic\n"
+      "B002 unsupported-version\n"
+      "B003 bad-header\n"
+      "B004 truncated-input\n"
+      "B005 chunk-crc-mismatch\n"
+      "B006 malformed-varint\n"
+      "B007 unknown-opcode\n"
+      "B008 task-id-out-of-range\n"
+      "B009 bad-frame-marker\n"
+      "B010 event-count-mismatch\n"
+      "B011 chunk-too-large\n"
+      "B012 trailing-bytes\n"
+      "B013 missing-trailer\n"
+      "B014 trailer-crc-mismatch\n"
+      "B015 bad-compressed-item\n"
+      "B016 bad-run-count\n"
+      "B017 bad-template-ref\n"
+      "B018 chunk-too-many-events\n");
+  // Past the last enumerator: the fallback strings.
+  EXPECT_STREQ(lint_code_id(static_cast<LintCode>(61)), "????");
+  EXPECT_STREQ(lint_code_slug(static_cast<LintCode>(61)), "unknown");
+  EXPECT_STREQ(decode_code_id(static_cast<DecodeCode>(18)), "B???");
+  EXPECT_STREQ(decode_code_slug(static_cast<DecodeCode>(18)), "unknown");
 }
 
 }  // namespace
