@@ -124,6 +124,49 @@ rm -rf "$socket_path" "$socket_out"
 [[ "$socket_smoke" == "0" ]] || exit 1
 echo "socket smoke: reports bit-identical across the corpus via 4 workers, 4 clients at a time"
 
+echo "== recycling smoke: the corpus through one shard, sessions reused"
+# A shard keeps small closed sessions and resets one for its next OPEN
+# (src/service/service.hpp, "Recycling"). One race2d_client run streams
+# every corpus stream, text and binary, in 7-byte FEEDs through a 1-worker
+# daemon, so every session after the first runs on a recycled one. The
+# reports must equal the offline detector's over the same files, and STATS
+# must count a reuse for every file but the first: a leg in which nothing
+# was recycled would prove nothing.
+recycle_sock="/tmp/race2dd-recycle-$$.sock"
+./build/examples/race2dd --socket="$recycle_sock" --workers=1 \
+  2>/tmp/race2dd_recycle.log &
+recycle_pid=$!
+for _ in $(seq 50); do
+  [[ -S "$recycle_sock" ]] && break
+  sleep 0.1
+done
+corpus=(tests/corpus/*.trace tests/corpus/*.btrace)
+for trace in "${corpus[@]}"; do
+  ./build/examples/example_trace_analyzer --reports "$trace"
+done > /tmp/race2d_offline.txt
+recycle_smoke=0
+./build/examples/race2d_client --socket "$recycle_sock" --frame=7 \
+  detect "${corpus[@]}" > /tmp/race2d_service.txt 2>/dev/null \
+  || recycle_smoke=1
+if ! diff -u /tmp/race2d_offline.txt /tmp/race2d_service.txt; then
+  echo "check.sh: reports of recycled sessions diverge from offline"
+  recycle_smoke=1
+fi
+./build/examples/race2d_client --socket "$recycle_sock" stats \
+  > /tmp/race2dd_recycle_stats.txt 2>/dev/null || true
+if ! grep -q "\"sessions_recycled\":$(( ${#corpus[@]} - 1 ))[,}]" \
+    /tmp/race2dd_recycle_stats.txt; then
+  echo "check.sh: recycling smoke expected $(( ${#corpus[@]} - 1 ))" \
+    "recycled sessions"
+  cat /tmp/race2dd_recycle_stats.txt
+  recycle_smoke=1
+fi
+kill "$recycle_pid" 2>/dev/null || true
+wait "$recycle_pid" 2>/dev/null || true
+rm -f "$recycle_sock"
+[[ "$recycle_smoke" == "0" ]] || exit 1
+echo "recycling smoke: ${#corpus[@]} corpus streams bit-identical, $(( ${#corpus[@]} - 1 )) on recycled sessions"
+
 echo "== compress/spill matrix smoke: v2 corpus through a spill-enabled pool"
 # The compression x spill matrix. Every corpus stream is (1) cross-checked
 # by race2d_convert --verify (v2 expands to the identical events and

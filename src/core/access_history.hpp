@@ -62,7 +62,10 @@ class AccessHistory {
     cells_.for_each(fn);
   }
 
-  void clear() { cells_.clear(); }
+  /// Drops every cell: the table goes back to the slot count a new history
+  /// has, keeping its buffer, so the cells a later walk visits come in the
+  /// order a new history would visit them.
+  void clear() { cells_.reset(); }
 
   /// Bytes of shadow state — the numerator of E2's bytes-per-location.
   std::size_t heap_bytes() const { return cells_.heap_bytes(); }

@@ -12,6 +12,16 @@
 
 namespace race2d {
 
+void OnlineRaceDetector::reset(ReportPolicy policy) {
+  tasks_.reset();
+  engine_.clear();
+  history_.clear();
+  reporter_ = RaceReporter(policy);
+  access_count_ = 0;
+  joined_since_pass_ = 0;
+  compactions_ = 0;
+}
+
 TaskId OnlineRaceDetector::on_root() {
   const TaskId root = tasks_.add();
   engine_.on_loop(engine_.add_vertex());

@@ -65,8 +65,14 @@ struct TraceEvent;
 
 class OnlineRaceDetector {
  public:
-  explicit OnlineRaceDetector(ReportPolicy policy = ReportPolicy::kAll)
-      : reporter_(policy) {}
+  explicit OnlineRaceDetector(ReportPolicy policy = ReportPolicy::kAll) {
+    reset(policy);
+  }
+
+  /// Back to a detector that has seen nothing, not even the root, under
+  /// `policy`. The task index, the DSU and the shadow map keep their
+  /// buffers; this is the detector's one definition of its fresh state.
+  void reset(ReportPolicy policy);
 
   /// Registers the root task (the initial line {root | program}).
   TaskId on_root();
@@ -156,9 +162,9 @@ class OnlineRaceDetector {
   SupremaEngine engine_;  ///< one vertex per slot
   AccessHistory history_;
   RaceReporter reporter_;
-  std::size_t access_count_ = 0;
-  std::size_t joined_since_pass_ = 0;
-  std::size_t compactions_ = 0;
+  std::size_t access_count_;  // this and the two below: set by reset()
+  std::size_t joined_since_pass_;
+  std::size_t compactions_;
 };
 
 /// One memory access attached to a task-graph vertex.

@@ -57,10 +57,6 @@ class RaceReporter {
   /// Reports not yet drained by take() (every report, for batch users).
   const std::vector<RaceReport>& all() const { return reports_; }
   const RaceReport& first() const { return first_; }
-  void clear() {
-    reports_.clear();
-    total_ = 0;
-  }
 
   /// Drains the pending reports — the incremental consumers' primitive
   /// (a detection session frees report memory at every client drain).

@@ -38,6 +38,9 @@ class SupremaEngine {
 
   std::size_t vertex_count() const { return dsu_.element_count(); }
 
+  /// Drops every vertex, keeping the DSU's buffers.
+  void clear() { dsu_.clear(); }
+
   /// Walk line 2–3: visiting the loop (t, t). The thread-collapsed
   /// detectors re-loop the current task on every access.
   void on_loop(VertexId t) { dsu_.set_visited(t, true); }

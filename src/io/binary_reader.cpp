@@ -674,6 +674,13 @@ void BinaryTraceDecoder::import_state(Snapshot&& s) {
   compressed_chunk_ = s.compressed;
 }
 
+void BinaryTraceDecoder::reset() {
+  std::vector<TraceEvent> run_template = std::move(run_template_);
+  *this = BinaryTraceDecoder();
+  run_template_ = std::move(run_template);
+  run_template_.clear();
+}
+
 void BinaryTraceDecoder::finish() {
   if (state_ == State::kPoisoned)
     throw TraceDecodeError(poison_code_, poison_offset_, poison_what_);

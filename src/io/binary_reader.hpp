@@ -94,6 +94,11 @@ class BinaryTraceDecoder {
   /// stream did not end exactly after a valid trailer.
   void finish();
 
+  /// Back to a decoder that has seen no byte. The run template keeps its
+  /// buffer; the partial-frame buffer is released, as a finished frame's
+  /// is.
+  void reset();
+
   /// True once the trailer frame has been decoded and verified.
   bool done() const { return state_ == State::kDone; }
 

@@ -11,10 +11,6 @@ namespace race2d {
 
 namespace {
 
-/// A DRAIN response's fixed part: the 6-byte response header, `more` and
-/// the count.
-constexpr std::size_t kDrainHeaderBytes = 11;
-
 bool fail(std::string& error, const char* what) {
   error = what;
   return false;

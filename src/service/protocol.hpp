@@ -13,7 +13,8 @@
 //                   ignored: every session runs the DSU detector, whose
 //                   reports equal DePa's bit for bit
 //     FEED  body := raw binary-trace wire bytes (io/binary_format.hpp)
-//     DRAIN body := max_reports:u32le (0 = all pending)
+//     DRAIN body := max_reports:u32le (0 = all pending); the service hands
+//                   over at most kMaxDrainReports, so the answer fits a frame
 //     CLOSE body := empty
 //     STATS body := empty
 //     SNAPSHOT body := empty (serialize session `session` to a blob)
@@ -168,6 +169,14 @@ bool decode_response(std::string_view payload, Response& out,
 
 /// The report record DRAIN answers and snapshot blobs carry.
 inline constexpr std::size_t kReportRecordBytes = 22;
+/// A DRAIN answer's fixed part: the 6-byte response header, `more` and the
+/// count.
+inline constexpr std::size_t kDrainHeaderBytes = 11;
+/// The most reports one DRAIN answer carries, so that it fits one frame;
+/// the service caps every DRAIN here and sets `more` for the rest.
+inline constexpr std::uint32_t kMaxDrainReports =
+    (kMaxFrameBytes - kDrainHeaderBytes) / kReportRecordBytes;
+static_assert(kMaxDrainReports == 762'600);
 void put_report(std::string& out, const RaceReport& report);
 /// Reads one record. False when fewer than kReportRecordBytes remain or a
 /// kind byte names no AccessKind.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -14,9 +15,28 @@ namespace race2d {
 namespace {
 
 constexpr std::size_t kMaxTombstones = 1024;
+constexpr std::uint64_t kLastId = std::numeric_limits<std::uint32_t>::max();
 
 void bump(std::atomic<std::uint64_t>& counter, std::uint64_t by = 1) {
   counter.fetch_add(by, std::memory_order_relaxed);
+}
+
+/// The least id other than 0 in `id`'s class mod `stride`.
+std::uint64_t lowest_id(std::uint64_t id, std::uint64_t stride) {
+  const std::uint64_t residue = id % stride;
+  return residue == 0 ? stride : residue;
+}
+
+/// The id after `id` in its class, wrapping round past the last u32.
+std::uint32_t next_id(std::uint64_t id, std::uint64_t stride) {
+  return static_cast<std::uint32_t>(
+      id + stride > kLastId ? lowest_id(id, stride) : id + stride);
+}
+
+Response no_free_id(Verb verb) {
+  return error_response(verb, 0, ServiceStatus::kSessionLimit,
+                        "no free session id: every id this shard hands out "
+                        "is live, spilled or tombstoned");
 }
 
 }  // namespace
@@ -40,7 +60,7 @@ void DetectionService::configure_session_ids(std::uint32_t first,
   R2D_REQUIRE(stride >= 1, "configure_session_ids: stride must be >= 1");
   R2D_REQUIRE(sessions_.empty() && next_session_ == 1,
               "configure_session_ids: call before any session exists");
-  next_session_ = first;
+  next_session_ = first == 0 ? stride : first;
   session_stride_ = stride;
 }
 
@@ -96,12 +116,30 @@ void DetectionService::drop(std::map<std::uint32_t, Slot>::iterator it) {
   live_sessions_.store(sessions_.size(), std::memory_order_relaxed);
 }
 
-std::uint32_t DetectionService::install(
-    std::unique_ptr<DetectionSession> session, std::size_t quota_bytes) {
-  const std::uint32_t id = next_session_;
-  next_session_ += session_stride_;
+std::optional<std::uint32_t> DetectionService::free_id() const {
+  const std::uint64_t stride = session_stride_;
+  const std::uint64_t class_ids =
+      (kLastId - lowest_id(next_session_, stride)) / stride + 1;
+  // Each id refused below is a different taken one, so one try more than
+  // there are taken ids finds a free id whenever the class has one.
+  const std::uint64_t taken = sessions_.size() + evicted_.size() +
+                              (spill_ ? spill_->sessions() : 0);
+  std::uint32_t id = next_session_;
+  for (std::uint64_t tries = std::min(class_ids, taken + 1); tries > 0;
+       --tries) {
+    if (!sessions_.contains(id) && !evicted_.contains(id) &&
+        !(spill_ && spill_->contains(id)))
+      return id;
+    id = next_id(id, stride);
+  }
+  return std::nullopt;
+}
+
+void DetectionService::install(std::uint32_t id,
+                               std::unique_ptr<DetectionSession> session,
+                               std::size_t quota_bytes) {
+  next_session_ = next_id(id, session_stride_);
   install_at(id, std::move(session), quota_bytes);
-  return id;
 }
 
 DetectionService::Slot* DetectionService::install_at(
@@ -111,10 +149,26 @@ DetectionService::Slot* DetectionService::install_at(
   slot.quota_bytes = quota_bytes;
   slot.session = std::move(session);
   auto [it, inserted] = sessions_.emplace(id, std::move(slot));
-  R2D_ASSERT(inserted);
+  R2D_REQUIRE(inserted, "install_at: the session id is live already");
   live_sessions_.store(sessions_.size(), std::memory_order_relaxed);
   remeasure(it->second);
   return &it->second;
+}
+
+void DetectionService::keep_spare(std::unique_ptr<DetectionSession> session) {
+  if (spares_.size() < kSpareSessions &&
+      session->memory_bytes() <= kSpareBytes)
+    spares_.push_back(std::move(session));
+}
+
+std::unique_ptr<DetectionSession> DetectionService::take_spare(
+    std::size_t quota_bytes) {
+  if (spares_.empty() ||
+      spares_.back()->memory_bytes() > quota_bytes / kSpareQuotaRatio)
+    return nullptr;
+  std::unique_ptr<DetectionSession> session = std::move(spares_.back());
+  spares_.pop_back();
+  return session;
 }
 
 void DetectionService::tombstone(std::uint32_t id, std::string reason) {
@@ -209,14 +263,21 @@ Response DetectionService::do_open(const Request& request) {
           ? std::min<std::size_t>(request.open.quota_bytes,
                                   limits_.session_quota_bytes)
           : limits_.session_quota_bytes;
-  const std::uint32_t id =
-      install(std::make_unique<DetectionSession>(request.open.policy,
-                                                 limits_.max_pending_reports),
-              quota);
+  const std::optional<std::uint32_t> id = free_id();
+  if (!id) return no_free_id(Verb::kOpen);
+  std::unique_ptr<DetectionSession> session = take_spare(quota);
+  if (session) {
+    session->reset(request.open.policy, limits_.max_pending_reports);
+    bump(sessions_recycled_);
+  } else {
+    session = std::make_unique<DetectionSession>(request.open.policy,
+                                                 limits_.max_pending_reports);
+  }
+  install(*id, std::move(session), quota);
   bump(sessions_opened_);
   Response r;
   r.verb = Verb::kOpen;
-  r.session = id;
+  r.session = *id;
   return r;
 }
 
@@ -262,7 +323,13 @@ Response DetectionService::do_drain(const Request& request) {
   Response r;
   r.verb = Verb::kDrain;
   r.session = request.session;
-  r.drain.reports = slot->session->drain(request.max_reports, r.drain.more);
+  // The answer must fit one frame; `more` brings the client back for the
+  // rest.
+  const std::uint32_t most =
+      request.max_reports == 0
+          ? kMaxDrainReports
+          : std::min(request.max_reports, kMaxDrainReports);
+  r.drain.reports = slot->session->drain(most, r.drain.more);
   remeasure(*slot);
   bump(reports_out_, r.drain.reports.size());
   return r;
@@ -273,6 +340,7 @@ Response DetectionService::do_close(const Request& request) {
   Slot* slot = find(request.session, Verb::kClose, failure);
   if (slot == nullptr) return failure;
   DetectionSession::CloseOutcome outcome = slot->session->close();
+  keep_spare(std::move(slot->session));
   drop(sessions_.find(request.session));
   bump(sessions_closed_);
   if (outcome.status != ServiceStatus::kOk) {
@@ -348,11 +416,13 @@ Response DetectionService::do_restore(const Request& request) {
   const std::size_t quota = static_cast<std::size_t>(
       std::min<std::uint64_t>(outcome.quota_bytes,
                               limits_.session_quota_bytes));
-  const std::uint32_t id = install(std::move(outcome.session), quota);
+  const std::optional<std::uint32_t> id = free_id();
+  if (!id) return no_free_id(Verb::kRestore);
+  install(*id, std::move(outcome.session), quota);
   bump(restores_);
   Response r;
   r.verb = Verb::kRestore;
-  r.session = id;
+  r.session = *id;
   return r;
 }
 
@@ -378,6 +448,8 @@ std::string DetectionService::metrics_json() const {
      << sessions_opened_.load(std::memory_order_relaxed)
      << ",\"sessions_closed\":"
      << sessions_closed_.load(std::memory_order_relaxed)
+     << ",\"sessions_recycled\":"
+     << sessions_recycled_.load(std::memory_order_relaxed)
      << ",\"sessions_evicted\":"
      << sessions_evicted_.load(std::memory_order_relaxed)
      << ",\"lint_rejects\":" << lint_rejects_.load(std::memory_order_relaxed)

@@ -24,6 +24,29 @@
 //  * backpressure: sessions refuse feeds while their report backlog is at
 //    max_pending_reports (the frame is not consumed; drain and resend).
 //
+// SESSION LIFECYCLE. OPEN, or RESTORE from a blob, installs a session
+// under a fresh id; FEED, DRAIN and SNAPSHOT address it by id; CLOSE, an
+// eviction (the id is tombstoned) or a spill (it can come back under its
+// id) ends it. A DRAIN hands over at most kMaxDrainReports, so its answer
+// fits one frame, and sets `more` for the rest.
+//
+// Ids: the u32s ≡ first (mod stride) but 0, in order, wrapping round,
+// never one that is live, spilled or tombstoned. When the whole class is
+// taken, OPEN and RESTORE answer kSessionLimit.
+//
+// Recycling: CLOSE puts a session of at most kSpareBytes on the shard's
+// spare list (at most kSpareSessions) instead of freeing it, and the next
+// OPEN resets a spare in place (DetectionSession::reset), so a short
+// session does not rebuild and regrow its tables; it answers and
+// snapshots byte for byte as a new one. An OPEN takes a spare only when
+// its quota is at least kSpareQuotaRatio times the spare's footprint: the
+// footprint counts the buffers a spare keeps, and they must not decide a
+// quota verdict that a new session would not. Evictions and spills free
+// the session, and RESTORE always builds one. Spares are not live: they
+// stay out of resident_bytes and the pool's budget, bounded by
+// kSpareSessions × kSpareBytes (512 KiB) per shard. STATS counts reuses
+// as sessions_recycled.
+//
 // Eviction and rejection are answers, never crashes: every failure mode has
 // a ServiceStatus and a message carrying the stable code that caused it.
 //
@@ -43,7 +66,9 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "compress/spill_tier.hpp"
 #include "service/protocol.hpp"
@@ -75,6 +100,12 @@ struct ServiceLimits {
 
 class DetectionService {
  public:
+  /// The spare list's bounds (see "Recycling" above): named constants,
+  /// not limits.
+  static constexpr std::size_t kSpareSessions = 8;
+  static constexpr std::size_t kSpareBytes = std::size_t{64} << 10;
+  static constexpr std::size_t kSpareQuotaRatio = 64;
+
   /// Throws ContractViolation when `limits.max_pending_reports` is 0.
   explicit DetectionService(ServiceLimits limits = {});
 
@@ -82,7 +113,8 @@ class DetectionService {
   /// called from the owning thread only (see the threading note above).
   Response handle(const Request& request);
 
-  /// Session ids this instance hands out: first, first+stride, … — how the
+  /// Session ids this instance hands out: first, first+stride, … (the ids
+  /// ≡ first mod stride but 0, wrapping round; see "Ids" above) — how the
   /// pool makes shard w's ids satisfy id % workers == w (sessions route to
   /// their shard by id alone). Call before any OPEN; stride >= 1.
   void configure_session_ids(std::uint32_t first, std::uint32_t stride);
@@ -138,14 +170,23 @@ class DetectionService {
   /// Re-measures the slot's session and folds the delta into the resident
   /// sum — the incremental accounting every mutation ends with.
   void remeasure(Slot& slot);
-  /// Installs a session under a fresh id (OPEN and RESTORE share this).
-  std::uint32_t install(std::unique_ptr<DetectionSession> session,
-                        std::size_t quota_bytes);
+  /// The id the next OPEN or RESTORE gets: the first of next_session_ and
+  /// the ids after it in the shard's class that is not live, spilled or
+  /// tombstoned. nullopt when there is none.
+  std::optional<std::uint32_t> free_id() const;
+  /// Installs a session under `id`, a free_id(), and moves next_session_
+  /// past it (OPEN and RESTORE share this).
+  void install(std::uint32_t id, std::unique_ptr<DetectionSession> session,
+               std::size_t quota_bytes);
   /// Re-installs a rehydrated session under its ORIGINAL id, bypassing
   /// next_session_.
   Slot* install_at(std::uint32_t id, std::unique_ptr<DetectionSession> session,
                    std::size_t quota_bytes);
   void drop(std::map<std::uint32_t, Slot>::iterator it);
+  /// The spare list's two ends: CLOSE offers its session, OPEN takes the
+  /// most recent spare if its quota allows (nullptr otherwise).
+  void keep_spare(std::unique_ptr<DetectionSession> session);
+  std::unique_ptr<DetectionSession> take_spare(std::size_t quota_bytes);
   /// Spills `slot`'s snapshot to the cold tier; false (caller tombstones)
   /// when the session is poisoned, the blob will not fit, or I/O fails.
   bool try_spill(std::uint32_t id, Slot& slot);
@@ -163,6 +204,9 @@ class DetectionService {
   std::map<std::uint32_t, std::string> evicted_;
   std::uint32_t next_session_ = 1;
   std::uint32_t session_stride_ = 1;
+  /// Closed sessions kept for reuse, most recent last. Owned by the
+  /// handling thread like the session map.
+  std::vector<std::unique_ptr<DetectionSession>> spares_;
   /// The cold tier; null unless limits_.spill_dir is set. Owned by the
   /// handling thread like the session map.
   std::unique_ptr<SpillTier> spill_;
@@ -175,6 +219,7 @@ class DetectionService {
   std::atomic<std::uint64_t> reports_out_{0};
   std::atomic<std::uint64_t> sessions_opened_{0};
   std::atomic<std::uint64_t> sessions_closed_{0};
+  std::atomic<std::uint64_t> sessions_recycled_{0};
   std::atomic<std::uint64_t> sessions_evicted_{0};
   std::atomic<std::uint64_t> lint_rejects_{0};
   std::atomic<std::uint64_t> decode_rejects_{0};

@@ -10,8 +10,22 @@ namespace race2d {
 DetectionSession::DetectionSession(ReportPolicy policy,
                                    std::size_t max_pending_reports,
                                    DetectorEngine)
-    : DetectionSession(RestoreTag{}, policy, max_pending_reports) {
+    : lint_(kGateLintOptions) {
+  reset(policy, max_pending_reports);
+}
+
+void DetectionSession::reset(ReportPolicy policy,
+                             std::size_t max_pending_reports) {
+  max_pending_reports_ = max_pending_reports;
+  decoder_.reset();
+  lint_.reset();
+  detector_.reset(policy);
   detector_.on_root();  // the initial line {root | program}: task 0
+  pending_.clear();
+  drained_ = 0;
+  events_total_ = 0;
+  poison_status_ = ServiceStatus::kOk;
+  poison_message_.clear();
 }
 
 DetectionSession::FeedOutcome DetectionSession::poison(ServiceStatus status,
@@ -141,14 +155,6 @@ DetectionSession::CloseOutcome DetectionSession::close() {
   return out;
 }
 
-DetectionSession::DetectionSession(RestoreTag, ReportPolicy policy,
-                                   std::size_t max_pending_reports)
-    : max_pending_reports_(max_pending_reports),
-      lint_(kGateLintOptions),
-      detector_(policy) {
-  // No on_root(): a restore imports the detector image (root included).
-}
-
 DetectionSession::State DetectionSession::export_state() const {
   R2D_REQUIRE(!poisoned(), "export_state: poisoned sessions do not snapshot");
   State s;
@@ -164,8 +170,10 @@ DetectionSession::State DetectionSession::export_state() const {
 }
 
 std::unique_ptr<DetectionSession> DetectionSession::restore(State&& s) {
-  std::unique_ptr<DetectionSession> session(new DetectionSession(
-      RestoreTag{}, s.policy, static_cast<std::size_t>(s.max_pending_reports)));
+  // Each import replaces its layer's state wholesale, the detector's root
+  // included.
+  auto session = std::make_unique<DetectionSession>(
+      s.policy, static_cast<std::size_t>(s.max_pending_reports));
   session->decoder_.import_state(std::move(s.decoder));
   session->lint_.import_state(std::move(s.lint));
   session->detector_.import_state(std::move(s.detector));

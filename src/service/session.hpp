@@ -23,6 +23,17 @@
 //
 // All state is byte-accounted (memory_bytes) so the service can enforce
 // per-session quotas and evict gracefully instead of growing without bound.
+//
+// Lifecycle. OPEN builds a session and RESTORE builds one from a snapshot;
+// FEEDs, DRAINs and SNAPSHOTs follow; CLOSE, an eviction or a spill ends
+// it. reset() makes a session what the constructor would make, under a new
+// policy and pending cap, keeping every layer's buffers; the constructor
+// runs it too, so it is the one definition of a fresh session. Hash tables
+// go back to their first slot count, which decides the order a snapshot
+// serializes their entries in, so a reset session answers and snapshots
+// byte for byte as a new one. memory_bytes() counts the buffers a reset
+// keeps. A shard reuses its closed sessions this way (service.hpp,
+// "Recycling").
 #pragma once
 
 #include <cstddef>
@@ -46,6 +57,12 @@ class DetectionSession final : private EventSink {
   /// and the DSU is the faster and smaller of the two.
   DetectionSession(ReportPolicy policy, std::size_t max_pending_reports,
                    DetectorEngine = DetectorEngine::kDsu);
+
+  /// Makes this a session that has seen nothing, exactly as the
+  /// constructor would with these arguments, poison included, keeping the
+  /// buffers of the decoder, the lint gate, the detector and the report
+  /// queue.
+  void reset(ReportPolicy policy, std::size_t max_pending_reports);
 
   struct FeedOutcome {
     ServiceStatus status = ServiceStatus::kOk;
@@ -74,8 +91,9 @@ class DetectionSession final : private EventSink {
     std::string message;
   };
   /// Declares end-of-stream: checks the binary trailer and the linter's
-  /// end-of-trace conditions (truncation, unjoined tasks). The caller frees
-  /// the session afterwards regardless of the outcome.
+  /// end-of-trace conditions (truncation, unjoined tasks). Whatever the
+  /// outcome, the session takes no further request: the caller frees it,
+  /// or keeps it to reset() for a later OPEN.
   CloseOutcome close();
 
   /// Resident bytes: decoder buffers (partial frame + run template) + lint
@@ -113,10 +131,6 @@ class DetectionSession final : private EventSink {
   static std::unique_ptr<DetectionSession> restore(State&& s);
 
  private:
-  struct RestoreTag {};
-  DetectionSession(RestoreTag, ReportPolicy policy,
-                   std::size_t max_pending_reports);
-
   /// EventSink: lint gate, then the detector. False once lint rejects.
   bool accept(const TraceEvent& e) override;
 
@@ -124,6 +138,7 @@ class DetectionSession final : private EventSink {
   void queue_reports();
   [[nodiscard]] FeedOutcome poison(ServiceStatus status, std::string message);
 
+  // Every member starts as reset() sets it.
   std::size_t max_pending_reports_;
   BinaryTraceDecoder decoder_;
   TraceLintStream lint_;
@@ -132,9 +147,9 @@ class DetectionSession final : private EventSink {
   /// A partial drain advances drained_ and erases the prefix only once it
   /// passes half the vector, so draining a backlog in steps costs O(backlog).
   std::vector<RaceReport> pending_;
-  std::size_t drained_ = 0;
-  std::uint64_t events_total_ = 0;
-  ServiceStatus poison_status_ = ServiceStatus::kOk;
+  std::size_t drained_;
+  std::uint64_t events_total_;
+  ServiceStatus poison_status_;
   std::string poison_message_;
 };
 

@@ -39,8 +39,10 @@ class FlatHashMap {
   };
 
  public:
-  explicit FlatHashMap(std::size_t initial_capacity = 16) {
-    slots_.resize(round_up_pow2(initial_capacity < 4 ? 4 : initial_capacity));
+  explicit FlatHashMap(std::size_t initial_capacity = 16)
+      : initial_slots_(
+            round_up_pow2(initial_capacity < 4 ? 4 : initial_capacity)) {
+    reset();
   }
 
   std::size_t size() const { return size_; }
@@ -124,6 +126,15 @@ class FlatHashMap {
     size_ = 0;
   }
 
+  /// Empties the table back to the slot count it was constructed with,
+  /// keeping its buffer. Where an entry lands, and so the order for_each
+  /// visits them in, depends on the slot count, so a reset table lays out
+  /// what it is given exactly as a newly constructed one would.
+  void reset() {
+    slots_.assign(initial_slots_, Slot{});
+    size_ = 0;
+  }
+
   /// Calls fn(key, value) for every occupied slot (unspecified order).
   template <typename Fn>
   void for_each(Fn&& fn) const {
@@ -178,8 +189,9 @@ class FlatHashMap {
     }
   }
 
+  std::size_t initial_slots_;
   std::vector<Slot> slots_;
-  std::size_t size_ = 0;
+  std::size_t size_;  ///< set by reset(), which the constructor runs
 };
 
 }  // namespace race2d

@@ -38,6 +38,8 @@ class LiveTaskIndex {
   /// every few dozen joins.
   static constexpr std::size_t kCompactionFloor = std::size_t{1} << 12;
 
+  LiveTaskIndex() { reset(); }
+
   /// Ids ever added, i.e. the next fresh id.
   std::size_t task_count() const { return task_count_; }
   /// Rows held: the carried ids plus every id forked since the last pass.
@@ -56,6 +58,13 @@ class LiveTaskIndex {
     return row < carried_.size()
                ? carried_[row]
                : static_cast<TaskId>(base_ + (row - carried_.size()));
+  }
+
+  /// Back to an index that holds no id, keeping the carried-row table's
+  /// buffer.
+  void reset() {
+    task_count_ = 0;
+    carry({}, 0);
   }
 
   /// Adds the next id; its row is the last one.
@@ -119,9 +128,10 @@ class LiveTaskIndex {
       carried_rows_[carried_[r]] = static_cast<std::uint32_t>(r);
   }
 
-  std::size_t task_count_ = 0;
-  std::size_t base_ = 0;
-  std::size_t dropped_ = 0;  ///< ids below base_ with no row
+  // The three counts start as reset() sets them.
+  std::size_t task_count_;
+  std::size_t base_;
+  std::size_t dropped_;  ///< ids below base_ with no row
   std::vector<TaskId> carried_;  ///< ascending, all below base_
   FlatHashMap<TaskId, std::uint32_t> carried_rows_{4};
 };

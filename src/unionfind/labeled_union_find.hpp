@@ -67,6 +67,14 @@ class LabeledUnionFind {
 
   std::size_t element_count() const { return parent_.size(); }
 
+  /// Drops every element, keeping the buffers.
+  void clear() {
+    parent_.clear();
+    rank_.clear();
+    label_.clear();
+    visited_.clear();
+  }
+
   /// Rebuilds the structure as singletons of the elements `remap` keeps:
   /// old element x becomes remap[x] (kept elements in ascending order, so
   /// remap[x] <= x; a dropped one maps to kInvalidVertex), labeled by

@@ -15,9 +15,27 @@ enum : std::uint8_t { kLocTracked = 1, kLocRetired = 2 };
 
 TraceLintStream::TraceLintStream(TraceLintOptions options)
     : options_(options) {
+  reset();
+}
+
+void TraceLintStream::reset() {
+  result_ = {};
+  index_ = 0;
+  finished_ = false;
+  warnings_emitted_ = 0;
+  errors_emitted_ = 0;
+  task_index_.reset();
+  tasks_.clear();
+  joined_rows_ = 0;
+  stack_.clear();
+  locs_.reset();
+  mutexes_.reset();
+  held_counts_.reset();
+  semaphores_.reset();
   // The initial line {root | program}: task 0 running, alone.
   stack_.push_back({task_index_.add(), 0});
   tasks_.push_back({});
+  top_halted_ = false;
 }
 
 template <typename Fn>
@@ -429,9 +447,11 @@ TraceLintStream::Snapshot TraceLintStream::export_state() const {
 }
 
 void TraceLintStream::import_state(Snapshot&& s) {
-  // The line becomes the rows, every one carried, and its links and the
-  // stack become rows. feed() serves the stack's top, and a fork or join
-  // follows the links, without checking that they are on the line.
+  // From a fresh stream, the line becomes the rows, every one carried, and
+  // its links and the stack become rows. feed() serves the stack's top,
+  // and a fork or join follows the links, without checking that they are
+  // on the line.
+  reset();
   std::vector<TaskId> ids;
   ids.reserve(s.line.size());
   for (const LineTask& t : s.line) ids.push_back(t.id);
@@ -453,19 +473,12 @@ void TraceLintStream::import_state(Snapshot&& s) {
     R2D_REQUIRE(t != kInvalidTask, "snapshot names a task off the line");
     stack_.push_back({t, row_on_line(t)});
   }
-  joined_rows_ = 0;
   index_ = static_cast<std::size_t>(s.index);
-  result_ = {};
-  finished_ = false;
-  warnings_emitted_ = 0;
-  errors_emitted_ = 0;
   refresh_top();
-  locs_.clear();
   if (options_.warnings) {
     locs_.reserve(s.locs.size());
     for (const auto& [loc, state] : s.locs) locs_[loc] = state;
   }
-  mutexes_.clear();
   mutexes_.reserve(s.mutexes.size());
   for (const auto& [id, holder] : s.mutexes) {
     if (holder == kInvalidTask)
@@ -473,9 +486,8 @@ void TraceLintStream::import_state(Snapshot&& s) {
     else
       mutexes_[id] = holder;
   }
-  held_counts_.clear();  // derived: not part of the snapshot
+  // Derived: not part of the snapshot.
   mutexes_.for_each([this](Loc, TaskId holder) { ++held_counts_[holder]; });
-  semaphores_.clear();
   semaphores_.reserve(s.semaphores.size());
   for (const auto& [id, count] : s.semaphores) semaphores_[id] = count;
 }

@@ -102,6 +102,12 @@ class TraceLintStream {
   /// unjoined tasks). Idempotent.
   void finish();
 
+  /// Back to a stream that has seen no event, under the same options. The
+  /// task rows, the stack and the tables keep their buffers; the tables go
+  /// back to their first slot count. The constructor runs this too, so it
+  /// is the stream's one definition of its fresh state.
+  void reset();
+
   /// Shim: perfbench/src/traced.cpp is its only caller, and ROADMAP item 1
   /// deletes it. Fast-forwards the event index past `extra` repetitions of
   /// a clean template whose FIRST repetition was just fed. Sound for pure
@@ -204,17 +210,18 @@ class TraceLintStream {
   void on_acquire(std::size_t i, const TraceEvent& e);
   void on_release(std::size_t i, const TraceEvent& e);
 
+  // Every member but options_ starts as reset() sets it.
   TraceLintOptions options_;
   LintResult result_;
-  std::size_t index_ = 0;
-  bool finished_ = false;
-  std::size_t warnings_emitted_ = 0;
-  std::size_t errors_emitted_ = 0;
+  std::size_t index_;
+  bool finished_;
+  std::size_t warnings_emitted_;
+  std::size_t errors_emitted_;
   LiveTaskIndex task_index_;
   std::vector<TaskState> tasks_;  ///< rows, in ascending id order
-  std::size_t joined_rows_ = 0;
+  std::size_t joined_rows_;
   std::vector<Running> stack_;  ///< running tasks, innermost (current) last
-  bool top_halted_ = false;    ///< the task on top of stack_ halted
+  bool top_halted_;             ///< the task on top of stack_ halted
   /// Per-location retire state; filled only with warnings on.
   FlatHashMap<Loc, std::uint8_t> locs_{kMinSlots};
   /// Held mutexes only (a release erases its entry) with their holders,

@@ -1,7 +1,8 @@
 // DetectionService: protocol codecs, multi-session multiplexing, quota
-// eviction, backpressure, spill failures, determinism of the report streams
-// under arbitrary session interleavings, and the pipe transport over a
-// worker pool, with its malformed-frame recovery.
+// eviction, backpressure, spill failures, the one-frame DRAIN cap, session
+// id allocation, determinism of the report streams under arbitrary session
+// interleavings, and the pipe transport over a worker pool, with its
+// malformed-frame recovery.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -501,6 +502,125 @@ TEST(Service, DrainingABacklogOneReportAtATimeIsLinear) {
       << " ms to drain " << kReports << " reports one at a time";
 }
 
+/// Task 1 writes one location and halts; the root then writes it one time
+/// more than a DRAIN answer can carry reports, before it joins 1. Every
+/// write of the root races with task 1's.
+std::string races_past_one_drain() {
+  Trace trace = {{TraceOp::kFork, 0, 1, 0},
+                 {TraceOp::kWrite, 1, kInvalidTask, 8},
+                 {TraceOp::kHalt, 1, kInvalidTask, 0}};
+  trace.insert(trace.end(), std::size_t{kMaxDrainReports} + 1,
+               {TraceOp::kWrite, 0, kInvalidTask, 8});
+  trace.push_back({TraceOp::kJoin, 0, 1, 0});
+  trace.push_back({TraceOp::kHalt, 0, kInvalidTask, 0});
+  return trace_to_binary(trace);
+}
+
+ServiceLimits room_for_one_drain_and_more() {
+  ServiceLimits limits;
+  limits.max_pending_reports = 1'000'000;
+  limits.session_quota_bytes = std::size_t{1} << 30;
+  limits.total_quota_bytes = std::size_t{2} << 30;
+  return limits;
+}
+
+// A DRAIN answer fills at most one frame: a full DRAIN stops at
+// kMaxDrainReports and says there is more, and the next one brings the
+// last report.
+TEST(Service, DrainAnswersFitOneFrame) {
+  DetectionService service(room_for_one_drain_and_more());
+  const std::uint32_t id = open_session(service);
+  const Response fed = feed_bytes(service, id, races_past_one_drain());
+  ASSERT_EQ(fed.status, ServiceStatus::kOk) << fed.message;
+  ASSERT_EQ(fed.feed.pending_reports, kMaxDrainReports + 1);
+  Request drain;
+  drain.verb = Verb::kDrain;
+  drain.session = id;
+  const Response first = service.handle(drain);
+  ASSERT_EQ(first.status, ServiceStatus::kOk);
+  EXPECT_EQ(first.drain.reports.size(), kMaxDrainReports);
+  EXPECT_TRUE(first.drain.more);
+  EXPECT_LE(encode_response(first).size(), kMaxFrameBytes);
+  const Response second = service.handle(drain);
+  ASSERT_EQ(second.status, ServiceStatus::kOk);
+  ASSERT_EQ(second.drain.reports.size(), 1u);
+  EXPECT_FALSE(second.drain.more);
+  // Task 1's write is access 1; the root's last write is the last access.
+  EXPECT_EQ(second.drain.reports[0].access_index,
+            std::size_t{kMaxDrainReports} + 2);
+}
+
+/// Sends OPEN, expects `expected`, and returns the id (0 for a refusal).
+std::uint32_t open_id(DetectionService& service,
+                      ServiceStatus expected = ServiceStatus::kOk) {
+  Request req;
+  req.verb = Verb::kOpen;
+  const Response rsp = service.handle(req);
+  EXPECT_EQ(rsp.status, expected) << rsp.message;
+  return rsp.status == ServiceStatus::kOk ? rsp.session : 0;
+}
+
+// Session ids wrap round within the shard's class and skip 0 and every id
+// that is live or tombstoned; with none free, OPEN and RESTORE say so.
+TEST(Service, SessionIdsWrapWithinTheirClassAndNeverRepeatALiveOne) {
+  {
+    DetectionService service;
+    service.configure_session_ids(1, 0x80000000u);
+    EXPECT_EQ(open_id(service), 1u);
+    EXPECT_EQ(open_id(service), 0x80000001u);
+    EXPECT_EQ(open_id(service, ServiceStatus::kSessionLimit), 0u);
+    EXPECT_EQ(service.live_sessions(), 2u);
+    Request req;
+    req.verb = Verb::kOpen;
+    EXPECT_NE(service.handle(req).message.find("no free session id"),
+              std::string::npos);
+    // A blob restores under a fresh id, so it finds none either.
+    ASSERT_EQ(feed_bytes(service, 1, trace_to_binary(racy_trace())
+                                         .substr(0, 20))
+                  .status,
+              ServiceStatus::kOk);
+    Request snapshot;
+    snapshot.verb = Verb::kSnapshot;
+    snapshot.session = 1;
+    Request restore;
+    restore.verb = Verb::kRestore;
+    restore.bytes = service.handle(snapshot).blob;
+    ASSERT_FALSE(restore.bytes.empty());
+    EXPECT_EQ(service.handle(restore).status, ServiceStatus::kSessionLimit);
+    // Closing one frees its id for the next OPEN.
+    close_session(service, 1);
+    EXPECT_EQ(open_id(service), 1u);
+  }
+  {
+    DetectionService service;
+    service.configure_session_ids(0xFFFFFFFFu, 1);
+    EXPECT_EQ(open_id(service), 0xFFFFFFFFu);
+    EXPECT_EQ(open_id(service), 1u);  // not 0
+  }
+  {
+    // Three shards' ids: the wrap stays ≡ 2 (mod 3), so the id still
+    // routes to its shard.
+    DetectionService service;
+    service.configure_session_ids(0xFFFFFFFEu, 3);
+    EXPECT_EQ(open_id(service), 0xFFFFFFFEu);
+    EXPECT_EQ(open_id(service), 2u);
+  }
+  {
+    // A tombstoned id is skipped until CLOSE retires its tombstone.
+    ServiceLimits limits;
+    limits.session_quota_bytes = 2048;
+    DetectionService service(limits);
+    service.configure_session_ids(1, 0x80000000u);
+    EXPECT_EQ(open_id(service), 1u);
+    EXPECT_EQ(feed_bytes(service, 1, trace_to_binary(generated(123))).status,
+              ServiceStatus::kQuotaEvicted);
+    EXPECT_EQ(open_id(service), 0x80000001u);
+    EXPECT_EQ(open_id(service, ServiceStatus::kSessionLimit), 0u);
+    EXPECT_EQ(close_session(service, 1).status, ServiceStatus::kQuotaEvicted);
+    EXPECT_EQ(open_id(service), 1u);
+  }
+}
+
 TEST(Service, MetricsJsonTracksTraffic) {
   DetectionService service;
   const std::uint32_t id = open_session(service);
@@ -940,6 +1060,47 @@ TEST(PipeServer, FrameLoopAnswersEveryRequestAndRecovers) {
   EXPECT_NE(json.find("\"bad_frames\":1,"), std::string::npos) << json;
   EXPECT_EQ(json.find("frames", json.find("\"shards\"")), std::string::npos)
       << json;
+}
+
+// The pipe frames every answer it writes, so a DRAIN past one frame's
+// worth of reports must come back in two answers, not end the daemon.
+TEST(PipeServer, DrainPastOneFrameIsAnsweredInTwo) {
+  WorkerPool pool(1, room_for_one_drain_and_more());
+  std::stringstream in(std::ios::in | std::ios::out | std::ios::binary);
+  std::stringstream out(std::ios::in | std::ios::out | std::ios::binary);
+  {
+    Request open;
+    open.verb = Verb::kOpen;
+    write_frame(in, encode_request(open));
+    Request feed;
+    feed.verb = Verb::kFeed;
+    feed.session = 1;
+    feed.bytes = races_past_one_drain();
+    write_frame(in, encode_request(feed));
+    Request drain;
+    drain.verb = Verb::kDrain;
+    drain.session = 1;
+    write_frame(in, encode_request(drain));
+    write_frame(in, encode_request(drain));
+  }
+  EXPECT_EQ(serve_pipe(in, out, pool), 4u);
+  std::string payload;
+  std::string error;
+  Response rsp;
+  for (int i = 0; i < 2; ++i) {  // OPEN, FEED
+    ASSERT_TRUE(read_frame(out, payload, error)) << error;
+    ASSERT_TRUE(decode_response(payload, rsp, error)) << error;
+    EXPECT_EQ(rsp.status, ServiceStatus::kOk) << rsp.message;
+  }
+  ASSERT_TRUE(read_frame(out, payload, error)) << error;
+  ASSERT_TRUE(decode_response(payload, rsp, error)) << error;
+  EXPECT_EQ(rsp.drain.reports.size(), kMaxDrainReports);
+  EXPECT_TRUE(rsp.drain.more);
+  ASSERT_TRUE(read_frame(out, payload, error)) << error;
+  ASSERT_TRUE(decode_response(payload, rsp, error)) << error;
+  EXPECT_EQ(rsp.drain.reports.size(), 1u);
+  EXPECT_FALSE(rsp.drain.more);
+  EXPECT_FALSE(read_frame(out, payload, error));  // clean EOF
 }
 
 TEST(PipeServer, TruncatedFrameGetsAnErrorThenStops) {
